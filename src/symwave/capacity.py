@@ -16,7 +16,7 @@ from scipy.ndimage import binary_fill_holes
 
 from .maslov import maslov_loop_index_adaptive
 from .polynomials import Polynomial, random_polynomial
-from .symplectic import LagrangianFrame, random_symplectic
+from .symplectic import _diagonal_torus_frame, random_symplectic
 
 __all__ = [
     "EllipsoidSpec",
@@ -419,16 +419,9 @@ def basis_loop_index(torus, j):
     k = len(torus.radii)
     if not 0 <= j < k:
         raise ValueError("no such circle factor")
-    nf = torus.flat_dims
-
-    def frame(t):
-        ang = np.zeros(k)
-        ang[j] = -t  # clockwise loop, matching the positive-action orientation
-        X = np.diag(np.concatenate([-np.sin(ang), np.ones(nf)]))
-        P = np.diag(np.concatenate([np.cos(ang), np.zeros(nf)]))
-        return LagrangianFrame(X, P)
-
-    return abs(maslov_loop_index_adaptive(frame, 0.0, 2 * np.pi))
+    mu = -np.eye(k, dtype=int)[j]  # clockwise loop, matching the positive-action orientation
+    return abs(maslov_loop_index_adaptive(
+        lambda t: _diagonal_torus_frame(mu * t, torus.flat_dims), 0.0, 2 * np.pi))
 
 
 @dataclass(frozen=True)

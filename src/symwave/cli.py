@@ -95,7 +95,6 @@ from .flows import (
     quartic_hamiltonian,
 )
 from .maslov import (
-    LagrangianLift,
     deck_act,
     inert,
     leray_index,
@@ -103,8 +102,9 @@ from .maslov import (
     maslov_loop_index_adaptive,
 )
 from .polynomials import Polynomial
-from .symplectic import LagrangianFrame, form_matrix, random_lagrangian_frame
+from .symplectic import _diagonal_torus_frame, form_matrix, random_lagrangian_frame
 from .waveforms import (
+    CircleManifold,
     GradientGraphManifold,
     Waveform,
     evolve,
@@ -213,10 +213,6 @@ def _jsonable(obj):
 # index
 
 
-def _circle_lift(theta):
-    return LagrangianLift(np.array([[np.exp(2j * theta)]]), 2.0 * theta)
-
-
 def _index_grid(p, seed):
     count = p.take("theta_count", 40, "int", lambda v: 2 <= v <= 2000,
                    "must be in [2, 2000]")
@@ -227,7 +223,8 @@ def _index_grid(p, seed):
     resolved = p.finish()
     rng = np.random.default_rng(seed)
     thetas = np.linspace(lo, hi, count)
-    lifts = [_circle_lift(th) for th in thetas]
+    circle = CircleManifold(1.0)
+    lifts = [circle.cover_lift(th) for th in thetas]
     rows = []
     mismatches = 0
     for th, a in zip(thetas, lifts):
@@ -258,15 +255,8 @@ def _index_loop(p, seed):
         raise ConfigError("index: a circle loop is a single positive turn; "
                           "use kind='torus' for general windings")
     mu = np.asarray(windings, dtype=int)
-    nf = flat_dims
-
-    def frame(t):
-        ang = mu * t
-        X = np.diag(np.concatenate([-np.sin(ang), np.ones(nf)]))
-        P = np.diag(np.concatenate([np.cos(ang), np.zeros(nf)]))
-        return LagrangianFrame(X, P)
-
-    idx = int(maslov_loop_index_adaptive(frame, 0.0, 2.0 * math.pi))
+    idx = int(maslov_loop_index_adaptive(
+        lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2.0 * math.pi))
     closed = 2 * int(mu.sum())
     row = {"kind": kind, "windings": " ".join(str(v) for v in windings),
            "flat_dims": flat_dims, "loop_index": idx, "closed_form": closed,

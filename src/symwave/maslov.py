@@ -24,11 +24,11 @@ from .errors import (
 )
 from .symplectic import (
     LagrangianFrame,
+    _band_dim,
+    _pair_spectrum,
+    _signature_and_dims,
     frame_from_souriau,
-    intersection_dim,
-    signature,
     souriau_w,
-    transversal,
 )
 
 __all__ = [
@@ -179,14 +179,7 @@ def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
     return lifts[-1]
 
 
-def principal_log_trace(M, branch_tol=1e-12):
-    """Trace of the principal matrix logarithm via the spectrum.
-
-    Each eigenvalue contributes ``log|lambda| + i arg(lambda)`` with the
-    argument in ``(-pi, pi)``; eigenvalues on (or within ``branch_tol`` of)
-    the closed negative real axis raise :class:`BranchCutError`.
-    """
-    lam = np.linalg.eigvals(np.atleast_2d(np.asarray(M, dtype=complex)))
+def _log_trace(lam, branch_tol=1e-12):
     if np.any(np.abs(lam) <= branch_tol):
         raise BranchCutError("singular matrix has no logarithm")
     ang = np.angle(lam)
@@ -195,33 +188,42 @@ def principal_log_trace(M, branch_tol=1e-12):
     return complex(np.sum(np.log(np.abs(lam))) + 1j * np.sum(ang))
 
 
+def principal_log_trace(M, branch_tol=1e-12):
+    """Trace of the principal matrix logarithm via the spectrum.
+
+    Each eigenvalue contributes ``log|lambda| + i arg(lambda)`` with the
+    argument in ``(-pi, pi)``; eigenvalues on (or within ``branch_tol`` of)
+    the closed negative real axis raise :class:`BranchCutError`.
+    """
+    return _log_trace(np.linalg.eigvals(np.atleast_2d(np.asarray(M, dtype=complex))), branch_tol)
+
+
+def _leray_from_spectrum(a, b, lam, tol=_INT_TOL):
+    # lam is the spectrum of w_a w_b^*; -w_a w_b^* has the spectrum -lam
+    if _band_dim(lam):
+        raise TransversalityError("planes are not transversal")
+    v = (a.alpha - b.alpha + 1j * _log_trace(-lam)) / (2 * np.pi) + a.n / 2
+    if abs(v.imag) > tol or abs(v.real - round(v.real)) > tol:
+        raise IntegralityError(f"Leray index landed at {v}, not an integer")
+    return int(round(v.real))
+
+
 def leray_index_transversal(a, b, tol=_INT_TOL):
     """Leray index of a transversal pair of lifts."""
     if a.n != b.n:
         raise ValueError("lifts live in different dimensions")
-    if not transversal(a.w, b.w):
-        raise TransversalityError("planes are not transversal")
-    L = principal_log_trace(-a.w @ b.w.conj().T)
-    v = (a.alpha - b.alpha + 1j * L) / (2 * np.pi) + a.n / 2
-    if abs(v.imag) > tol or abs(v.real - round(v.real)) > tol:
-        raise IntegralityError(f"Leray index landed at {v}, not an integer")
-    return int(round(v.real))
+    return _leray_from_spectrum(a, b, _pair_spectrum(a.w, b.w), tol)
 
 
 def inert(f1, f2, f3):
     """Inertia index of a triple of Lagrangian planes (given as frames).
 
     Half of ``signature + n + (dim23 - dim13 + dim12)``; the parity identity
-    ``signature = n + dim23 - dim13 + dim12  (mod 2)`` makes it an integer.
+    ``signature = n + dim23 - dim13 + dim12  (mod 2)``, which holds by
+    construction of the signature's nullity, makes it an integer.
     """
-    sig = signature(f1, f2, f3)
-    w1, w2, w3 = (souriau_w(f) for f in (f1, f2, f3))
-    ddim = (
-        intersection_dim(w2, w3)
-        - intersection_dim(w1, w3)
-        + intersection_dim(w1, w2)
-    )
-    total = sig + f1.n + ddim
+    sig, (d12, d23, d13) = _signature_and_dims(f1, f2, f3)
+    total = sig + f1.n + d23 - d13 + d12
     if total % 2:
         raise IntegralityError("signature parity identity failed")
     return total // 2
@@ -238,17 +240,13 @@ def _random_aux_plane(n, rng):
 
 
 def _leray_via_auxiliary(a, b, frame_a, frame_b, rng):
-    n = a.n
     for _ in range(60):
-        frame_c, wc = _random_aux_plane(n, rng)
-        if transversal(wc, a.w) and transversal(wc, b.w):
-            alpha_c = float(np.mod(np.angle(np.linalg.det(wc)), 2 * np.pi))
-            c = LagrangianLift(wc, alpha_c)
-            return (
-                leray_index_transversal(a, c)
-                - leray_index_transversal(b, c)
-                + inert(frame_a, frame_b, frame_c)
-            )
+        frame_c, wc = _random_aux_plane(a.n, rng)
+        lam_ac, lam_bc = _pair_spectrum(a.w, wc), _pair_spectrum(b.w, wc)
+        if _band_dim(lam_ac) == 0 and _band_dim(lam_bc) == 0:
+            c = LagrangianLift(wc, float(np.mod(np.angle(np.linalg.det(wc)), 2 * np.pi)))
+            m_ac, m_bc = _leray_from_spectrum(a, c, lam_ac), _leray_from_spectrum(b, c, lam_bc)
+            return m_ac - m_bc + inert(frame_a, frame_b, frame_c)
     raise NumericalError("failed to find an auxiliary transversal plane")
 
 
@@ -261,23 +259,19 @@ def leray_index(a, b, frames=None, rng=None):
     evaluated and must agree.  ``frames`` may supply ``(frame_a, frame_b)``
     to skip reconstructing frames from the Souriau images.
     """
-    if transversal(a.w, b.w):
-        return leray_index_transversal(a, b)
-    if frames is None:
-        frame_a, frame_b = frame_from_souriau(a.w), frame_from_souriau(b.w)
-    else:
-        frame_a, frame_b = frames
-    if rng is None:
-        rng = np.random.default_rng(813970)
-    m1 = _leray_via_auxiliary(a, b, frame_a, frame_b, rng)
-    m2 = _leray_via_auxiliary(a, b, frame_a, frame_b, rng)
+    lam = _pair_spectrum(a.w, b.w)
+    if _band_dim(lam) == 0:
+        return _leray_from_spectrum(a, b, lam)
+    frame_a, frame_b = frames or (frame_from_souriau(a.w), frame_from_souriau(b.w))
+    rng = np.random.default_rng(813970) if rng is None else rng
+    m1, m2 = (_leray_via_auxiliary(a, b, frame_a, frame_b, rng) for _ in range(2))
     if m1 != m2:
         raise NumericalError("auxiliary-plane evaluations disagree")
     return m1
 
 
-def _loop_winding(lifts, closure_defect, tol):
-    if closure_defect > 1e-8:
+def _loop_winding(lifts, tol):
+    if np.max(np.abs(lifts[0].w - lifts[-1].w)) > 1e-8:
         raise ValueError("path of planes does not close up")
     turns = (lifts[-1].alpha - lifts[0].alpha) / (2 * np.pi)
     if abs(turns - round(turns)) > tol:
@@ -294,18 +288,14 @@ def maslov_loop_index(frames, tol=_INT_TOL):
     turn of a line.
     """
     lifts = lift_path(frames, float(np.angle(np.linalg.det(souriau_w(frames[0])))))
-    defect = float(np.max(np.abs(lifts[0].w - lifts[-1].w)))
-    return _loop_winding(lifts, defect, tol)
+    return _loop_winding(lifts, tol)
 
 
 def maslov_loop_index_adaptive(frame_fn, t0, t1, tol=_INT_TOL):
     """Adaptive-refinement variant of :func:`maslov_loop_index`."""
     w0 = souriau_w(frame_fn(t0))
-    _, lifts = lift_path_adaptive(
-        frame_fn, t0, t1, float(np.angle(np.linalg.det(w0)))
-    )
-    defect = float(np.max(np.abs(lifts[0].w - lifts[-1].w)))
-    return _loop_winding(lifts, defect, tol)
+    _, lifts = lift_path_adaptive(frame_fn, t0, t1, float(np.angle(np.linalg.det(w0))))
+    return _loop_winding(lifts, tol)
 
 
 def argument_index(tangent_lifts, base, frames=None, rng=None):

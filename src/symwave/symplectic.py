@@ -160,6 +160,14 @@ def orthonormalize_frame(frame, tol=1e-12):
     return LagrangianFrame(Q[:n], Q[n:])
 
 
+def _orthonormal_souriau(frame, tol=DEFAULT_TOL):
+    if not is_lagrangian_frame(frame, tol=max(tol, 1e-9)):
+        raise ValueError("not a Lagrangian frame (rank or isotropy failure)")
+    on = orthonormalize_frame(frame)
+    u = on.P - 1j * on.X
+    return on, u @ u.T
+
+
 def souriau_w(frame, tol=DEFAULT_TOL):
     """Souriau image ``w = u u^T`` of a Lagrangian plane.
 
@@ -167,11 +175,7 @@ def souriau_w(frame, tol=DEFAULT_TOL):
     symmetric unitary that labels the plane uniquely: it depends on the span
     only, not on the chosen basis.
     """
-    if not is_lagrangian_frame(frame, tol=max(tol, 1e-9)):
-        raise ValueError("not a Lagrangian frame (rank or isotropy failure)")
-    on = orthonormalize_frame(frame)
-    u = on.P - 1j * on.X
-    return u @ u.T
+    return _orthonormal_souriau(frame, tol)[1]
 
 
 def is_souriau_point(w, tol=DEFAULT_TOL):
@@ -184,6 +188,16 @@ def is_souriau_point(w, tol=DEFAULT_TOL):
     return bool(max(sym, uni) <= tol)
 
 
+def _pair_spectrum(w, wp):
+    # unimodular eigenvalues of w (w')^*; 1 has multiplicity dim(l ^ l')
+    return np.linalg.eigvals(np.asarray(w) @ np.asarray(wp).conj().T)
+
+
+def _band_dim(lam, tol=DEFAULT_TOL):
+    # the one zero-band rule: rank, transversality and nullity are decided here
+    return int(np.sum(np.abs(lam - 1.0) <= tol))
+
+
 def transversal(w, wp, tol=DEFAULT_TOL):
     """True iff the two planes meet only at the origin.
 
@@ -191,14 +205,28 @@ def transversal(w, wp, tol=DEFAULT_TOL):
     of ``w (w')^{-1}``, so transversality means no eigenvalue within ``tol``
     of 1.
     """
-    lam = np.linalg.eigvals(np.asarray(w) @ np.asarray(wp).conj().T)
-    return bool(np.min(np.abs(lam - 1.0)) > tol)
+    return _band_dim(_pair_spectrum(w, wp), tol) == 0
 
 
 def intersection_dim(w, wp, tol=DEFAULT_TOL):
     """Dimension of the intersection of two Lagrangian planes."""
-    lam = np.linalg.eigvals(np.asarray(w) @ np.asarray(wp).conj().T)
-    return int(np.sum(np.abs(lam - 1.0) <= tol))
+    return _band_dim(_pair_spectrum(w, wp), tol)
+
+
+def _signature_and_dims(f1, f2, f3, tol=DEFAULT_TOL):
+    # ker Q = (l1^l2) + (l2^l3) + (l3^l1): the d12 + d23 + d13 Gram eigenvalues
+    # of smallest modulus are its zeros, the rest count by their sign
+    n = f1.n
+    if f2.n != n or f3.n != n:
+        raise ValueError("frames live in different dimensions")
+    (o1, w1), (o2, w2), (o3, w3) = (_orthonormal_souriau(f) for f in (f1, f2, f3))
+    dims = tuple(_band_dim(_pair_spectrum(u, v), tol) for u, v in ((w1, w2), (w2, w3), (w1, w3)))
+    F = np.hstack([o1.stacked(), o2.stacked(), o3.stacked()])
+    # keep the blocks Omega(l1, l2), Omega(l2, l3), Omega(l3, l1) of the cyclic form
+    B = F.T @ form_matrix(n) @ F * np.kron([[0, 1, 0], [0, 0, 1], [1, 0, 0]], np.ones((n, n)))
+    lam = np.linalg.eigvalsh((B + B.T) / 2)
+    live = lam[np.argsort(np.abs(lam))[sum(dims) :]]
+    return int(np.sum(live > 0) - np.sum(live < 0)), dims
 
 
 def signature(f1, f2, f3, tol=DEFAULT_TOL):
@@ -208,23 +236,10 @@ def signature(f1, f2, f3, tol=DEFAULT_TOL):
     The planes enter through frames; the value depends on the spans only
     (congruent Gram matrices share their signature).  Antisymmetric with
     respect to swapping two arguments and invariant under a common
-    symplectic transformation.
+    symplectic transformation.  The nullity of ``Q``, the sum of the pairwise
+    intersection dimensions, is decided as in :func:`intersection_dim`.
     """
-    frames = [orthonormalize_frame(f) for f in (f1, f2, f3)]
-    n = frames[0].n
-    if any(f.n != n for f in frames):
-        raise ValueError("frames live in different dimensions")
-    K = form_matrix(n)
-    B1 = frames[0].stacked().T @ K @ frames[1].stacked()
-    B2 = frames[1].stacked().T @ K @ frames[2].stacked()
-    B3 = frames[2].stacked().T @ K @ frames[0].stacked()
-    G = np.zeros((3 * n, 3 * n))
-    G[:n, n : 2 * n] = B1 / 2
-    G[n : 2 * n, 2 * n :] = B2 / 2
-    G[2 * n :, :n] = B3 / 2
-    G = G + G.T
-    lam = np.linalg.eigvalsh(G)
-    return int(np.sum(lam > tol) - np.sum(lam < -tol))
+    return _signature_and_dims(f1, f2, f3, tol)[0]
 
 
 def vertical_frame(n):
@@ -235,6 +250,13 @@ def vertical_frame(n):
 def horizontal_frame(n):
     """Frame of the plane ``{p = 0}`` (Souriau image ``-I``)."""
     return LagrangianFrame(np.eye(n), np.zeros((n, n)))
+
+
+def _diagonal_torus_frame(ang, flat_dims):
+    # torus tangent frame: lines along (-sin a, cos a), then flat_dims lines {p = 0}
+    X = np.diag(np.concatenate([-np.sin(ang), np.ones(flat_dims)]))
+    P = np.diag(np.concatenate([np.cos(ang), np.zeros(flat_dims)]))
+    return LagrangianFrame(X, P)
 
 
 def _real_diagonalize_symmetric_unitary(w, tol=1e-10):

@@ -44,7 +44,13 @@ from .maslov import (
     transport_lift,
     vertical_lift,
 )
-from .symplectic import LagrangianFrame, PhasePoint, frame_from_souriau, souriau_w
+from .symplectic import (
+    LagrangianFrame,
+    PhasePoint,
+    _diagonal_torus_frame,
+    frame_from_souriau,
+    souriau_w,
+)
 
 __all__ = [
     "CircleManifold",
@@ -214,10 +220,7 @@ class TorusManifold:
         return np.concatenate([x, p])
 
     def tangent_frame(self, theta):
-        ang, _ = self._split(theta)
-        X = np.diag(np.concatenate([-np.sin(ang), np.ones(self.flat_dims)]))
-        P = np.diag(np.concatenate([np.cos(ang), np.zeros(self.flat_dims)]))
-        return LagrangianFrame(X, P)
+        return _diagonal_torus_frame(self._split(theta)[0], self.flat_dims)
 
     def phase(self, theta):
         ang, _ = self._split(theta)

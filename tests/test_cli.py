@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symwave
 from symwave.cli import main
 
 
@@ -314,10 +317,14 @@ def test_tol_flag_reaches_the_runner(capsys, tmp_path):
 def test_console_script_entry_point(tmp_path):
     config = tmp_path / "cap.json"
     config.write_text(json.dumps({"params": {"radii": [1.0, 2.0]}}))
+    # the child process imports the same package as this test process
+    src = str(Path(symwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "symwave.cli", "capacity", "--config",
          str(config)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["capacity"] == pytest.approx(
         math.pi, abs=0)

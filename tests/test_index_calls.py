@@ -1,0 +1,60 @@
+"""Eigendecompositions and orthonormalizations per index evaluation.
+
+Each pair of planes has its spectrum computed once, and ``inert``
+orthonormalizes each frame once; these counts pin that down.
+"""
+
+import numpy as np
+import pytest
+
+from symwave.maslov import inert, leray_index, lift_from_frame
+from symwave.symplectic import LagrangianFrame, random_lagrangian_frame, vertical_frame
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    calls = {"eigvals": 0, "qr": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def triple():
+    rng = np.random.default_rng(3)
+    return [random_lagrangian_frame(2, rng) for _ in range(3)]
+
+
+def test_transversal_index_has_one_spectrum(triple, linalg_calls):
+    fa, fb, _ = triple
+    a, b = lift_from_frame(fa), lift_from_frame(fb)
+    linalg_calls.update(eigvals=0, qr=0)
+    leray_index(a, b, frames=(fa, fb))
+    assert linalg_calls == {"eigvals": 1, "qr": 0}
+
+
+def test_inert_has_three_spectra_and_three_qr(triple, linalg_calls):
+    inert(*triple)
+    assert linalg_calls == {"eigvals": 3, "qr": 3}
+
+
+def test_self_index_call_counts(triple, linalg_calls):
+    fa = triple[0]
+    a = lift_from_frame(fa)
+    linalg_calls.update(eigvals=0, qr=0)
+    assert leray_index(a, a, frames=(fa, fa)) == 2
+    assert linalg_calls["eigvals"] <= 11 and linalg_calls["qr"] <= 8
+
+
+def test_inert_rejects_non_lagrangian_frame():
+    bad = LagrangianFrame(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+    f = vertical_frame(2)
+    for frames in ((bad, f, f), (f, bad, f), (f, f, bad)):
+        with pytest.raises(ValueError):
+            inert(*frames)

@@ -304,3 +304,39 @@ def test_chart_change_identity(rng):
         ma = leray_index(lifts[-1], base_a, frames=(theta_frame(theta), fa))
         mb = leray_index(lifts[-1], base_b, frames=(theta_frame(theta), fb))
         assert ma - mb == inert(theta_frame(theta), fa, fb) - mab
+
+
+def near_frame(f, eps, rng):
+    """Image of ``f`` under ``expm(eps K A)`` with ``A`` random symmetric."""
+    A = rng.standard_normal((2 * f.n, 2 * f.n))
+    return f.transformed(expm(eps * form_matrix(f.n) @ (A + A.T) / 2))
+
+
+@pytest.mark.parametrize("eps", [3e-9, 1e-9, 5e-10])
+def test_near_coincident_pair_is_integral(eps):
+    # near-coincident planes used to fail the parity identity: the signature
+    # and the intersection dimensions decided their zeros on different scales
+    rng = np.random.default_rng(1)
+    f = random_lagrangian_frame(2, rng)
+    for _ in range(20):
+        g = near_frame(f, eps, rng)
+        a, b = lift_from_frame(f), lift_from_frame(g)
+        m_ab = leray_index(a, b, frames=(f, g))
+        m_ba = leray_index(b, a, frames=(g, f))
+        assert m_ab + m_ba == 2 + intersection_dim(a.w, b.w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cocycle_at_near_coincident_pairs(n):
+    rng = np.random.default_rng(20261018 + n)
+    for eps in np.logspace(-12, -4, 9):
+        for _ in range(10):
+            fa = random_lagrangian_frame(n, rng)
+            fb, fc = near_frame(fa, eps, rng), random_lagrangian_frame(n, rng)
+            a, b, c = (lift_from_frame(f, windings=int(rng.integers(-3, 4))) for f in (fa, fb, fc))
+            lhs = (
+                leray_index(a, b, frames=(fa, fb))
+                - leray_index(a, c, frames=(fa, fc))
+                + leray_index(b, c, frames=(fb, fc))
+            )
+            assert lhs == inert(fa, fb, fc), (n, eps)
