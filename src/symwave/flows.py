@@ -265,6 +265,15 @@ def _check_finite(z, t):
         raise DivergenceError("flow left the finite phase space", last_time=float(t))
 
 
+def _check_path_finite(times, pts):
+    # the state before the first non-finite sample is the last valid one
+    bad = ~np.all(np.isfinite(pts), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DivergenceError("flow left the finite phase space",
+                              last_time=float(times[max(0, k - 1)]))
+
+
 def _integrate_quadratic(H, z0, t0, t1, steps):
     n = H.n
     gen = _jmat(n) @ _quadratic_matrix(H)
@@ -284,42 +293,40 @@ def _integrate_quadratic(H, z0, t0, t1, steps):
     return times, pts, jacs, act
 
 
-def _leapfrog(x, p, jac, dt, H):
-    n = H.n
-    w2 = H.masses * H.omegas**2
-
-    def v_grad(x):
-        return w2 * x + 4.0 * H.coupling * x**3
-
-    def v_hess_diag(x):
-        return w2 + 12.0 * H.coupling * x**2
-
-    for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1):
-        h = w * dt
-        p = p - 0.5 * h * v_grad(x)
-        jac[n:] -= 0.5 * h * v_hess_diag(x)[:, None] * jac[:n]
-        x = x + h * p / H.masses
-        jac[:n] += (h / H.masses)[:, None] * jac[n:]
-        p = p - 0.5 * h * v_grad(x)
-        jac[n:] -= 0.5 * h * v_hess_diag(x)[:, None] * jac[:n]
-    return x, p, jac
-
-
 def _integrate_quartic(H, z0, t0, t1, steps):
+    # Yoshida's triple of kick-drift-kick leapfrogs per step.  The potential's
+    # gradient and Hessian diagonal depend on x alone, so each evaluation
+    # serves both the half-kick after a drift and the one before the next.
     n = H.n
     times = np.linspace(t0, t1, steps + 1)
     dt = times[1] - times[0] if steps else 0.0
     pts = np.empty((steps + 1, 2 * n))
     jacs = np.empty((steps + 1, 2 * n, 2 * n))
     pts[0], jacs[0] = z0, np.eye(2 * n)
+    m = H.masses
+    w2 = m * H.omegas**2
+    g4, g12 = 4.0 * H.coupling, 12.0 * H.coupling
+    subs = [(h, 0.5 * h, (h / m)[:, None])
+            for h in (w * dt for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1))]
     x, p = z0[:n].copy(), z0[n:].copy()
     jac = np.eye(2 * n)
+    top, bottom = jac[:n], jac[n:]  # dx/dz0 and dp/dz0, updated in place
     with np.errstate(over="ignore", invalid="ignore"):
+        v_grad = w2 * x + g4 * x**3
+        v_hess = w2 + g12 * x**2
         for k in range(1, steps + 1):
-            x, p, jac = _leapfrog(x, p, jac.copy(), dt, H)
+            for h, half_h, h_over_m in subs:
+                p = p - half_h * v_grad
+                bottom -= (half_h * v_hess)[:, None] * top
+                x = x + h * p / m
+                top += h_over_m * bottom
+                v_grad = w2 * x + g4 * x**3
+                v_hess = w2 + g12 * x**2
+                p = p - half_h * v_grad
+                bottom -= (half_h * v_hess)[:, None] * top
             pts[k, :n], pts[k, n:] = x, p
             jacs[k] = jac
-            _check_finite(pts[k], times[k - 1])
+    _check_path_finite(times, pts)
     act = _trapezoid_action(H, times, pts)
     return times, pts, jacs, act
 
@@ -410,11 +417,7 @@ def integrate(H, z0, t0, t1, steps):
             action=np.zeros(1),
         )
     times, pts, jacs, act = _integrate_raw(H, z0, t0, t1, steps)
-    bad = ~np.all(np.isfinite(pts), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DivergenceError("flow left the finite phase space",
-                              last_time=float(times[max(0, k - 1)]))
+    _check_path_finite(times, pts)
     K = form_matrix(H.n)
     defect = float(np.max(np.abs(np.einsum("kji,jl,klm->kim", jacs, K, jacs) - K)))
     return Trajectory(times=times, points=pts, jacobians=jacs, action=act,
@@ -450,11 +453,7 @@ def flow_path(H, z0, t0, t1, steps=1000):
         return (np.array([float(t0)]), z0[None, :].copy(),
                 np.eye(2 * H.n)[None], np.zeros(1))
     times, pts, jacs, act = _integrate_raw(H, z0, t0, t1, max(1, int(steps)))
-    finite = np.all(np.isfinite(pts), axis=1)
-    if not finite.all():
-        k = int(np.argmax(~finite))
-        raise DivergenceError("flow left the finite phase space",
-                              last_time=float(times[max(0, k - 1)]))
+    _check_path_finite(times, pts)
     return times, pts, jacs, act
 
 

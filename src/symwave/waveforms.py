@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
-from .errors import ConjugatePointError, NumericalError
+from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .flows import flow_map, flow_path, is_quadratic_family
 from .maslov import (
     LagrangianLift,
@@ -367,34 +367,40 @@ class FlowedManifold:
     def reference(self):
         return self.base.reference()
 
-    def _flow(self, theta):
+    def path(self, theta):
+        """The flow line from the base point: ``(times, points, jacobians, action)``.
+
+        Integrated once per parameter and cached; the arrays are read-only.
+        """
         th = _coerce_param(theta, self.param_dim)
         key = th.tobytes()
         data = self._cache.get(key)
         if data is None:
             data = flow_path(self.hamiltonian, self.base.point(th),
                              self.t_start, self.t_end, self.steps)
+            for arr in data:
+                arr.flags.writeable = False
             self._cache[key] = data
         return data
 
     def point(self, theta):
-        return self._flow(theta)[1][-1].copy()
+        return self.path(theta)[1][-1].copy()
 
     def jacobian(self, theta):
-        return self._flow(theta)[2][-1].copy()
+        return self.path(theta)[2][-1].copy()
 
     def action(self, theta):
         """Accumulated ``integral(p dx - H dt)`` along the flow line from the base point."""
-        return float(self._flow(theta)[3][-1])
+        return float(self.path(theta)[3][-1])
 
     def tangent_frame(self, theta):
-        return self.base.tangent_frame(theta).transformed(self._flow(theta)[2][-1])
+        return self.base.tangent_frame(theta).transformed(self.path(theta)[2][-1])
 
     def phase(self, theta):
         return self.base.phase(theta) + self.action(theta)
 
     def cover_lift(self, theta):
-        times, _, jacs, _ = self._flow(theta)
+        times, _, jacs, _ = self.path(theta)
         if len(times) == 1:
             return self.base.cover_lift(theta)
         span = times[-1] - times[0]
@@ -790,8 +796,10 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
     with ``S`` the flow-line action and ``dx/dx' = A + B Hess(phi)(x')`` from
     the variational Jacobian blocks.  Exact for quadratic generators with
     constant amplitude; a conjugate point at or inside the window raises
-    `ConjugatePointError` (the multi-branch sum applies there instead).
-    ``phi`` must expose value/grad/hess (e.g. a polynomial).
+    `ConjugatePointError` (the multi-branch sum applies there instead), and
+    a grid position with no source point, such as one past a fold of the
+    flowed graph, raises `NumericalError`.  ``phi`` must expose
+    value/grad/hess (e.g. a polynomial).
     """
     n = H.n
     grid = np.asarray(x_grid, dtype=float)
@@ -815,18 +823,22 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         _, _, scan_jacs, _ = flow_path(H, np.zeros(2 * n), t_start, t_end,
                                        steps=scan_samples - 1)
 
+    def source_flow(xp):
+        # endpoint and flow path (None when quadratic) of the graph point over xp
+        z0 = np.concatenate([xp, np.asarray(phi.grad(xp), dtype=float)])
+        if quadratic:
+            return jac_final @ z0, None
+        path = flow_path(H, z0, t_start, t_end, steps)
+        return path[1][-1], path
+
     out = np.empty(len(grid), dtype=complex)
     xp = grid[0].copy()
     for k, x in enumerate(grid):
-        for it in range(max_iter):
-            p0 = np.asarray(phi.grad(xp), dtype=float)
-            z0 = np.concatenate([xp, p0])
-            if quadratic:
-                z1 = jac_final @ z0
-                A, B = _position_blocks(jac_final, n)
-            else:
-                z1, jac, _ = flow_map(H, z0, t_start, t_end, steps)
-                A, B = _position_blocks(jac, n)
+        # every flow is integrated once: an accepted trial's path is the next
+        # Newton evaluation, and the converged path feeds the scan and action
+        z1, path = source_flow(xp)
+        for _ in range(max_iter):
+            A, B = _position_blocks(jac_final if quadratic else path[2][-1], n)
             resid = z1[:n] - x
             err = float(np.max(np.abs(resid)))
             if err <= newton_tol * max(1.0, float(np.max(np.abs(x)))):
@@ -837,35 +849,36 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
                     "conjugate point at the requested time; "
                     "use the multi-branch shadow sum")
             step_vec = -np.linalg.solve(D, resid)
-            lam, moved = 1.0, False
+            lam = 1.0
             for _ in range(30):
                 trial = xp + lam * step_vec
-                pt = np.asarray(phi.grad(trial), dtype=float)
-                zt = np.concatenate([trial, pt])
-                z1t = (jac_final @ zt if quadratic
-                       else flow_map(H, zt, t_start, t_end, steps)[0])
-                if float(np.max(np.abs(z1t[:n] - x))) < err:
-                    xp, moved = trial, True
-                    break
+                try:
+                    z1t, path_t = source_flow(trial)
+                except DivergenceError:
+                    pass  # a trial flung off the bounded flow is a rejected step
+                else:
+                    if float(np.max(np.abs(z1t[:n] - x))) < err:
+                        xp, z1, path = trial, z1t, path_t
+                        break
                 lam /= 2
-            if not moved:
-                raise NumericalError("source-point solve stalled; window too wide?")
+            else:
+                raise NumericalError(
+                    f"no source point found for grid position {x.tolist()}: the "
+                    "source-point solve stalled (past a fold of the flowed "
+                    "graph, or the window is too wide)")
         else:
-            raise NumericalError("source-point solve did not converge")
+            raise NumericalError(
+                f"source-point solve did not converge at grid position {x.tolist()}")
 
         hess = np.asarray(phi.hess(xp), dtype=float)
         if quadratic:
-            dets = np.array([np.linalg.det(J[:n, :n] + J[:n, n:] @ hess)
-                             for J in scan_jacs])
+            jacs = scan_jacs
             p0 = np.asarray(phi.grad(xp), dtype=float)
             _, _, action = flow_map(H, np.concatenate([xp, p0]), t_start, t_end, 1)
         else:
-            p0 = np.asarray(phi.grad(xp), dtype=float)
-            _, _, path_jacs, path_act = flow_path(
-                H, np.concatenate([xp, p0]), t_start, t_end, steps)
-            dets = np.array([np.linalg.det(J[:n, :n] + J[:n, n:] @ hess)
-                             for J in path_jacs])
+            _, _, jacs, path_act = path
             action = float(path_act[-1])
+        dets = np.linalg.det(jacs[:, :n, :n] + jacs[:, :n, n:] @ hess)
         _scan_for_conjugate_points(dets, det_tol)
         out[k] = (np.exp(1j * (float(phi.value(xp)) + action) / hbar)
                   * float(amplitude(xp)) * abs(dets[-1]) ** -0.5)
@@ -874,15 +887,16 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
     return out
 
 
-def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9,
-                refine_steps=400, bisections=60):
+def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9):
     """Number of conjugate points strictly inside the trajectory window.
 
-    Counts sign changes of ``det(dx/dp')(s)`` for ``s`` in ``(t_start, t_end)``
-    from the variational Jacobian blocks, localizing each crossing by
-    bisection.  A conjugate endpoint raises `ConjugatePointError`; an interior
-    zero without a sign change raises `NumericalError` (a degenerate tangency
-    the sampled count cannot classify).
+    Counts the sign changes of ``det(dx/dp')`` sampled at the ``steps + 1``
+    times of one integrated trajectory (variational Jacobian blocks, no
+    finite differences).  Each sign change counts one crossing; where in its
+    sampling interval a crossing lies is not resolved.  A conjugate endpoint
+    raises `ConjugatePointError`; an interior zero without a sign change
+    raises `NumericalError` (a degenerate tangency the sampled count cannot
+    classify).
     """
     n = H.n
     z0 = np.concatenate([np.atleast_1d(np.asarray(x_start, dtype=float)),
@@ -891,17 +905,13 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9,
         raise ValueError("x_start and p_start must each have length n")
     if t_end <= t_start:
         raise ValueError("need t_end > t_start")
-    times, _, jacs, _ = flow_path(H, z0, t_start, t_end, steps)
-    dets = np.array([np.linalg.det(J[:n, n:]) for J in jacs])
+    _, _, jacs, _ = flow_path(H, z0, t_start, t_end, steps)
+    dets = np.linalg.det(jacs[:, :n, n:])
     scale = float(np.max(np.abs(dets)))
     if scale == 0:
         raise NumericalError("dx/dp' vanished along the whole trajectory")
     if abs(dets[-1]) <= det_tol * scale:
         raise ConjugatePointError("the endpoint is conjugate to the start")
-
-    def det_at(s):
-        _, jac, _ = flow_map(H, z0, t_start, s, refine_steps)
-        return float(np.linalg.det(jac[:n, n:]))
 
     # count flips between consecutive clearly-nonzero samples; samples inside
     # the zero band are skipped, and a band whose flanks agree in sign hides
@@ -910,15 +920,6 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9,
     count = 0
     for ka, kb in zip(solid[:-1], solid[1:]):
         if np.sign(dets[ka]) != np.sign(dets[kb]):
-            lo, hi = times[ka], times[kb]
-            flo = dets[ka]
-            for _ in range(bisections):
-                mid = 0.5 * (lo + hi)
-                fm = det_at(mid)
-                if np.sign(fm) == np.sign(flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
             count += 1
         elif kb - ka > 1:
             raise NumericalError("degenerate near-zero of dx/dp' without a sign change")

@@ -11,6 +11,7 @@ from symwave.flows import (
     chapman_kolmogorov_residual,
     energy_drift,
     flow_map,
+    flow_path,
     generating_function_check,
     hamilton_jacobi_residual,
     hamiltonian_gradient,
@@ -29,6 +30,7 @@ from symwave.flows import (
     Trajectory,
     vector_field,
 )
+from symwave.flows import _YOSHIDA_W0, _YOSHIDA_W1, _trapezoid_action
 from symwave.polynomials import Polynomial
 from symwave.symplectic import is_symplectic_matrix
 
@@ -173,6 +175,57 @@ def test_divergence_reported():
     with pytest.raises(DivergenceError) as exc:
         integrate(H, [1.5, 1.0], 0.0, 6.0, 600)
     assert exc.value.last_time is not None
+
+
+def test_quartic_divergence_reported():
+    # a start far up the quartic wall overflows within the first steps
+    with pytest.raises(DivergenceError) as exc:
+        flow_path(quartic_hamiltonian([1.0], 0.1), [1e3, 0.0], 0.0, 1.0, 50)
+    assert exc.value.last_time == 0.02
+
+
+def _reference_leapfrog(x, p, jac, dt, H):
+    # reference quartic step: one Yoshida leapfrog triple, with the potential's
+    # gradient and Hessian evaluated afresh at every half-kick
+    n = H.n
+    w2 = H.masses * H.omegas**2
+
+    def v_grad(x):
+        return w2 * x + 4.0 * H.coupling * x**3
+
+    def v_hess_diag(x):
+        return w2 + 12.0 * H.coupling * x**2
+
+    for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1):
+        h = w * dt
+        p = p - 0.5 * h * v_grad(x)
+        jac[n:] -= 0.5 * h * v_hess_diag(x)[:, None] * jac[:n]
+        x = x + h * p / H.masses
+        jac[:n] += (h / H.masses)[:, None] * jac[n:]
+        p = p - 0.5 * h * v_grad(x)
+        jac[n:] -= 0.5 * h * v_hess_diag(x)[:, None] * jac[:n]
+    return x, p, jac
+
+
+@pytest.mark.parametrize("H, z0", [
+    (quartic_hamiltonian([1.0], 0.1), [0.6, 0.3]),
+    (quartic_hamiltonian([1.0, 1.7], 0.2, masses=[1.3, 0.6]), [0.3, -0.2, 0.1, 0.4]),
+], ids=["n=1", "n=2-masses"])
+def test_quartic_integrator_matches_reference_bitwise(H, z0):
+    n, steps = H.n, 2000
+    times, pts, jacs, act = flow_path(H, z0, 0.0, 2.0, steps)
+    dt = times[1] - times[0]
+    ref_pts = np.empty_like(pts)
+    ref_jacs = np.empty_like(jacs)
+    ref_pts[0], ref_jacs[0] = z0, np.eye(2 * n)
+    x, p, jac = np.array(z0[:n], dtype=float), np.array(z0[n:], dtype=float), np.eye(2 * n)
+    for k in range(1, steps + 1):
+        x, p, jac = _reference_leapfrog(x, p, jac.copy(), dt, H)
+        ref_pts[k, :n], ref_pts[k, n:] = x, p
+        ref_jacs[k] = jac
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(jacs, ref_jacs)
+    assert np.array_equal(act, _trapezoid_action(H, times, ref_pts))
 
 
 def test_chapman_kolmogorov():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symwave.capacity import TorusSpec
-from symwave.errors import ConjugatePointError
+from symwave.errors import ConjugatePointError, DivergenceError, NumericalError
 from symwave.flows import (
     flow_map,
     harmonic_hamiltonian,
@@ -464,6 +464,18 @@ def test_van_vleck_conjugate_point_errors():
     # just inside the free window is fine
     values = van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 1.2, grid, 0.2)
     assert np.all(np.isfinite(values))
+
+
+def test_van_vleck_past_the_fold_has_no_source():
+    # the flowed graph's image tops out at x ~ 1.243, so the last grid point
+    # has no source; its damped Newton trials must not end in a divergence
+    H = quartic_hamiltonian([1.0], 0.1)
+    phi = Polynomial(1, [(0.2, (1,)), (0.25, (2,))])
+    grid = np.linspace(0.3, 1.3, 8)
+    with pytest.raises(NumericalError) as exc:
+        van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 0.8, grid, 0.05)
+    assert not isinstance(exc.value, DivergenceError)
+    assert "no source point" in str(exc.value) and "1.3" in str(exc.value)
 
 
 def test_morse_index_windows():
