@@ -8,6 +8,7 @@ conjugate plane ``(x_j, p_j)`` keeps at least the area ``pi R^2``.  Shadow
 areas are estimated by occupancy-grid rasterization of mapped sample points.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -416,12 +417,17 @@ def loop_action(torus, mu):
 
 def basis_loop_index(torus, j):
     """Loop index of the j-th basis circle's tangent loop (always 2)."""
-    k = len(torus.radii)
-    if not 0 <= j < k:
+    if not 0 <= j < len(torus.radii):
         raise ValueError("no such circle factor")
+    return _basis_loop_index(len(torus.radii), torus.flat_dims, j)
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_loop_index(k, flat_dims, j):
+    # the loop of frames does not depend on the radii: one lift per shape
     mu = -np.eye(k, dtype=int)[j]  # clockwise loop, matching the positive-action orientation
     return abs(maslov_loop_index_adaptive(
-        lambda t: _diagonal_torus_frame(mu * t, torus.flat_dims), 0.0, 2 * np.pi))
+        lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,21 @@ fourth-order splitting; the magnetic family (and reparameterized wrappers)
 fall back to the implicit midpoint rule, whose Cayley-form tangent update is
 exactly symplectic.  Jacobians are never finite-differenced from nearby
 trajectories: determinant signals near caustics need the variational
-solution.
+solution.  Each family (quadratic, harmonic included; quartic; magnetic;
+reparam) is one table entry: value, gradient, Hessian, integrator, action.
+
+`flow_path` is the one path function: it integrates, scans the path once for
+overflow, then sums the action.  `integrate`, `flow_map`, `action_integral`
+and `phase_transport` are views of its samples and fail as it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as _poly
 from scipy.linalg import expm
 
 from .errors import ConjugatePointError, DivergenceError, NumericalError
@@ -54,6 +61,10 @@ class HamiltonianSpec:
     base: "HamiltonianSpec | None" = None  # reparameterized wrapper
     g_coeffs: np.ndarray | None = None  # g(E) = sum_k c_k E^k
 
+    def __post_init__(self):
+        if self.kind not in _FAMILIES:
+            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
+
 
 def quadratic_hamiltonian(M):
     """H(z) = 1/2 z^T M z for a symmetric 2n x 2n matrix M."""
@@ -66,7 +77,7 @@ def quadratic_hamiltonian(M):
 
 
 def harmonic_hamiltonian(omegas, masses=None):
-    """H = sum_j p_j^2 / (2 m_j) + m_j omega_j^2 x_j^2 / 2."""
+    """H = sum_j p_j^2 / (2 m_j) + m_j omega_j^2 x_j^2 / 2, a quadratic spec."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     n = omegas.size
     masses = np.ones(n) if masses is None else np.atleast_1d(np.asarray(masses, dtype=float))
@@ -74,7 +85,8 @@ def harmonic_hamiltonian(omegas, masses=None):
         raise ValueError("masses must match the number of frequencies")
     if np.any(omegas <= 0) or np.any(masses <= 0):
         raise ValueError("frequencies and masses must be positive")
-    return HamiltonianSpec(kind="harmonic", n=n, omegas=omegas, masses=masses)
+    matrix = np.diag(np.concatenate([masses * omegas**2, 1.0 / masses]))
+    return HamiltonianSpec(kind="quadratic", n=n, matrix=matrix, omegas=omegas, masses=masses)
 
 
 def quartic_hamiltonian(omegas, coupling, masses=None):
@@ -115,113 +127,27 @@ def reparameterized_hamiltonian(H, g_coeffs):
     g = np.atleast_1d(np.asarray(g_coeffs, dtype=float))
     if g.size < 2 or np.all(g[1:] == 0):
         raise ValueError("reparameterization must actually depend on H")
-    if np.all(g[2:] == 0):  # linear g: rescale the quadratic form directly
-        if H.kind == "quadratic":
-            return quadratic_hamiltonian(g[1] * H.matrix)
-        if H.kind == "harmonic":
-            return quadratic_hamiltonian(g[1] * _quadratic_matrix(H))
+    if np.all(g[2:] == 0) and H.matrix is not None:  # rescale the quadratic form
+        return quadratic_hamiltonian(g[1] * H.matrix)
     return HamiltonianSpec(kind="reparam", n=H.n, base=H, g_coeffs=g)
-
-
-def _quadratic_matrix(H):
-    if H.kind == "quadratic":
-        return H.matrix
-    if H.kind == "harmonic":
-        return np.diag(np.concatenate([H.masses * H.omegas**2, 1.0 / H.masses]))
-    raise ValueError("not a quadratic-family Hamiltonian")
-
-
-def is_quadratic_family(H):
-    return H.kind in ("quadratic", "harmonic")
 
 
 def hamiltonian_value(H, z, t=0.0):
     """Evaluate H at phase points ``z`` (vectorized over leading axes)."""
     z = np.asarray(z, dtype=float)
-    n = H.n
-    if z.shape[-1] != 2 * n:
+    if z.shape[-1] != 2 * H.n:
         raise ValueError("phase-space dimension mismatch")
-    x, p = z[..., :n], z[..., n:]
-    if H.kind in ("quadratic", "harmonic"):
-        M = _quadratic_matrix(H)
-        return 0.5 * np.einsum("...i,ij,...j->...", z, M, z)
-    if H.kind == "quartic":
-        return (
-            0.5 * np.einsum("...j,j->...", p**2, 1.0 / H.masses)
-            + 0.5 * np.einsum("...j,j->...", x**2, H.masses * H.omegas**2)
-            + H.coupling * (x**4).sum(axis=-1)
-        )
-    if H.kind == "magnetic":
-        *A, U = H.potentials
-        m = H.masses[0]
-        shifted = p - np.stack([a.value(x) for a in A], axis=-1)
-        return 0.5 * (shifted**2).sum(axis=-1) / m + U.value(x)
-    if H.kind == "reparam":
-        e = hamiltonian_value(H.base, z, t)
-        return np.polynomial.polynomial.polyval(e, H.g_coeffs)
-    raise ValueError(f"unknown Hamiltonian kind {H.kind!r}")
+    return _family(H).value(H, z, t)
 
 
 def hamiltonian_gradient(H, z, t=0.0):
     """Full phase-space gradient (dH/dx, dH/dp), vectorized like the value."""
-    z = np.asarray(z, dtype=float)
-    n = H.n
-    x, p = z[..., :n], z[..., n:]
-    if H.kind in ("quadratic", "harmonic"):
-        return z @ _quadratic_matrix(H).T
-    if H.kind == "quartic":
-        gx = H.masses * H.omegas**2 * x + 4.0 * H.coupling * x**3
-        gp = p / H.masses
-        return np.concatenate([gx, gp], axis=-1)
-    if H.kind == "magnetic":
-        *A, U = H.potentials
-        m = H.masses[0]
-        shifted = p - np.stack([a.value(x) for a in A], axis=-1)
-        gp = shifted / m
-        gx = U.grad(x)
-        for j, a in enumerate(A):
-            gx = gx - shifted[..., j, None] * a.grad(x) / m
-        return np.concatenate([gx, gp], axis=-1)
-    if H.kind == "reparam":
-        e = hamiltonian_value(H.base, z, t)
-        gp = np.polynomial.polynomial.polyval(e, np.polynomial.polynomial.polyder(H.g_coeffs))
-        return gp[..., None] * hamiltonian_gradient(H.base, z, t)
-    raise ValueError(f"unknown Hamiltonian kind {H.kind!r}")
+    return _family(H).gradient(H, np.asarray(z, dtype=float), t)
 
 
 def hamiltonian_hessian(H, z, t=0.0):
     """Phase-space Hessian at a single point."""
-    z = np.asarray(z, dtype=float)
-    n = H.n
-    x, p = z[:n], z[n:]
-    if H.kind in ("quadratic", "harmonic"):
-        return _quadratic_matrix(H).copy()
-    if H.kind == "quartic":
-        d = np.concatenate([H.masses * H.omegas**2 + 12.0 * H.coupling * x**2, 1.0 / H.masses])
-        return np.diag(d)
-    if H.kind == "magnetic":
-        *A, U = H.potentials
-        m = H.masses[0]
-        a_val = np.array([a.value(x) for a in A])
-        shifted = p - a_val
-        G = np.stack([a.grad(x) for a in A], axis=1)  # G[i, j] = dA_j/dx_i
-        hess = np.zeros((2 * n, 2 * n))
-        hess[n:, n:] = np.eye(n) / m
-        hess[:n, n:] = -G / m
-        hess[n:, :n] = -G.T / m
-        hxx = U.hess(x) + (G @ G.T) / m
-        for j, a in enumerate(A):
-            hxx -= shifted[j] * a.hess(x) / m
-        hess[:n, :n] = hxx
-        return hess
-    if H.kind == "reparam":
-        c = H.g_coeffs
-        e = float(hamiltonian_value(H.base, z, t))
-        g1 = np.polynomial.polynomial.polyval(e, np.polynomial.polynomial.polyder(c))
-        g2 = np.polynomial.polynomial.polyval(e, np.polynomial.polynomial.polyder(c, 2))
-        grad = hamiltonian_gradient(H.base, z, t)
-        return g2 * np.outer(grad, grad) + g1 * hamiltonian_hessian(H.base, z, t)
-    raise ValueError(f"unknown Hamiltonian kind {H.kind!r}")
+    return _family(H).hessian(H, np.asarray(z, dtype=float), t)
 
 
 def vector_field(H, z, t=0.0):
@@ -229,6 +155,82 @@ def vector_field(H, z, t=0.0):
     g = hamiltonian_gradient(H, z, t)
     n = H.n
     return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
+
+
+def _quartic_value(H, z, t):
+    x, p = z[..., :H.n], z[..., H.n:]
+    return (
+        0.5 * np.einsum("...j,j->...", p**2, 1.0 / H.masses)
+        + 0.5 * np.einsum("...j,j->...", x**2, H.masses * H.omegas**2)
+        + H.coupling * (x**4).sum(axis=-1)
+    )
+
+
+def _quartic_gradient(H, z, t):
+    x, p = z[..., :H.n], z[..., H.n:]
+    gx = H.masses * H.omegas**2 * x + 4.0 * H.coupling * x**3
+    gp = p / H.masses
+    return np.concatenate([gx, gp], axis=-1)
+
+
+def _quartic_hessian(H, z, t):
+    x = z[:H.n]
+    return np.diag(np.concatenate([H.masses * H.omegas**2 + 12.0 * H.coupling * x**2,
+                                   1.0 / H.masses]))
+
+
+def _magnetic_terms(H, z):
+    # (A, U, m, x, p - A(x)): the kinetic momentum, computed once per evaluation
+    *A, U = H.potentials
+    x, p = z[..., :H.n], z[..., H.n:]
+    return A, U, H.masses[0], x, p - np.stack([a.value(x) for a in A], axis=-1)
+
+
+def _magnetic_value(H, z, t):
+    _, U, m, x, shifted = _magnetic_terms(H, z)
+    return 0.5 * (shifted**2).sum(axis=-1) / m + U.value(x)
+
+
+def _magnetic_gradient(H, z, t):
+    A, U, m, x, shifted = _magnetic_terms(H, z)
+    gp = shifted / m
+    gx = U.grad(x)
+    for j, a in enumerate(A):
+        gx = gx - shifted[..., j, None] * a.grad(x) / m
+    return np.concatenate([gx, gp], axis=-1)
+
+
+def _magnetic_hessian(H, z, t):
+    A, U, m, x, shifted = _magnetic_terms(H, z)
+    n = H.n
+    G = np.stack([a.grad(x) for a in A], axis=1)  # G[i, j] = dA_j/dx_i
+    hess = np.zeros((2 * n, 2 * n))
+    hess[n:, n:] = np.eye(n) / m
+    hess[:n, n:] = -G / m
+    hess[n:, :n] = -G.T / m
+    hxx = U.hess(x) + (G @ G.T) / m
+    for j, a in enumerate(A):
+        hxx -= shifted[j] * a.hess(x) / m
+    hess[:n, :n] = hxx
+    return hess
+
+
+def _g_derivative(g_coeffs, e, order=1):
+    # d^order g / dE^order at the energy e
+    return _poly.polyval(e, _poly.polyder(g_coeffs, order))
+
+
+def _reparam_gradient(H, z, t):
+    g1 = _g_derivative(H.g_coeffs, hamiltonian_value(H.base, z, t))
+    return g1[..., None] * hamiltonian_gradient(H.base, z, t)
+
+
+def _reparam_hessian(H, z, t):
+    e = float(hamiltonian_value(H.base, z, t))
+    g1 = _g_derivative(H.g_coeffs, e)
+    g2 = _g_derivative(H.g_coeffs, e, 2)
+    grad = hamiltonian_gradient(H.base, z, t)
+    return g2 * np.outer(grad, grad) + g1 * hamiltonian_hessian(H.base, z, t)
 
 
 @dataclass(frozen=True)
@@ -260,11 +262,6 @@ class Trajectory:
         return self.point(len(self.times) - 1)
 
 
-def _check_finite(z, t):
-    if not np.all(np.isfinite(z)):
-        raise DivergenceError("flow left the finite phase space", last_time=float(t))
-
-
 def _check_path_finite(times, pts):
     # the state before the first non-finite sample is the last valid one
     bad = ~np.all(np.isfinite(pts), axis=1)
@@ -274,47 +271,44 @@ def _check_path_finite(times, pts):
                               last_time=float(times[max(0, k - 1)]))
 
 
-def _integrate_quadratic(H, z0, t0, t1, steps):
-    n = H.n
-    gen = _jmat(n) @ _quadratic_matrix(H)
-    times = np.linspace(t0, t1, steps + 1)
-    pts = np.empty((steps + 1, 2 * n))
-    jacs = np.empty((steps + 1, 2 * n, 2 * n))
-    step = expm((times[1] - times[0]) * gen) if steps else np.eye(2 * n)
-    pts[0], jacs[0] = z0, np.eye(2 * n)
-    for k in range(1, steps + 1):
-        jacs[k] = step @ jacs[k - 1]
-        pts[k] = jacs[k] @ z0
+# Each integrator fills points[1:] and jacobians[1:] from the start sample at
+# two or more equally spaced times, and leaves overflow to the path scan.
+
+def _integrate_quadratic(H, times, pts, jacs):
+    step = expm((times[1] - times[0]) * (_jmat(H.n) @ H.matrix))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(times)):
+            jacs[k] = step @ jacs[k - 1]
+            pts[k] = jacs[k] @ pts[0]
+
+
+def _quadratic_action(H, times, pts):
     # exact Poincare-Cartan action: see quadratic_action_shortcut
-    act = 0.5 * (
+    n = H.n
+    return 0.5 * (
         np.einsum("kj,kj->k", pts[:, n:], pts[:, :n])
         - pts[0, n:] @ pts[0, :n]
     )
-    return times, pts, jacs, act
 
 
-def _integrate_quartic(H, z0, t0, t1, steps):
+def _integrate_quartic(H, times, pts, jacs):
     # Yoshida's triple of kick-drift-kick leapfrogs per step.  The potential's
     # gradient and Hessian diagonal depend on x alone, so each evaluation
     # serves both the half-kick after a drift and the one before the next.
     n = H.n
-    times = np.linspace(t0, t1, steps + 1)
-    dt = times[1] - times[0] if steps else 0.0
-    pts = np.empty((steps + 1, 2 * n))
-    jacs = np.empty((steps + 1, 2 * n, 2 * n))
-    pts[0], jacs[0] = z0, np.eye(2 * n)
+    dt = times[1] - times[0]
     m = H.masses
     w2 = m * H.omegas**2
     g4, g12 = 4.0 * H.coupling, 12.0 * H.coupling
     subs = [(h, 0.5 * h, (h / m)[:, None])
             for h in (w * dt for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1))]
-    x, p = z0[:n].copy(), z0[n:].copy()
+    x, p = pts[0, :n].copy(), pts[0, n:].copy()
     jac = np.eye(2 * n)
     top, bottom = jac[:n], jac[n:]  # dx/dz0 and dp/dz0, updated in place
     with np.errstate(over="ignore", invalid="ignore"):
         v_grad = w2 * x + g4 * x**3
         v_hess = w2 + g12 * x**2
-        for k in range(1, steps + 1):
+        for k in range(1, len(times)):
             for h, half_h, h_over_m in subs:
                 p = p - half_h * v_grad
                 bottom -= (half_h * v_hess)[:, None] * top
@@ -326,24 +320,16 @@ def _integrate_quartic(H, z0, t0, t1, steps):
                 bottom -= (half_h * v_hess)[:, None] * top
             pts[k, :n], pts[k, n:] = x, p
             jacs[k] = jac
-    _check_path_finite(times, pts)
-    act = _trapezoid_action(H, times, pts)
-    return times, pts, jacs, act
 
 
-def _integrate_midpoint(H, z0, t0, t1, steps, newton_tol=1e-13, max_iter=60):
-    n = H.n
-    J = _jmat(n)
-    eye = np.eye(2 * n)
-    times = np.linspace(t0, t1, steps + 1)
-    dt = times[1] - times[0] if steps else 0.0
-    pts = np.empty((steps + 1, 2 * n))
-    jacs = np.empty((steps + 1, 2 * n, 2 * n))
-    pts[0], jacs[0] = z0, eye
-    z = np.asarray(z0, dtype=float).copy()
+def _integrate_midpoint(H, times, pts, jacs, newton_tol=1e-13, max_iter=60):
+    J = _jmat(H.n)
+    eye = np.eye(2 * H.n)
+    dt = times[1] - times[0]
+    z = pts[0].copy()
     jac = eye.copy()
-    scale0 = max(1.0, float(np.max(np.abs(z0))))
-    for k in range(1, steps + 1):
+    scale0 = max(1.0, float(np.max(np.abs(z))))
+    for k in range(1, len(times)):
         tm = 0.5 * (times[k - 1] + times[k])
         z_new = z + dt * vector_field(H, z, tm)  # explicit predictor
         for _ in range(max_iter):
@@ -368,31 +354,81 @@ def _integrate_midpoint(H, z0, t0, t1, steps, newton_tol=1e-13, max_iter=60):
         jac = np.linalg.solve(eye - 0.5 * dt * m_h, (eye + 0.5 * dt * m_h) @ jac)
         z = z_new
         pts[k], jacs[k] = z, jac
-        _check_finite(z, times[k])
-    act = _trapezoid_action(H, times, pts)
-    return times, pts, jacs, act
 
 
 def _trapezoid_action(H, times, pts):
     n = H.n
     xdot = vector_field(H, pts, 0.0)[:, :n]
     lagrangian = np.einsum("kj,kj->k", pts[:, n:], xdot) - hamiltonian_value(H, pts)
-    if len(times) == 1:
-        return np.zeros(1)
-    act = np.concatenate([[0.0], np.cumsum(
+    return np.concatenate([[0.0], np.cumsum(
         0.5 * (lagrangian[1:] + lagrangian[:-1]) * np.diff(times)
     )])
-    return act
+
+
+class _Family(NamedTuple):
+    value: Callable  # (H, z, t) -> H(z), vectorized over leading axes
+    gradient: Callable  # (H, z, t) -> (dH/dx, dH/dp), vectorized likewise
+    hessian: Callable  # (H, z, t) -> Hessian at one point
+    integrator: Callable  # (H, times, points, jacobians) -> None, fills the path
+    action: Callable  # (H, times, points) -> accumulated action per sample
+
+
+_FAMILIES = {
+    "quadratic": _Family(
+        lambda H, z, t: 0.5 * np.einsum("...i,ij,...j->...", z, H.matrix, z),
+        lambda H, z, t: z @ H.matrix.T,
+        lambda H, z, t: H.matrix.copy(),
+        _integrate_quadratic, _quadratic_action),
+    "quartic": _Family(_quartic_value, _quartic_gradient, _quartic_hessian,
+                       _integrate_quartic, _trapezoid_action),
+    "magnetic": _Family(_magnetic_value, _magnetic_gradient, _magnetic_hessian,
+                        _integrate_midpoint, _trapezoid_action),
+    "reparam": _Family(
+        lambda H, z, t: _poly.polyval(hamiltonian_value(H.base, z, t), H.g_coeffs),
+        _reparam_gradient, _reparam_hessian, _integrate_midpoint, _trapezoid_action),
+}
+
+
+def _family(H):
+    return _FAMILIES[H.kind]
 
 
 def _integrate_raw(H, z0, t0, t1, steps):
-    if H.kind in ("quadratic", "harmonic"):
-        return _integrate_quadratic(H, z0, t0, t1, steps)
-    if H.kind == "quartic":
-        return _integrate_quartic(H, z0, t0, t1, steps)
-    if H.kind in ("magnetic", "reparam"):
-        return _integrate_midpoint(H, z0, t0, t1, steps)
-    raise ValueError(f"unknown Hamiltonian kind {H.kind!r}")
+    # the one integrator dispatch and overflow scan; the action sums a finite path
+    family = _family(H)
+    times = np.linspace(t0, t1, steps + 1)
+    pts = np.empty((steps + 1, 2 * H.n))
+    jacs = np.empty((steps + 1, 2 * H.n, 2 * H.n))
+    pts[0], jacs[0] = z0, np.eye(2 * H.n)
+    family.integrator(H, times, pts, jacs)
+    _check_path_finite(times, pts)
+    return times, pts, jacs, family.action(H, times, pts)
+
+
+def _as_state(z, n):
+    if isinstance(z, PhasePoint):
+        z = z.as_vector()
+    z = np.asarray(z, dtype=float)
+    if z.shape != (2 * n,):
+        raise ValueError("state must be a 2n phase-space vector")
+    return z
+
+
+def flow_path(H, z0, t0, t1, steps=1000):
+    """Sampled path of the flow map: ``(times, points, jacobians, action)``.
+
+    ``steps + 1`` samples as in `Trajectory`; ``t1 < t0`` integrates backward,
+    ``t1 == t0`` returns the single-sample path.  Leaving the finite phase
+    space raises `DivergenceError` with the last finite sample's time.
+    """
+    z0 = _as_state(z0, H.n)
+    if t1 != t0:
+        return _integrate_raw(H, z0, t0, t1, max(1, int(steps)))
+    # nothing to integrate: the one sample is the start, checked here
+    if not np.all(np.isfinite(z0)):
+        raise DivergenceError("flow left the finite phase space", last_time=float(t0))
+    return (np.array([float(t0)]), z0[None, :].copy(),
+            np.eye(2 * H.n)[None], np.zeros(1))
 
 
 def integrate(H, z0, t0, t1, steps):
@@ -407,54 +443,17 @@ def integrate(H, z0, t0, t1, steps):
         raise ValueError("steps must be >= 1")
     if t1 < t0:
         raise ValueError("integrate requires t1 >= t0 (use flow_map for backward flow)")
-    z0 = _as_state(z0, H.n)
-    _check_finite(z0, t0)
-    if t1 == t0:
-        return Trajectory(
-            times=np.array([float(t0)]),
-            points=z0[None, :].copy(),
-            jacobians=np.eye(2 * H.n)[None],
-            action=np.zeros(1),
-        )
-    times, pts, jacs, act = _integrate_raw(H, z0, t0, t1, steps)
-    _check_path_finite(times, pts)
+    times, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
     K = form_matrix(H.n)
     defect = float(np.max(np.abs(np.einsum("kji,jl,klm->kim", jacs, K, jacs) - K)))
     return Trajectory(times=times, points=pts, jacobians=jacs, action=act,
                       symplectic_defect=defect)
 
 
-def _as_state(z, n):
-    if isinstance(z, PhasePoint):
-        z = z.as_vector()
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2 * n,):
-        raise ValueError("state must be a 2n phase-space vector")
-    return z
-
-
 def flow_map(H, z0, t0, t1, steps=1000):
-    """Endpoint, Jacobian and action of the flow map f_{t1,t0} (any ordering)."""
-    z0 = _as_state(z0, H.n)
-    if t1 == t0:
-        return z0.copy(), np.eye(2 * H.n), 0.0
-    times, pts, jacs, act = _integrate_raw(H, z0, t0, t1, max(1, steps))
+    """Endpoint, Jacobian and action of the flow map f_{t1,t0}: `flow_path`'s last sample."""
+    _, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
     return pts[-1], jacs[-1], float(act[-1])
-
-
-def flow_path(H, z0, t0, t1, steps=1000):
-    """Sampled path of the flow map: ``(times, points, jacobians, action)``.
-
-    Like `flow_map` but keeps every sample; ``t1 < t0`` integrates backward,
-    ``t1 == t0`` returns the single-sample path.
-    """
-    z0 = _as_state(z0, H.n)
-    if t1 == t0:
-        return (np.array([float(t0)]), z0[None, :].copy(),
-                np.eye(2 * H.n)[None], np.zeros(1))
-    times, pts, jacs, act = _integrate_raw(H, z0, t0, t1, max(1, int(steps)))
-    _check_path_finite(times, pts)
-    return times, pts, jacs, act
 
 
 def energy_drift(H, traj):
@@ -465,7 +464,6 @@ def energy_drift(H, traj):
 
 def chapman_kolmogorov_residual(H, z0, t, t_mid, t_start, steps=1000):
     """Group-law defect ``|f_{t,t_mid}(f_{t_mid,t_start}(z0)) - f_{t,t_start}(z0)|``."""
-    z0 = _as_state(z0, H.n)
     leg1, _, _ = flow_map(H, z0, t_start, t_mid, steps)
     two_leg, _, _ = flow_map(H, leg1, t_mid, t, steps)
     direct, _, _ = flow_map(H, z0, t_start, t, steps)
@@ -491,19 +489,13 @@ def action_integral(H, x_start, p_start, t_start, t_end, steps=2000):
     """Accumulated ``integral(p dx - H dt)`` from ``(x', p')``; returns (S, endpoint)."""
     z0 = np.concatenate([np.atleast_1d(np.asarray(x_start, dtype=float)),
                          np.atleast_1d(np.asarray(p_start, dtype=float))])
-    if t_end == t_start:
-        return 0.0, PhasePoint.from_vector(z0)
-    z1, _, act = flow_map(H, z0, t_start, t_end, steps)
-    return act, PhasePoint.from_vector(z1)
+    _, pts, _, act = flow_path(H, z0, t_start, t_end, steps)
+    return float(act[-1]), PhasePoint.from_vector(pts[-1])
 
 
 def phase_transport(phi0, H, z_start, t_start, t_end, steps=2000):
     """Transport a phase value along the flow: ``phi0 + integral(p dx - H dt)``."""
-    z0 = _as_state(z_start, H.n)
-    if t_end == t_start:
-        return float(phi0)
-    _, _, act = flow_map(H, z0, t_start, t_end, steps)
-    return float(phi0) + act
+    return float(phi0) + float(flow_path(H, z_start, t_start, t_end, steps)[3][-1])
 
 
 def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid, detail=False):
@@ -559,8 +551,8 @@ def two_point_action(H, x_start, x_end, t_start, t_end, steps=800,
     if tau == 0:
         raise ValueError("two-point problem needs distinct times")
 
-    if is_quadratic_family(H):
-        S_mat = expm(tau * _jmat(n) @ _quadratic_matrix(H))
+    if H.matrix is not None:  # quadratic family: the one-step flow map is exact
+        _, S_mat, _ = flow_map(H, np.zeros(2 * n), t_start, t_end, steps=1)
         A, B = S_mat[:n, :n], S_mat[:n, n:]
         det_b = np.linalg.det(B)
         if abs(det_b) < 1e-12:
@@ -653,7 +645,7 @@ def shared_level_set_orbit_check(H, g_coeffs, z0, period, steps=4000):
     if g.size >= 2 and g[1] == 1.0 and np.all(g[2:] == 0):
         return 0.0  # shifted identity: literally the same flow
     e0 = float(hamiltonian_value(H, z0))
-    g1 = float(np.polynomial.polynomial.polyval(e0, np.polynomial.polynomial.polyder(g)))
+    g1 = float(_g_derivative(g, e0))
     if g1 <= 0:
         raise ValueError("reparameterization must be increasing near the orbit energy")
     K = reparameterized_hamiltonian(H, g)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
 from .errors import ConjugatePointError, DivergenceError, NumericalError
-from .flows import flow_map, flow_path, is_quadratic_family
+from .flows import flow_map, flow_path
 from .maslov import (
     LagrangianLift,
     deck_act,
@@ -816,7 +816,7 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
     if t_end == t_start:
         return np.array([data_value(x) for x in grid], dtype=complex)
 
-    quadratic = is_quadratic_family(H)
+    quadratic = H.matrix is not None  # the quadratic family
     if quadratic:
         # state-independent blocks: one exact step and one exact time scan
         _, jac_final, _ = flow_map(H, np.zeros(2 * n), t_start, t_end, steps=1)
@@ -926,10 +926,11 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9):
     return count
 
 
-def _ladder_residual(r2, hbar, loop_ind, density_only):
-    value = loop_action(TorusSpec((math.sqrt(r2),)), [1]) / (2 * math.pi * hbar)
+def _ladder_residual(r2, hbar, density_only):
+    torus = TorusSpec((math.sqrt(r2),))
+    value = loop_action(torus, [1]) / (2 * math.pi * hbar)
     if not density_only:
-        value -= loop_ind / 4.0
+        value -= basis_loop_index(torus, 0) / 4.0
     return abs(value - round(value))
 
 
@@ -949,12 +950,10 @@ def oscillator_spectrum_from_waveforms(hbar, n_max, density_only=False,
         raise ValueError("hbar must be positive")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # the loop index is a homotopy invariant, identical for every radius
-    loop_ind = basis_loop_index(TorusSpec((1.0,)), 0)
     r2_max = (2 * n_max + 2) * hbar
     grid = np.linspace(hbar / scan_divisions, r2_max,
                        scan_divisions * (2 * n_max + 2))
-    resid = np.array([_ladder_residual(v, hbar, loop_ind, density_only)
+    resid = np.array([_ladder_residual(v, hbar, density_only)
                       for v in grid])
 
     minima = [k for k in range(len(grid))
@@ -967,13 +966,13 @@ def oscillator_spectrum_from_waveforms(hbar, n_max, density_only=False,
         for _ in range(200):
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
-            if (_ladder_residual(m1, hbar, loop_ind, density_only)
-                    <= _ladder_residual(m2, hbar, loop_ind, density_only)):
+            if (_ladder_residual(m1, hbar, density_only)
+                    <= _ladder_residual(m2, hbar, density_only)):
                 hi = m2
             else:
                 lo = m1
         r2 = 0.5 * (lo + hi)
-        if _ladder_residual(r2, hbar, loop_ind, density_only) > tol:
+        if _ladder_residual(r2, hbar, density_only) > tol:
             continue
         if not density_only and not keller_maslov_check(
                 TorusSpec((math.sqrt(r2),)), hbar, tol=math.sqrt(tol)).passed:

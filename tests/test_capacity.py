@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from symwave import capacity
 from symwave.capacity import (
     EllipsoidSpec,
     SymplectomorphismSpec,
@@ -26,6 +27,7 @@ from symwave.capacity import (
 )
 from symwave.polynomials import Polynomial, random_polynomial
 from symwave.symplectic import is_symplectic_matrix
+from symwave.waveforms import oscillator_spectrum_from_waveforms
 
 
 def test_polynomial_derivatives_match_finite_differences(rng):
@@ -182,6 +184,27 @@ def test_basis_loop_index_is_two():
     t = TorusSpec((1.0, 0.5), flat_dims=1)
     assert basis_loop_index(t, 0) == 2
     assert basis_loop_index(t, 1) == 2
+
+
+def test_radius_scan_lifts_the_basis_loop_once(monkeypatch):
+    # the loop of frames does not depend on the radius: criterion 7's 1,000
+    # radii and the waveform spectrum scan share one adaptive lift
+    lifts = []
+    lift = capacity.maslov_loop_index_adaptive
+
+    def counted(*args, **kwargs):
+        lifts.append(args)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "maslov_loop_index_adaptive", counted)
+    capacity._basis_loop_index.cache_clear()
+    hbar = 0.5
+    passing = [k for k in range(1, 1001)
+               if keller_maslov_check(TorusSpec((math.sqrt(k * hbar / 100.0),)), hbar).passed]
+    assert passing == [100, 300, 500, 700, 900]
+    assert len(lifts) == 1
+    assert len(oscillator_spectrum_from_waveforms(hbar, 3)) == 4
+    assert len(lifts) == 1
 
 
 def test_keller_maslov_ladder():

@@ -101,6 +101,13 @@ def test_spec_validation():
         magnetic_hamiltonian((Polynomial(2, [(1.0, (1, 0))]),), Polynomial(1, []))
     with pytest.raises(ValueError):
         reparameterized_hamiltonian(harmonic_hamiltonian([1.0]), [3.0])
+    # an unknown kind is rejected when the spec is built; the harmonic
+    # family is a quadratic spec, not a kind of its own
+    with pytest.raises(ValueError, match="unknown Hamiltonian kind"):
+        HamiltonianSpec(kind="harmonic", n=1)
+    H = harmonic_hamiltonian([1.0, 2.0], masses=[1.0, 0.5])
+    assert H.kind == "quadratic"
+    assert np.array_equal(H.matrix, np.diag([1.0, 2.0, 1.0, 2.0]))
 
 
 def test_gradient_hessian_fd_oracles(rng):
@@ -182,6 +189,61 @@ def test_quartic_divergence_reported():
     with pytest.raises(DivergenceError) as exc:
         flow_path(quartic_hamiltonian([1.0], 0.1), [1e3, 0.0], 0.0, 1.0, 50)
     assert exc.value.last_time == 0.02
+
+
+def _view_specs():
+    A = (Polynomial(1, [(0.3, (2,))]),)
+    U = Polynomial(1, [(0.5, (2,))])
+    return [
+        quadratic_hamiltonian([[1.0, 0.3], [0.3, 0.5]]),
+        harmonic_hamiltonian([1.0, 2.0], masses=[1.0, 0.5]),
+        quartic_hamiltonian([1.0], 0.1),
+        magnetic_hamiltonian(A, U),
+        reparameterized_hamiltonian(quartic_hamiltonian([1.0], 0.1), [0.0, 1.0, 0.5]),
+    ]
+
+
+@pytest.mark.parametrize("t0, t1", [(0.2, 1.1), (1.1, 0.2), (0.7, 0.7)],
+                         ids=["forward", "backward", "zero-length"])
+@pytest.mark.parametrize("H", _view_specs(),
+                         ids=["quadratic", "harmonic", "quartic", "magnetic", "reparam"])
+def test_views_return_the_flow_path_sample(H, t0, t1):
+    n, steps = H.n, 60
+    z0 = np.linspace(0.3, -0.4, 2 * n)
+    times, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
+    z1, jac1, s1 = flow_map(H, z0, t0, t1, steps)
+    assert np.array_equal(z1, pts[-1]) and np.array_equal(jac1, jacs[-1])
+    assert s1 == act[-1]
+    s2, end = action_integral(H, z0[:n], z0[n:], t0, t1, steps)
+    assert s2 == act[-1] and np.array_equal(end.as_vector(), pts[-1])
+    assert phase_transport(0.25, H, z0, t0, t1, steps) == 0.25 + act[-1]
+    if t1 < t0:
+        with pytest.raises(ValueError):
+            integrate(H, z0, t0, t1, steps)
+        return
+    traj = integrate(H, z0, t0, t1, steps)
+    for got, want in zip((traj.times, traj.points, traj.jacobians, traj.action),
+                         (times, pts, jacs, act)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("H, z0, t1, steps, last_time", [
+    (quadratic_hamiltonian(np.diag([-1.0, 1.0])), [1.0, 0.0], 1000.0, 100, 710.0),
+    (harmonic_hamiltonian([1.0]), [np.nan, 0.0], 1.0, 10, 0.0),
+    (harmonic_hamiltonian([1.0]), [np.nan, 0.0], 0.0, 10, 0.0),
+], ids=["overflow", "nan-start", "nan-start-zero-length"])
+def test_views_diverge_like_flow_path(H, z0, t1, steps, last_time):
+    views = {
+        "flow_path": lambda: flow_path(H, z0, 0.0, t1, steps),
+        "flow_map": lambda: flow_map(H, z0, 0.0, t1, steps),
+        "integrate": lambda: integrate(H, z0, 0.0, t1, steps),
+        "action_integral": lambda: action_integral(H, z0[:1], z0[1:], 0.0, t1, steps),
+        "phase_transport": lambda: phase_transport(0.0, H, z0, 0.0, t1, steps),
+    }
+    for name, view in views.items():
+        with pytest.raises(DivergenceError) as exc:
+            view()
+        assert exc.value.last_time == last_time, name
 
 
 def _reference_leapfrog(x, p, jac, dt, H):
@@ -267,6 +329,10 @@ def test_action_integral_examples():
     H = harmonic_hamiltonian([1.0])
     s0, end = action_integral(H, [0.3], [0.7], 2.0, 2.0)
     assert s0 == 0.0 and np.allclose(end.as_vector(), [0.3, 0.7])
+    # the state is checked on every window, the zero-length one included
+    for t_end in (2.0, 2.5):
+        with pytest.raises(ValueError, match="2n phase-space vector"):
+            action_integral(H, [0.3, 0.1], [0.7, 0.2], 2.0, t_end)
 
     # eliminate p' via the two-point solve, then compare to the closed form
     tau = 1.1
