@@ -64,20 +64,35 @@ class EllipsoidSpec:
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """Product of circles ``x_j^2 + p_j^2 = r_j^2`` times flat line factors."""
+    """Product of circles ``x_j^2 + p_j^2 = r_j^2`` times flat line factors.
+
+    ``waveforms.TorusManifold`` adds the geometry of the same torus, and
+    ``waveforms.CircleManifold`` is its one-circle case.
+    """
 
     radii: tuple
     flat_dims: int = 0
 
     def __post_init__(self):
         r = tuple(float(v) for v in self.radii)
-        if any(v <= 0 for v in r) or self.flat_dims < 0:
-            raise ValueError("circle radii must be positive, flat_dims >= 0")
+        flat = int(self.flat_dims)
+        if not r or any(v <= 0 for v in r) or flat != self.flat_dims or flat < 0:
+            raise ValueError("need at least one positive radius and an integer flat_dims >= 0")
         object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "flat_dims", flat)
 
     @property
     def n(self):
         return len(self.radii) + self.flat_dims
+
+    def _winding(self, mu):
+        # integer winding vector over the circle factors; one circle takes a scalar
+        mu = np.asarray(mu, dtype=int)
+        if mu.ndim == 0 and len(self.radii) == 1:
+            mu = mu.reshape(1)
+        if mu.shape != (len(self.radii),):
+            raise ValueError("winding vector must match the number of circle factors")
+        return mu
 
 
 class UnquantizedTorusError(ValueError):
@@ -409,9 +424,7 @@ def loop_action(torus, mu):
     positive winding contributes positive action (the orientation the
     oscillator flow induces: clockwise in each ``(x_j, p_j)`` plane).
     """
-    mu = np.asarray(mu, dtype=int)
-    if mu.shape != (len(torus.radii),):
-        raise ValueError("winding vector must match the number of circle factors")
+    mu = torus._winding(mu)
     return float(sum(m * math.pi * r * r for m, r in zip(mu, torus.radii)))
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .symplectic import (
     LagrangianFrame,
     _band_dim,
+    _orthonormal_lagrangian,
     _pair_spectrum,
     _signature_and_dims,
     frame_from_souriau,
@@ -257,12 +258,15 @@ def leray_index(a, b, frames=None, rng=None):
     index is computed through an auxiliary plane transversal to both
     arguments and the inertia cocycle; two independent auxiliary choices are
     evaluated and must agree.  ``frames`` may supply ``(frame_a, frame_b)``
-    to skip reconstructing frames from the Souriau images.
+    to skip reconstructing frames from the Souriau images; they are checked
+    (``ValueError`` for a non-Lagrangian frame) and orthonormalized once, for
+    both evaluations.
     """
     lam = _pair_spectrum(a.w, b.w)
     if _band_dim(lam) == 0:
         return _leray_from_spectrum(a, b, lam)
-    frame_a, frame_b = frames or (frame_from_souriau(a.w), frame_from_souriau(b.w))
+    frames = frames or (frame_from_souriau(a.w), frame_from_souriau(b.w))
+    frame_a, frame_b = (_orthonormal_lagrangian(f) for f in frames)
     rng = np.random.default_rng(813970) if rng is None else rng
     m1, m2 = (_leray_via_auxiliary(a, b, frame_a, frame_b, rng) for _ in range(2))
     if m1 != m2:

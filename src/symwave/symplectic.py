@@ -160,10 +160,21 @@ def orthonormalize_frame(frame, tol=1e-12):
     return LagrangianFrame(Q[:n], Q[n:])
 
 
+def _orthonormal_lagrangian(frame, tol=DEFAULT_TOL):
+    tol = max(tol, 1e-9)
+    F = frame.stacked()
+    if np.max(np.abs(F.T @ F - np.eye(frame.n))) <= 1e-13:
+        # orthonormal, so of full rank, and QR would only flip column signs:
+        # the frame is used as it is once its span is isotropic
+        if np.max(np.abs(frame.X.T @ frame.P - frame.P.T @ frame.X)) <= tol:
+            return frame
+    elif is_lagrangian_frame(frame, tol=tol):
+        return orthonormalize_frame(frame)
+    raise ValueError("not a Lagrangian frame (rank or isotropy failure)")
+
+
 def _orthonormal_souriau(frame, tol=DEFAULT_TOL):
-    if not is_lagrangian_frame(frame, tol=max(tol, 1e-9)):
-        raise ValueError("not a Lagrangian frame (rank or isotropy failure)")
-    on = orthonormalize_frame(frame)
+    on = _orthonormal_lagrangian(frame, tol)
     u = on.P - 1j * on.X
     return on, u @ u.T
 

@@ -49,7 +49,9 @@ from .symplectic import (
     PhasePoint,
     _diagonal_torus_frame,
     frame_from_souriau,
+    horizontal_frame,
     souriau_w,
+    vertical_frame,
 )
 
 __all__ = [
@@ -118,87 +120,11 @@ def _coerce_param(theta, dim):
     return th
 
 
-@dataclass(frozen=True)
-class CircleManifold:
-    """The Lagrangian circle ``x = r cos(theta), p = r sin(theta)``."""
-
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def n(self):
-        return 1
-
-    @property
-    def param_dim(self):
-        return 1
-
-    def reference(self):
-        return np.zeros(1)
-
-    def point(self, theta):
-        (th,) = _coerce_param(theta, 1)
-        r = self.radius
-        return np.array([r * math.cos(th), r * math.sin(th)])
-
-    def tangent_frame(self, theta):
-        (th,) = _coerce_param(theta, 1)
-        return LagrangianFrame([[-math.sin(th)]], [[math.cos(th)]])
-
-    def phase(self, theta):
-        (th,) = _coerce_param(theta, 1)
-        return circle_phase(th, self.radius)
-
-    def cover_lift(self, theta):
-        """Lift of the tangent line: ``w = e^{2 i theta}``, ``alpha = 2 theta``."""
-        (th,) = _coerce_param(theta, 1)
-        return LagrangianLift([[np.exp(2j * th)]], 2.0 * th)
-
-    def offset(self, z):
-        z = np.asarray(z, dtype=float)
-        return abs(math.hypot(z[0], z[1]) - self.radius)
-
-    def deck(self, theta, mu):
-        """Parameter of ``gamma^mu . z~`` (one full counterclockwise turn per unit)."""
-        (th,) = _coerce_param(theta, 1)
-        return np.array([th + 2.0 * math.pi * int(mu)])
-
-    def loop_integral(self, mu):
-        """``oint p dx`` over the parameter-increasing generator, ``-pi r^2`` per turn."""
-        return -math.pi * self.radius**2 * int(mu)
-
-    def loop_index(self, mu):
-        """Tangent-lift winding of the generator loop: ``+2`` per turn."""
-        return 2 * int(mu)
-
-    def torus(self):
-        return TorusSpec((self.radius,))
-
-
-@dataclass(frozen=True)
-class TorusManifold:
+class TorusManifold(TorusSpec):
     """Product of Lagrangian circles with optional flat ``{p_i = 0}`` line factors.
 
     The parameter stacks the circle angles first, then the flat positions.
     """
-
-    radii: tuple
-    flat_dims: int = 0
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0 for r in radii) or self.flat_dims < 0:
-            raise ValueError("need at least one positive radius and flat_dims >= 0")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "flat_dims", int(self.flat_dims))
-
-    @property
-    def n(self):
-        return len(self.radii) + self.flat_dims
 
     @property
     def param_dim(self):
@@ -227,6 +153,7 @@ class TorusManifold:
         return float(sum(circle_phase(a, r) for a, r in zip(ang, self.radii)))
 
     def cover_lift(self, theta):
+        """Lift ``w = diag(e^{2 i theta_j}, -1, ...)``, ``alpha = 2 sum theta_j - pi flat_dims``."""
         ang, _ = self._split(theta)
         diag = np.concatenate([np.exp(2j * ang), -np.ones(self.flat_dims)])
         alpha = 2.0 * float(np.sum(ang)) - math.pi * self.flat_dims
@@ -241,27 +168,29 @@ class TorusManifold:
         return float(np.max(np.concatenate([circ, flat])))
 
     def deck(self, theta, mu):
+        """Parameter of ``gamma^mu . z~`` (one full counterclockwise turn per unit)."""
         th = _coerce_param(theta, self.param_dim)
-        mu = np.asarray(mu, dtype=int)
-        if mu.shape != (len(self.radii),):
-            raise ValueError("winding vector must match the number of circle factors")
-        shift = np.concatenate([2.0 * math.pi * mu, np.zeros(self.flat_dims)])
+        shift = np.concatenate([2.0 * math.pi * self._winding(mu), np.zeros(self.flat_dims)])
         return th + shift
 
     def loop_integral(self, mu):
-        mu = np.asarray(mu, dtype=int)
-        if mu.shape != (len(self.radii),):
-            raise ValueError("winding vector must match the number of circle factors")
-        return float(-math.pi * np.sum(mu * np.square(self.radii)))
+        """``oint p dx`` over the parameter-increasing loop, ``-pi r_j^2`` per turn."""
+        return float(-math.pi * np.sum(self._winding(mu) * np.square(self.radii)))
 
     def loop_index(self, mu):
-        mu = np.asarray(mu, dtype=int)
-        if mu.shape != (len(self.radii),):
-            raise ValueError("winding vector must match the number of circle factors")
-        return int(2 * np.sum(mu))
+        """Tangent-lift winding of the loop: ``+2`` per turn of each circle."""
+        return int(2 * np.sum(self._winding(mu)))
 
-    def torus(self):
-        return TorusSpec(self.radii, self.flat_dims)
+
+class CircleManifold(TorusManifold):
+    """The Lagrangian circle ``x = r cos(theta), p = r sin(theta)``: the one-circle torus."""
+
+    def __init__(self, radius):
+        super().__init__((radius,))
+
+    @property
+    def radius(self):
+        return self.radii[0]
 
 
 @dataclass(frozen=True)
@@ -507,9 +436,17 @@ def argument_index_on_manifold(zcheck, base, rng=None):
     with the vertical base this reproduces `circle_argument_index`.
     """
     manifold = zcheck.manifold
-    lifts = _lifted_parameter_path(manifold, zcheck.theta)
-    frames = (manifold.tangent_frame(zcheck.theta), frame_from_souriau(base.w))
-    return leray_index(lifts[-1], base, frames=frames, rng=rng)
+    lift = _lifted_parameter_path(manifold, zcheck.theta)[-1]
+    return _index_read(manifold, zcheck.theta, base, frame_from_souriau(base.w),
+                       lift=lift, rng=rng)
+
+
+def _index_read(manifold, theta, base, base_frame, lift=None, rng=None):
+    # Leray index of the lifted tangent plane at theta (the cover lift unless
+    # given) against a base lift, handing both frames to the auxiliary path
+    lift = manifold.cover_lift(theta) if lift is None else lift
+    return leray_index(lift, base, frames=(manifold.tangent_frame(theta), base_frame),
+                       rng=rng)
 
 
 def sqrt_de_rham(amplitude, zcheck, base, orientation=1):
@@ -559,9 +496,7 @@ class Waveform:
 
     def index(self, theta):
         """Leray index of the manifold's cover lift against the index base."""
-        frames = (self.manifold.tangent_frame(theta), self._base_frame)
-        return leray_index(self.manifold.cover_lift(theta), self.index_base,
-                           frames=frames)
+        return _index_read(self.manifold, theta, self.index_base, self._base_frame)
 
     def value(self, theta):
         a = float(self.amplitude(theta))
@@ -584,21 +519,12 @@ def is_quantized(manifold, hbar, tol=1e-9):
     The check is insensitive to loop orientation (action and index flip sign
     together).
     """
-    spec = _as_torus(manifold)
-    if spec is None:
-        return True
-    return bool(keller_maslov_check(spec, hbar, tol=tol))
-
-
-def _as_torus(manifold):
+    while isinstance(manifold, FlowedManifold):
+        manifold = manifold.base
     if isinstance(manifold, TorusSpec):
-        return manifold
-    if isinstance(manifold, CircleManifold) or isinstance(manifold, TorusManifold):
-        return manifold.torus()
-    if isinstance(manifold, FlowedManifold):
-        return _as_torus(manifold.base)
+        return bool(keller_maslov_check(manifold, hbar, tol=tol))
     if isinstance(manifold, GradientGraphManifold):
-        return None
+        return True
     raise ValueError("unsupported manifold for quantization checks")
 
 
@@ -698,13 +624,18 @@ def shadow(psi, x_grid, caustic_tol=1e-8):
 _CHARTS = ("up", "down", "right", "left")
 
 
+def _chart_base(chart):
+    # the chart's base lift together with its exact frame
+    if chart in ("up", "down"):
+        return vertical_lift(1), vertical_frame(1)
+    if chart in ("right", "left"):
+        return horizontal_base(1), horizontal_frame(1)
+    raise ValueError(f"unknown chart {chart!r}; expected one of {_CHARTS}")
+
+
 def chart_base(chart):
     """Index base of a circle chart: vertical for x-charts, horizontal for p-charts."""
-    if chart in ("up", "down"):
-        return vertical_lift(1)
-    if chart in ("right", "left"):
-        return horizontal_base(1)
-    raise ValueError(f"unknown chart {chart!r}; expected one of {_CHARTS}")
+    return _chart_base(chart)[0]
 
 
 def _require_in_chart(man, theta, chart):
@@ -719,21 +650,15 @@ def _require_in_chart(man, theta, chart):
 
 def chart_index(psi, theta, chart):
     """Leray index of the cover lift against the chart's reference base."""
-    base = chart_base(chart)
-    frames = (psi.manifold.tangent_frame(theta), frame_from_souriau(base.w))
-    return leray_index(psi.manifold.cover_lift(theta), base, frames=frames)
+    return _index_read(psi.manifold, theta, *_chart_base(chart))
 
 
 def chart_cocycle(manifold, theta, chart_a, chart_b):
     """Chart-change exponent ``m_a(z~) - m_b(z~)`` (deck-independent on the base)."""
     lift = manifold.cover_lift(theta)
-    frame = manifold.tangent_frame(theta)
-    out = []
-    for chart in (chart_a, chart_b):
-        base = chart_base(chart)
-        out.append(leray_index(lift, base,
-                               frames=(frame, frame_from_souriau(base.w))))
-    return out[0] - out[1]
+    m_a, m_b = (_index_read(manifold, theta, *_chart_base(c), lift=lift)
+                for c in (chart_a, chart_b))
+    return m_a - m_b
 
 
 def chart_shadow_value(psi, theta, chart):

@@ -1,7 +1,9 @@
 """Eigendecompositions and orthonormalizations per index evaluation.
 
 Each pair of planes has its spectrum computed once, and ``inert``
-orthonormalizes each frame once; these counts pin that down.
+orthonormalizes each frame once; the auxiliary-plane path of ``leray_index``
+orthonormalizes the caller's frames once for both of its evaluations.  These
+counts pin that down.
 """
 
 import numpy as np
@@ -49,12 +51,28 @@ def test_self_index_call_counts(triple, linalg_calls):
     a = lift_from_frame(fa)
     linalg_calls.update(eigvals=0, qr=0)
     assert leray_index(a, a, frames=(fa, fa)) == 2
-    assert linalg_calls["eigvals"] <= 11 and linalg_calls["qr"] <= 8
+    assert linalg_calls["eigvals"] <= 11 and linalg_calls["qr"] <= 4
+
+
+# the second frame is orthonormal, so it skips the rank check and QR
+NON_LAGRANGIAN = (
+    LagrangianFrame(np.eye(2), [[0.0, 1.0], [0.0, 0.0]]),
+    LagrangianFrame([[1.0, 0.0], [0.0, np.sqrt(0.5)]], [[0.0, np.sqrt(0.5)], [0.0, 0.0]]),
+)
 
 
 def test_inert_rejects_non_lagrangian_frame():
-    bad = LagrangianFrame(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
     f = vertical_frame(2)
-    for frames in ((bad, f, f), (f, bad, f), (f, f, bad)):
-        with pytest.raises(ValueError):
-            inert(*frames)
+    for bad in NON_LAGRANGIAN:
+        for frames in ((bad, f, f), (f, bad, f), (f, f, bad)):
+            with pytest.raises(ValueError):
+                inert(*frames)
+
+
+def test_auxiliary_path_rejects_non_lagrangian_frame():
+    f = vertical_frame(2)
+    a = lift_from_frame(f)
+    for bad in NON_LAGRANGIAN:
+        for frames in ((bad, f), (f, bad)):
+            with pytest.raises(ValueError):
+                leray_index(a, a, frames=frames)
