@@ -40,7 +40,9 @@ nonsqueeze
     ``controls``, ``calibration``, ``stages`` [min, max] -- occupancy-grid
     shadow areas of symplectically mapped balls against pi R^2 (1 - margin):
     identity calibration rows, the seeded random-map batch, and (optionally)
-    the mixed-plane control table where the bound genuinely fails.
+    the mixed-plane control table where the bound genuinely fails.  Each
+    map moves one ball, sampled with seed ``seed + 31k`` for map ``k``, and
+    all its planes read that image; the calibration ball has seed ``seed``.
 quantize
     ``hbar`` (required) plus any of ``radii_squared`` (+ ``flat_dims``),
     ``omegas``, ``spectrum_n_max`` (+ ``scan_divisions``); ``contrast``
@@ -85,7 +87,7 @@ from .capacity import (
     keller_maslov_check,
     nonsqueezing_experiment,
     oscillator_levels,
-    shadow_area,
+    shadow_areas,
 )
 from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .flows import (
@@ -394,9 +396,8 @@ def run_nonsqueeze(params, seed):
     calib = []
     if calibration:
         ident = identity_symplectomorphism(n)
-        for j in range(n):
-            est = shadow_area(ident, R, j, grid_res=grid_res, samples=samples,
-                              seed=seed)
+        for j, est in enumerate(shadow_areas(ident, R, range(n), grid_res=grid_res,
+                                             samples=samples, seed=seed)):
             entry = {"plane": f"x{j + 1}p{j + 1}", "area": est.area,
                      "corrected_area": est.corrected_area,
                      "relative_error": abs(est.corrected_area - reference)

@@ -24,51 +24,40 @@ class Polynomial:
                 raise ValueError(f"bad exponent tuple {expo}")
             if coeff != 0.0:
                 self.terms.append((float(coeff), expo))
+        # (output index, coefficient, integer multiplier, exponents) of each
+        # nonzero term of the value, the gradient and the Hessian; entry
+        # (i, j) of the Hessian differentiates by x_j first, then by x_i
+        rows = [((), c, 1, e) for c, e in self.terms]
+        self._derivatives = [rows]
+        for _ in range(2):
+            rows = [
+                ((j,) + idx, c, mult * pw[j], tuple(p - (k == j) for k, p in enumerate(pw)))
+                for idx, c, mult, pw in rows
+                for j in range(self.n)
+                if mult * pw[j]
+            ]
+            self._derivatives.append(rows)
+
+    def _evaluate(self, x, order):
+        # sum of c * mult * prod_k x_k^p_k over the order-th derivative terms
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (self.n,) * order)
+        for idx, c, mult, pw in self._derivatives[order]:
+            term = np.full(x.shape[:-1], c * mult)
+            for k, p in enumerate(pw):
+                if p:
+                    term = term * x[..., k] ** p
+            out[(Ellipsis,) + idx] += term
+        return out
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for c, e in self.terms:
-            term = np.full(x.shape[:-1], c)
-            for j, ej in enumerate(e):
-                if ej:
-                    term = term * x[..., j] ** ej
-            out += term
-        return out
+        return self._evaluate(x, 0)
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for c, e in self.terms:
-            for j, ej in enumerate(e):
-                if not ej:
-                    continue
-                term = np.full(x.shape[:-1], c * ej)
-                for k, ek in enumerate(e):
-                    pw = ek - 1 if k == j else ek
-                    if pw:
-                        term = term * x[..., k] ** pw
-                out[..., j] += term
-        return out
+        return self._evaluate(x, 1)
 
     def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (self.n,))
-        for c, e in self.terms:
-            for j, ej in enumerate(e):
-                if not ej:
-                    continue
-                for i, ei in enumerate(e):
-                    mult = ej * (ei - (1 if i == j else 0))
-                    if not mult:
-                        continue
-                    term = np.full(x.shape[:-1], c * mult)
-                    for k, ek in enumerate(e):
-                        pw = ek - (1 if k == j else 0) - (1 if k == i else 0)
-                        if pw:
-                            term = term * x[..., k] ** pw
-                    out[..., i, j] += term
-        return out
+        return self._evaluate(x, 2)
 
     def __repr__(self):
         return f"Polynomial(n={self.n}, terms={self.terms})"

@@ -20,9 +20,11 @@ from symwave.capacity import (
     keller_maslov_check,
     loop_action,
     minimal_orbit_action,
+    nonsqueezing_experiment,
     oscillator_levels,
     random_symplectomorphism,
     shadow_area,
+    shadow_areas,
     symplectomorphism_jacobian,
 )
 from symwave.polynomials import Polynomial, random_polynomial
@@ -56,6 +58,26 @@ def test_polynomial_vectorized_evaluation(rng):
     for k in range(len(pts)):
         assert np.isclose(vals[k], poly.value(pts[k]))
         assert np.allclose(grads[k], poly.grad(pts[k]))
+
+
+def test_polynomial_exact_at_integer_points():
+    # 3 x y^2 z^3 and its derivatives, by hand, at (2, -1, 3) and (1, 2, -1)
+    poly = Polynomial(3, [(3.0, (1, 2, 3))])
+    x = np.array([[2.0, -1.0, 3.0], [1.0, 2.0, -1.0]])
+    assert poly.value(x).tolist() == [162.0, -12.0]
+    assert poly.grad(x).tolist() == [[81.0, -324.0, 162.0], [-12.0, -12.0, 36.0]]
+    assert poly.hess(x).tolist() == [
+        [[0.0, -162.0, 81.0], [-162.0, 324.0, -324.0], [81.0, -324.0, 108.0]],
+        [[0.0, -12.0, 36.0], [-12.0, -6.0, 36.0], [36.0, 36.0, -72.0]],
+    ]
+    assert poly.value(x[0]) == 162.0 and poly.grad(x[0]).tolist() == [81.0, -324.0, 162.0]
+    empty = Polynomial(3, [(0.0, (1, 0, 0))])
+    assert empty.terms == []
+    for shape in [(3,), (4, 3), (2, 5, 3)]:
+        z = np.ones(shape)
+        assert empty.value(z).shape == shape[:-1] and not empty.value(z).any()
+        assert empty.grad(z).shape == shape and not empty.grad(z).any()
+        assert empty.hess(z).shape == shape + (3,) and not empty.hess(z).any()
 
 
 def test_capacity_and_volume_values():
@@ -151,6 +173,49 @@ def test_mixed_plane_control_can_shrink():
     mixed = shadow_area(f, 1.0, (1, 0), grid_res=256, samples=300_000, seed=1)
     assert conj.corrected_area >= math.pi * 0.95
     assert mixed.corrected_area < math.pi * 0.5  # mixed plane is genuinely squeezed
+
+
+def test_shadow_areas_share_one_ball(rng):
+    # 300,000 samples span two chunks; every plane reads the same image
+    f = random_symplectomorphism(2, rng)
+    planes = [0, 1, (0, 1), (1, 0)]
+    ests = shadow_areas(f, 1.0, planes, grid_res=128, samples=300_000, seed=4)
+    assert [e.plane for e in ests] == [(0, 0), (1, 1), (0, 1), (1, 0)]
+    for plane, est in zip(planes, ests):
+        assert est == shadow_area(f, 1.0, plane, grid_res=128, samples=300_000, seed=4)
+    with pytest.raises(ValueError):
+        shadow_areas(f, 1.0, [0, (0, 2)])
+
+
+def test_grid_counts_equal_histogram2d(rng):
+    grid = 16
+    edges_x, edges_y = np.linspace(0.0, 1.0, grid + 1), np.linspace(-2.0, 3.0, grid + 1)
+    # every outer and interior edge, then a multi-chunk random cloud
+    x = np.concatenate([edges_x, rng.choice(edges_x, 40), rng.uniform(0, 1, 600_000)])
+    y = np.concatenate([edges_y, edges_y[::-1][:17], rng.choice(edges_y, 23),
+                        rng.uniform(-2, 3, 600_000)])
+    cases = [(x, y), (x[:grid + 1], y[:grid + 1]), (np.array([0.3]), np.array([-1.2])),
+             (np.full(5, 0.7), rng.uniform(0, 1, 5))]
+    for a, b in cases:
+        bbox = (a.min(), a.max(), b.min(), b.max())
+        want, _, _ = np.histogram2d(a, b, bins=grid, range=[bbox[:2], bbox[2:]])
+        got = capacity._grid_counts(a, b, grid, bbox)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.sum() == len(a)
+
+
+def test_nonsqueezing_maps_one_ball_per_map(monkeypatch):
+    mapped = []
+    original = capacity.apply_symplectomorphism
+
+    def counted(f, z):
+        mapped.append(len(z))
+        return original(f, z)
+
+    monkeypatch.setattr(capacity, "apply_symplectomorphism", counted)
+    result = nonsqueezing_experiment(2, n_maps=2, samples=5_000, grid_res=32, controls=True)
+    assert sum(mapped) == 10_000
+    assert [len(m["planes"]) + len(m["controls"]) for m in result["maps"]] == [4, 4]
 
 
 def test_ground_energy_and_minimal_action():
