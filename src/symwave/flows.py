@@ -532,52 +532,99 @@ def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid, detail=False):
     return worst
 
 
+_MAX_HALVINGS = 4  # a Newton step no halving within this cap improves has stalled
+
+
+def _position_block(jacs, frame):
+    """x-projection ``A X + B P`` of a frame ``[X; P]`` under (stacked) flow Jacobians."""
+    n = frame.shape[1]
+    return jacs[..., :n, :n] @ frame[:n] + jacs[..., :n, n:] @ frame[n:]
+
+
+def _shoot(H, source, target, theta0, t0, t1, steps, tol, max_iter, det_tol):
+    """Damped Newton for the source point whose flow line lands over ``target``.
+
+    ``source(theta)`` returns the start point and 2n x n tangent frame
+    ``[X; P]``; the Newton matrix is their `_position_block`.  Each flow is
+    integrated once (an accepted trial's path is the next evaluation), and a
+    diverging trial is a rejected step.  Quadratic generators take one exact
+    step.  Returns ``(theta, path, frame)``.
+    """
+    n = H.n
+    steps = 1 if H.matrix is not None else steps
+
+    def evaluate(theta):
+        z0, frame = source(theta)
+        return flow_path(H, z0, t0, t1, steps), frame
+
+    theta = theta0
+    path, frame = evaluate(theta)
+    scale = tol * max(1.0, float(np.max(np.abs(target))))
+    for _ in range(max_iter):
+        resid = path[1][-1, :n] - target
+        err = float(np.max(np.abs(resid)))
+        if err <= scale:
+            return theta, path, frame
+        D = _position_block(path[2][-1], frame)
+        if abs(np.linalg.det(D)) < det_tol:
+            raise ConjugatePointError("the source's x-projection is singular along the "
+                                      "Newton path (a conjugate point at the end time)")
+        step = -np.linalg.solve(D, resid)
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = theta + lam * step
+            try:
+                trial_path, trial_frame = evaluate(trial)
+            except DivergenceError:
+                pass  # a trial flung off the bounded flow is a rejected step
+            else:
+                if float(np.max(np.abs(trial_path[1][-1, :n] - target))) < err:
+                    theta, path, frame = trial, trial_path, trial_frame
+                    break
+            lam /= 2
+        else:
+            raise NumericalError(
+                f"no source point found for grid position {target.tolist()}: the "
+                "source-point solve stalled (past a fold of the flowed source, "
+                "or the window is too wide)")
+    raise NumericalError(
+        f"source-point solve did not converge at grid position {target.tolist()}")
+
+
 def two_point_action(H, x_start, x_end, t_start, t_end, steps=800,
                      p_guess=None, tol=1e-12, max_iter=50):
     """Solve the two-point boundary problem and return its action data.
 
-    Finds the initial momentum ``p'`` whose flow line reaches ``x_end`` at
-    ``t_end``, by Newton iteration on the position residual using the
-    ``dx/dp'`` Jacobian block.  Returns a dict with the action ``S``, the
-    endpoint momenta, and ``det dx/dp'``.  Raises `ConjugatePointError`
-    when the block is (near-)singular, i.e. outside the free window.
+    One damped shooting solve (`_shoot`) from the momentum fibre over
+    ``x_start`` (frame ``[0; I]``) finds the ``p'`` whose flow line reaches
+    ``x_end`` at ``t_end``, from ``p_guess`` or the straight-line momentum.
+    Quadratic generators take one exact step per flow; a diverging trial is
+    a rejected step.  Returns a dict with the action ``S``, the endpoint
+    momenta, and ``det dx/dp'``.  Raises `ConjugatePointError` when the
+    block is (near-)singular, i.e. outside the free window, and
+    `NumericalError` ("no source point found") past a fold of the fibre.
     """
     n = H.n
     x0 = np.atleast_1d(np.asarray(x_start, dtype=float))
     x1 = np.atleast_1d(np.asarray(x_end, dtype=float))
     if x0.shape != (n,) or x1.shape != (n,):
         raise ValueError("positions must have length n")
+    if not np.all(np.isfinite(np.concatenate([x0, x1]))):
+        raise ValueError("positions must be finite")
     tau = t_end - t_start
     if tau == 0:
         raise ValueError("two-point problem needs distinct times")
 
-    if H.matrix is not None:  # quadratic family: the one-step flow map is exact
-        _, S_mat, _ = flow_map(H, np.zeros(2 * n), t_start, t_end, steps=1)
-        A, B = S_mat[:n, :n], S_mat[:n, n:]
-        det_b = np.linalg.det(B)
-        if abs(det_b) < 1e-12:
-            raise ConjugatePointError("dx/dp' is singular at this time separation")
-        p0 = np.linalg.solve(B, x1 - A @ x0)
-        z1 = S_mat @ np.concatenate([x0, p0])
-        action = quadratic_action_shortcut(np.concatenate([x0, p0]), z1)
-        return {"action": float(action), "p_start": p0, "p_end": z1[n:],
-                "det_block": float(det_b), "endpoint": z1}
-
+    fibre = np.vstack([np.zeros((n, n)), np.eye(n)])
     p0 = np.asarray(p_guess, dtype=float) if p_guess is not None else (x1 - x0) / tau
-    for _ in range(max_iter):
-        z1, jac, act = flow_map(H, np.concatenate([x0, p0]), t_start, t_end, steps)
-        B = jac[:n, n:]
-        resid = z1[:n] - x1
-        if np.max(np.abs(resid)) <= tol * max(1.0, float(np.max(np.abs(x1)))):
-            det_b = np.linalg.det(B)
-            if abs(det_b) < 1e-10:
-                raise ConjugatePointError("dx/dp' is singular at this time separation")
-            return {"action": float(act), "p_start": p0, "p_end": z1[n:],
-                    "det_block": float(det_b), "endpoint": z1}
-        if abs(np.linalg.det(B)) < 1e-12:
-            raise ConjugatePointError("dx/dp' is singular along the Newton path")
-        p0 = p0 - np.linalg.solve(B, resid)
-    raise NumericalError("two-point boundary solve did not converge")
+    p0, (_, pts, jacs, act), _ = _shoot(
+        H, lambda p: (np.concatenate([x0, p]), fibre), x1, p0, t_start, t_end, steps,
+        tol, max_iter, 1e-12)
+    det_b = np.linalg.det(jacs[-1, :n, n:])
+    if abs(det_b) < 1e-10:
+        raise ConjugatePointError("dx/dp' is singular at this time separation")
+    return {"action": float(act[-1]), "p_start": p0, "p_end": pts[-1, n:],
+            "det_block": float(det_b), "endpoint": pts[-1]}
 
 
 def generating_function_check(H, t_start, t_end, sample_count=20, rng=None,

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
-from .errors import ConjugatePointError, DivergenceError, NumericalError
-from .flows import flow_map, flow_path
+from .errors import ConjugatePointError, NumericalError
+from .flows import _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
     deck_act,
@@ -688,8 +688,7 @@ def chart_shadow_value(psi, theta, chart):
     return np.exp(1j * float(psi.phase(th)) / psi.hbar) * _ipow(m) * math.sqrt(a) * conv
 
 
-def _position_blocks(jac, n):
-    return jac[:n, :n], jac[:n, n:]
+_SCAN_SAMPLES = 65  # samples of a quadratic window's state-independent conjugate scan
 
 
 def _scan_for_conjugate_points(dets, det_tol):
@@ -708,23 +707,24 @@ def _scan_for_conjugate_points(dets, det_tol):
 
 
 def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
-                        steps=400, newton_tol=1e-12, max_iter=60, det_tol=1e-10,
-                        scan_samples=65):
+                        steps=400, newton_tol=1e-12, max_iter=60, det_tol=1e-10):
     """Short-time propagation of graph data ``exp(i phi / hbar) * amplitude``.
 
-    For each grid position the unique source ``x'`` on the initial graph
-    ``p = grad(phi)(x')`` is found by damped Newton iteration on the flow's
-    position component (seeded from the previous grid point), and the value is
+    For each grid position one damped shooting solve (`flows._shoot`, seeded
+    from the previous grid point) finds the unique source ``x'`` on the
+    initial graph ``p = grad(phi)(x')``, frame ``[I; Hess(phi)]``; the value is
 
         exp(i (phi(x') + S) / hbar) * amplitude(x') * |det dx/dx'|^{-1/2},
 
     with ``S`` the flow-line action and ``dx/dx' = A + B Hess(phi)(x')`` from
-    the variational Jacobian blocks.  Exact for quadratic generators with
-    constant amplitude; a conjugate point at or inside the window raises
-    `ConjugatePointError` (the multi-branch sum applies there instead), and
-    a grid position with no source point, such as one past a fold of the
-    flowed graph, raises `NumericalError`.  ``phi`` must expose
-    value/grad/hess (e.g. a polynomial).
+    the variational Jacobian blocks.  Quadratic generators take one exact
+    step per flow (the formula is exact for them with constant amplitude).
+    A diverging trial is a rejected step.  A conjugate point at or inside
+    the window raises `ConjugatePointError` (the multi-branch sum applies
+    there instead).  A grid position with no source point, such as one past
+    a fold of the flowed graph, raises `NumericalError` ("no source point
+    found") once a Newton step stalls through a few halvings.  ``phi`` must
+    expose value/grad/hess (e.g. a polynomial).
     """
     n = H.n
     grid = np.asarray(x_grid, dtype=float)
@@ -732,83 +732,35 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         grid = grid[:, None]
     if grid.ndim != 2 or grid.shape[1] != n:
         raise ValueError("x_grid must be a sequence of n-dimensional positions")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("positions must be finite")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
 
-    def data_value(xp):
-        return np.exp(1j * float(phi.value(xp)) / hbar) * float(amplitude(xp))
-
     if t_end == t_start:
-        return np.array([data_value(x) for x in grid], dtype=complex)
+        return np.array([np.exp(1j * float(phi.value(x)) / hbar) * float(amplitude(x))
+                         for x in grid], dtype=complex)
 
     quadratic = H.matrix is not None  # the quadratic family
-    if quadratic:
-        # state-independent blocks: one exact step and one exact time scan
-        _, jac_final, _ = flow_map(H, np.zeros(2 * n), t_start, t_end, steps=1)
+    if quadratic:  # one state-independent exact time scan
         _, _, scan_jacs, _ = flow_path(H, np.zeros(2 * n), t_start, t_end,
-                                       steps=scan_samples - 1)
+                                       steps=_SCAN_SAMPLES - 1)
 
-    def source_flow(xp):
-        # endpoint and flow path (None when quadratic) of the graph point over xp
-        z0 = np.concatenate([xp, np.asarray(phi.grad(xp), dtype=float)])
-        if quadratic:
-            return jac_final @ z0, None
-        path = flow_path(H, z0, t_start, t_end, steps)
-        return path[1][-1], path
+    def graph(xp):
+        return (np.concatenate([xp, np.asarray(phi.grad(xp), dtype=float)]),
+                np.vstack([np.eye(n), np.asarray(phi.hess(xp), dtype=float)]))
 
     out = np.empty(len(grid), dtype=complex)
-    xp = grid[0].copy()
     for k, x in enumerate(grid):
-        # every flow is integrated once: an accepted trial's path is the next
-        # Newton evaluation, and the converged path feeds the scan and action
-        z1, path = source_flow(xp)
-        for _ in range(max_iter):
-            A, B = _position_blocks(jac_final if quadratic else path[2][-1], n)
-            resid = z1[:n] - x
-            err = float(np.max(np.abs(resid)))
-            if err <= newton_tol * max(1.0, float(np.max(np.abs(x)))):
-                break
-            D = A + B @ np.asarray(phi.hess(xp), dtype=float)
-            if abs(np.linalg.det(D)) < det_tol:
-                raise ConjugatePointError(
-                    "conjugate point at the requested time; "
-                    "use the multi-branch shadow sum")
-            step_vec = -np.linalg.solve(D, resid)
-            lam = 1.0
-            for _ in range(30):
-                trial = xp + lam * step_vec
-                try:
-                    z1t, path_t = source_flow(trial)
-                except DivergenceError:
-                    pass  # a trial flung off the bounded flow is a rejected step
-                else:
-                    if float(np.max(np.abs(z1t[:n] - x))) < err:
-                        xp, z1, path = trial, z1t, path_t
-                        break
-                lam /= 2
-            else:
-                raise NumericalError(
-                    f"no source point found for grid position {x.tolist()}: the "
-                    "source-point solve stalled (past a fold of the flowed "
-                    "graph, or the window is too wide)")
-        else:
-            raise NumericalError(
-                f"source-point solve did not converge at grid position {x.tolist()}")
-
-        hess = np.asarray(phi.hess(xp), dtype=float)
-        if quadratic:
-            jacs = scan_jacs
-            p0 = np.asarray(phi.grad(xp), dtype=float)
-            _, _, action = flow_map(H, np.concatenate([xp, p0]), t_start, t_end, 1)
-        else:
-            _, _, jacs, path_act = path
-            action = float(path_act[-1])
-        dets = np.linalg.det(jacs[:, :n, :n] + jacs[:, :n, n:] @ hess)
+        # warm start from the previous source shifted by the grid step; the
+        # converged path feeds the scan and the action
+        xp = x.copy() if k == 0 else xp + (x - grid[k - 1])
+        xp, (_, _, jacs, action), frame = _shoot(
+            H, graph, x, xp, t_start, t_end, steps, newton_tol, max_iter, det_tol)
+        dets = np.linalg.det(_position_block(scan_jacs if quadratic else jacs, frame))
         _scan_for_conjugate_points(dets, det_tol)
-        out[k] = (np.exp(1j * (float(phi.value(xp)) + action) / hbar)
+        out[k] = (np.exp(1j * (float(phi.value(xp)) + float(action[-1])) / hbar)
                   * float(amplitude(xp)) * abs(dets[-1]) ** -0.5)
-        if k + 1 < len(grid):
-            xp = xp + (grid[k + 1] - x)  # warm start: shift by the grid step
     return out
 
 

@@ -3,7 +3,8 @@
 Each trajectory is integrated once: a Morse window is one flow, a Van Vleck
 Newton evaluation is one flow whose path also serves the conjugate-point
 scan and the action, and ``run_evolve`` reads its x0 trajectory from the
-flowed manifold.  The counts below pin that down.
+flowed manifold.  A grid position past a fold gives up after a few flows.
+The counts below pin that down.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from symwave import flows
 from symwave.cli import run_evolve
+from symwave.errors import NumericalError
 from symwave.flows import harmonic_hamiltonian, quartic_hamiltonian
 from symwave.polynomials import Polynomial
 from symwave.waveforms import (FlowedManifold, GradientGraphManifold,
@@ -61,6 +63,18 @@ def test_quartic_van_vleck_integrates_each_source_once(integrations):
     assert len(integrations) == len(grads)
     assert len(set(integrations)) == len(integrations)
     assert len(grid) <= len(integrations) <= 4 * len(grid)
+
+
+@pytest.mark.parametrize("grid, most", [(np.linspace(0.3, 1.3, 8), 49), ([1.3], 20)],
+                         ids=["eight-points", "one-point"])
+def test_van_vleck_fold_fails_fast(integrations, grid, most):
+    # the flowed graph tops out at x ~ 1.243: the solve for 1.3 stalls, and
+    # a stalled step gives up after a few halvings, each one quartic flow
+    H = quartic_hamiltonian([1.0], 0.1)
+    phi = Polynomial(1, [(0.2, (1,)), (0.25, (2,))])
+    with pytest.raises(NumericalError, match=r"no source point found for grid position \[1\.3\]"):
+        van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 0.8, grid, 0.05)
+    assert len(integrations) <= most
 
 
 def test_evolve_run_integrates_no_trajectory_twice(integrations):

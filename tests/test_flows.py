@@ -393,6 +393,29 @@ def test_generating_function_checks():
         two_point_action(H, [0.1], [0.2], 0.0, np.pi)
 
 
+@pytest.mark.parametrize("H, z0, tau", [
+    (quartic_hamiltonian([1.0], 0.2), [0.3, -0.5], 0.9),
+    (quartic_hamiltonian([1.0, 1.7], 0.2, masses=[1.3, 0.6]), [0.3, -0.2, 0.1, 0.4], 0.7),
+], ids=["n1", "n2"])
+def test_quartic_two_point_round_trip(H, z0, tau):
+    # the shared source-point solve on a non-quadratic generator, from the
+    # default straight-line guess: the momentum and action of a flowed path
+    n = H.n
+    _, pts, _, act = flow_path(H, z0, 0.0, tau, 800)
+    tp = two_point_action(H, z0[:n], pts[-1, :n], 0.0, tau)
+    assert np.max(np.abs(tp["p_start"] - np.asarray(z0[n:]))) <= 1e-10
+    assert abs(tp["action"] - act[-1]) <= 1e-10
+    assert np.max(np.abs(tp["endpoint"][:n] - pts[-1, :n])) <= 1e-10
+
+
+@pytest.mark.parametrize("H", [harmonic_hamiltonian([1.0]), quartic_hamiltonian([1.0], 0.1)],
+                         ids=["harmonic", "quartic"])
+def test_two_point_action_rejects_non_finite_positions(H):
+    for x_start, x_end in (([0.1], [np.nan]), ([np.inf], [0.2])):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            two_point_action(H, x_start, x_end, 0.0, 1.0)
+
+
 def test_phase_transport():
     H = harmonic_hamiltonian([1.0])
     assert phase_transport(0.25, H, [0.3, 0.4], 1.0, 1.0) == 0.25

@@ -466,6 +466,22 @@ def test_van_vleck_conjugate_point_errors():
     assert np.all(np.isfinite(values))
 
 
+def test_van_vleck_empty_grid():
+    phi = Polynomial(1, [(0.15, (2,))])
+    for H, t_end in ((harmonic_hamiltonian([1.0]), 0.0), (harmonic_hamiltonian([1.0]), 0.5),
+                     (quartic_hamiltonian([1.0], 0.1), 0.5)):
+        values = van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, t_end, [], 0.1)
+        assert values.shape == (0,) and values.dtype == complex
+
+
+def test_van_vleck_rejects_non_finite_positions():
+    phi = Polynomial(1, [(0.15, (2,))])
+    for H in (harmonic_hamiltonian([1.0]), quartic_hamiltonian([1.0], 0.1)):
+        for grid in ([0.3, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 0.5, grid, 0.1)
+
+
 def test_van_vleck_past_the_fold_has_no_source():
     # the flowed graph's image tops out at x ~ 1.243, so the last grid point
     # has no source; its damped Newton trials must not end in a divergence
