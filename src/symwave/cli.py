@@ -60,7 +60,7 @@ evolve
     trajectory samples, transported phase, the index field, the
     position-space shadow by source-point transport, per-window conjugate
     point counts, and the closed-form oracle error column when an oracle is
-    named.  ``--tol`` is the Jacobian determinant tolerance (default 1e-10).
+    named.  ``--tol`` only guards the source-point Newton matrix (default 1e-10).
 """
 
 import argparse

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BranchCutError,
+    ConjugatePointError,
     IntegralityError,
     NumericalError,
     RefinementError,
@@ -214,6 +215,30 @@ def leray_index_transversal(a, b, tol=_INT_TOL):
     if a.n != b.n:
         raise ValueError("lifts live in different dimensions")
     return _leray_from_spectrum(a, b, _pair_spectrum(a.w, b.w), tol)
+
+
+def _vertical_crossings(frames):
+    """Net caustic count of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
+
+    The absolute Leray-index change against ``{x = 0}``: crossings with
+    multiplicity, opposite signs cancelling.  ``w = u (F^T F)^-1 u^T`` with
+    ``u = P - iX``, so one batched ``det u`` lifts every sample (steps must
+    move ``arg det u`` by < pi).  An end on ``{x = 0}`` raises `ConjugatePointError`.
+    """
+    F = np.asarray(frames, dtype=float)
+    n = F.shape[-1]
+    u = F[:, n:] - 1j * F[:, :n]
+    alpha = 2.0 * np.unwrap(np.angle(np.linalg.det(u)))
+    ends, u_ends = F[[0, -1]], u[[0, -1]]
+    w = u_ends @ np.linalg.solve(np.swapaxes(ends, 1, 2) @ ends, np.swapaxes(u_ends, 1, 2))
+    m = []
+    for wk, ak in zip(w, alpha[[0, -1]]):
+        lam = np.linalg.eigvals(wk)  # the pair spectrum against w = I
+        if _band_dim(lam):
+            raise ConjugatePointError(
+                "conjugate point at an end of the window: the plane meets {x = 0}")
+        m.append(_leray_from_spectrum(LagrangianLift(wk, ak), vertical_lift(n), lam))
+    return abs(m[1] - m[0])
 
 
 def inert(f1, f2, f3):

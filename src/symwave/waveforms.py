@@ -38,6 +38,7 @@ from .errors import ConjugatePointError, NumericalError
 from .flows import _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
+    _vertical_crossings,
     deck_act,
     leray_index,
     lift_path_adaptive,
@@ -691,21 +692,6 @@ def chart_shadow_value(psi, theta, chart):
 _SCAN_SAMPLES = 65  # samples of a quadratic window's state-independent conjugate scan
 
 
-def _scan_for_conjugate_points(dets, det_tol):
-    ref = float(np.max(np.abs(dets)))
-    if ref == 0:
-        raise ConjugatePointError("degenerate projection throughout the window")
-    if abs(dets[-1]) <= det_tol * ref:
-        raise ConjugatePointError(
-            "conjugate point at the requested time; use the multi-branch shadow sum")
-    interior = dets[:-1]
-    tiny = np.abs(interior[1:]) <= det_tol * ref
-    flips = np.sign(interior[1:]) * np.sign(interior[:-1]) < 0
-    if np.any(tiny) or np.any(flips) or np.sign(dets[-1]) != np.sign(dets[0]):
-        raise ConjugatePointError(
-            "conjugate point inside the window; use the multi-branch shadow sum")
-
-
 def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
                         steps=400, newton_tol=1e-12, max_iter=60, det_tol=1e-10):
     """Short-time propagation of graph data ``exp(i phi / hbar) * amplitude``.
@@ -719,12 +705,13 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
     with ``S`` the flow-line action and ``dx/dx' = A + B Hess(phi)(x')`` from
     the variational Jacobian blocks.  Quadratic generators take one exact
     step per flow (the formula is exact for them with constant amplitude).
-    A diverging trial is a rejected step.  A conjugate point at or inside
-    the window raises `ConjugatePointError` (the multi-branch sum applies
-    there instead).  A grid position with no source point, such as one past
-    a fold of the flowed graph, raises `NumericalError` ("no source point
-    found") once a Newton step stalls through a few halvings.  ``phi`` must
-    expose value/grad/hess (e.g. a polynomial).
+    A diverging trial is a rejected step.  A caustic at or inside the window
+    (`maslov._vertical_crossings` of the flowed source plane) raises
+    `ConjugatePointError`: the multi-branch sum applies there instead;
+    ``det_tol`` only guards the Newton matrix.  A grid position with no
+    source point, such as one past a fold of the flowed graph, raises
+    `NumericalError` ("no source point found") once a Newton step stalls
+    through a few halvings.  ``phi`` must expose value/grad/hess.
     """
     n = H.n
     grid = np.asarray(x_grid, dtype=float)
@@ -757,23 +744,26 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         xp = x.copy() if k == 0 else xp + (x - grid[k - 1])
         xp, (_, _, jacs, action), frame = _shoot(
             H, graph, x, xp, t_start, t_end, steps, newton_tol, max_iter, det_tol)
-        dets = np.linalg.det(_position_block(scan_jacs if quadratic else jacs, frame))
-        _scan_for_conjugate_points(dets, det_tol)
+        window = scan_jacs if quadratic else jacs
+        if _vertical_crossings(window @ frame):
+            raise ConjugatePointError(
+                "conjugate point inside the window; use the multi-branch shadow sum")
+        det = np.linalg.det(_position_block(window, frame))[-1]
         out[k] = (np.exp(1j * (float(phi.value(xp)) + float(action[-1])) / hbar)
-                  * float(amplitude(xp)) * abs(dets[-1]) ** -0.5)
+                  * float(amplitude(xp)) * abs(det) ** -0.5)
     return out
 
 
-def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9):
-    """Number of conjugate points strictly inside the trajectory window.
+def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
+    """Number of focal points strictly inside the trajectory window.
 
-    Counts the sign changes of ``det(dx/dp')`` sampled at the ``steps + 1``
-    times of one integrated trajectory (variational Jacobian blocks, no
-    finite differences).  Each sign change counts one crossing; where in its
-    sampling interval a crossing lies is not resolved.  A conjugate endpoint
-    raises `ConjugatePointError`; an interior zero without a sign change
-    raises `NumericalError` (a degenerate tangency the sampled count cannot
-    classify).
+    Counted with multiplicity by `maslov._vertical_crossings`, as the
+    Leray-index change of the flowed momentum fibre ``[0; I]`` against
+    ``{x = 0}`` over the ``steps`` samples after ``t_start`` of one
+    integrated trajectory (variational Jacobians, no finite differences).
+    This assumes a definite ``d^2 H / dp^2``, as every harmonic, free,
+    quartic and magnetic generator has; otherwise it is the net crossing
+    number.  A conjugate endpoint raises `ConjugatePointError`.
     """
     n = H.n
     z0 = np.concatenate([np.atleast_1d(np.asarray(x_start, dtype=float)),
@@ -783,24 +773,8 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000, det_tol=1e-9):
     if t_end <= t_start:
         raise ValueError("need t_end > t_start")
     _, _, jacs, _ = flow_path(H, z0, t_start, t_end, steps)
-    dets = np.linalg.det(jacs[:, :n, n:])
-    scale = float(np.max(np.abs(dets)))
-    if scale == 0:
-        raise NumericalError("dx/dp' vanished along the whole trajectory")
-    if abs(dets[-1]) <= det_tol * scale:
-        raise ConjugatePointError("the endpoint is conjugate to the start")
-
-    # count flips between consecutive clearly-nonzero samples; samples inside
-    # the zero band are skipped, and a band whose flanks agree in sign hides
-    # either a tangency or a crossing pair the sampling cannot classify
-    solid = [k for k in range(1, len(dets)) if abs(dets[k]) > det_tol * scale]
-    count = 0
-    for ka, kb in zip(solid[:-1], solid[1:]):
-        if np.sign(dets[ka]) != np.sign(dets[kb]):
-            count += 1
-        elif kb - ka > 1:
-            raise NumericalError("degenerate near-zero of dx/dp' without a sign change")
-    return count
+    # the fibre starts on the vertical plane itself: count from the next sample
+    return _vertical_crossings(jacs[1:, :, n:])
 
 
 def _ladder_residual(r2, hbar, density_only):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symwave.capacity import TorusSpec
 from symwave.errors import ConjugatePointError, DivergenceError, NumericalError
@@ -13,7 +15,7 @@ from symwave.flows import (
     quadratic_hamiltonian,
     quartic_hamiltonian,
 )
-from symwave.maslov import leray_index, vertical_lift
+from symwave.maslov import _vertical_crossings, leray_index, vertical_lift
 from symwave.polynomials import Polynomial
 from symwave.symplectic import frame_from_souriau, vertical_frame
 from symwave.waveforms import (
@@ -464,6 +466,13 @@ def test_van_vleck_conjugate_point_errors():
     # just inside the free window is fine
     values = van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 1.2, grid, 0.2)
     assert np.all(np.isfinite(values))
+    # omega = (1, 1) focuses both directions of phi = 0.15 |x|^2 together: a
+    # double caustic inside [0, 1.5 pi], across which det dx/dx' keeps its sign
+    H2 = harmonic_hamiltonian([1.0, 1.0])
+    phi2 = Polynomial(2, [(0.15, (2, 0)), (0.15, (0, 2))])
+    with pytest.raises(ConjugatePointError, match="inside the window"):
+        van_vleck_propagate(phi2, lambda x: 1.0, H2, 0.0, 1.5 * math.pi,
+                            [[0.1, 0.2], [0.0, -0.1]], 0.1)
 
 
 def test_van_vleck_empty_grid():
@@ -506,6 +515,41 @@ def test_morse_index_windows():
         morse_index(H, [0.3], [0.4], 0.0, math.pi)
     with pytest.raises(ValueError):
         morse_index(H, [0.3], [0.4], 1.0, 1.0)
+    # the fibre never leaves {x = 0} under the zero Hamiltonian
+    with pytest.raises(ConjugatePointError):
+        morse_index(quadratic_hamiltonian(np.zeros((2, 2))), [0.3], [0.2], 0.0, 1.0)
+    # decoupled 2-D oscillators: sum_j floor(omega_j T / pi) focal points; at
+    # equal frequencies each one is double
+    for omegas, want in (([1.0, 1.0], (0, 2, 4)), ([1.0, 1.3], (1, 2, 5))):
+        H = harmonic_hamiltonian(omegas)
+        got = tuple(morse_index(H, [0.3, 0.1], [0.2, 0.4], 0.0, b * math.pi)
+                    for b in (0.9, 1.5, 2.5))
+        assert got == want
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.booleans(), st.floats(0.5, 12.0))
+def test_morse_index_matches_harmonic_closed_form(w1, w2, equal, T):
+    omegas = np.array([w1, w1 if equal else w2])
+    turns = omegas * T / math.pi
+    assume(np.min(np.abs(turns - np.round(turns))) >= 1e-3)
+    H = harmonic_hamiltonian(omegas)
+    assert morse_index(H, [0.3, -0.2], [0.1, 0.4], 0.0, T) == int(np.sum(np.floor(turns)))
+
+
+def test_evolved_index_field_drops_by_the_caustic_count():
+    # Morse index theorem: the transported lift's index falls by one per
+    # focal point of the flowed graph plane, which the batched kernel counts
+    phi = Polynomial(1, [(0.1, (1,)), (0.3, (2,)), (0.05, (3,))])
+    psi = Waveform(GradientGraphManifold(phi), lambda th: 1.0, 0.5)
+    for H in (harmonic_hamiltonian([1.0]), quartic_hamiltonian([1.0], 0.1)):
+        for T in (1.0, 2.5, 4.0, 6.0):
+            ev = evolve(psi, H, 0.0, T, steps=1000)
+            for x in (-0.5, 0.2, 0.7):
+                jacs = ev.manifold.path([x])[2]
+                frame = np.array([[1.0], [phi.hess(np.array([x]))[0, 0]]])
+                drop = psi.index([x]) - ev.index([x])
+                assert drop == _vertical_crossings(jacs @ frame)
 
 
 def test_oscillator_spectrum_ladder():
