@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_fill_holes
 
 from .maslov import maslov_loop_index_adaptive
 from .polynomials import Polynomial, random_polynomial
@@ -261,6 +260,14 @@ def _sample_ball(dim, R, center, samples, seed):
         yield center + g * radii[:, None]
 
 
+def _bin_index(v, e):
+    # bin of each v in [e[0], e[-1]] (right edge in the last bin) as np.histogram finds
+    # it: floor((v - e[0]) res / span) is off by at most one next to an edge
+    k = np.clip(((v - e[0]) * ((len(e) - 1) / (e[-1] - e[0]))).astype(np.intp), 0, len(e) - 2)
+    k -= v < e[k]
+    return k + ((v >= e[k + 1]) & (k < len(e) - 2))
+
+
 def _grid_counts(x, y, grid_res, bbox):
     # np.histogram2d(x, y, grid_res, [bbox[:2], bbox[2:]]) counts, equal bit
     # for bit, without its temporaries of the sample size
@@ -268,13 +275,13 @@ def _grid_counts(x, y, grid_res, bbox):
              np.histogram_bin_edges(y, grid_res, bbox[2:])]
     counts = np.zeros(grid_res * grid_res, dtype=np.int64)
     for s in range(0, len(x), _CHUNK):
-        ix, iy = (np.minimum(np.searchsorted(e, v[s : s + _CHUNK], side="right") - 1, grid_res - 1)
-                  for e, v in zip(edges, (x, y)))
+        ix, iy = (_bin_index(v[s : s + _CHUNK], e) for e, v in zip(edges, (x, y)))
         counts += np.bincount(ix * grid_res + iy, minlength=grid_res * grid_res)
     return counts.reshape(grid_res, grid_res)
 
 
 def _shadow(x, y, plane, grid_res, seed):
+    from scipy.ndimage import binary_fill_holes  # imported here: scipy costs ~0.45 s to load
     bbox = (x.min(), x.max(), y.min(), y.max())
     counts = _grid_counts(x, y, grid_res, bbox)
     span = np.maximum([bbox[1] - bbox[0], bbox[3] - bbox[2]], 1e-12)

@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
-from scipy.linalg import expm
 
 from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .polynomials import Polynomial
@@ -275,6 +274,7 @@ def _check_path_finite(times, pts):
 # two or more equally spaced times, and leaves overflow to the path scan.
 
 def _integrate_quadratic(H, times, pts, jacs):
+    from scipy.linalg import expm  # imported here: scipy costs ~0.45 s to load
     step = expm((times[1] - times[0]) * (_jmat(H.n) @ H.matrix))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):

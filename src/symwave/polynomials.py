@@ -39,14 +39,18 @@ class Polynomial:
             self._derivatives.append(rows)
 
     def _evaluate(self, x, order):
-        # sum of c * mult * prod_k x_k^p_k over the order-th derivative terms
+        # sum of c * mult * prod_k x_k^p_k over the order-th derivative terms;
+        # x_k^p is the product x_k^(p-1) * x_k, made once per call for all terms
         x = np.asarray(x, dtype=float)
+        powers = [[None, x[..., k]] for k in range(self.n)]
         out = np.zeros(x.shape[:-1] + (self.n,) * order)
         for idx, c, mult, pw in self._derivatives[order]:
-            term = np.full(x.shape[:-1], c * mult)
+            term = c * mult
             for k, p in enumerate(pw):
                 if p:
-                    term = term * x[..., k] ** p
+                    while len(powers[k]) <= p:
+                        powers[k].append(powers[k][-1] * powers[k][1])
+                    term = term * powers[k][p]
             out[(Ellipsis,) + idx] += term
         return out
 

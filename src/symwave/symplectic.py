@@ -16,7 +16,6 @@ Conventions used throughout the package:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericalError
 
@@ -311,6 +310,7 @@ def random_symplectic(n, rng, scale=1.0):
     Entries of ``A`` are uniform in ``[-scale, scale]``; ``K A`` lies in the
     symplectic Lie algebra, so the exponential is exactly symplectic.
     """
+    from scipy.linalg import expm  # imported here: scipy costs ~0.45 s to load
     A = rng.uniform(-scale, scale, size=(2 * n, 2 * n))
     A = (A + A.T) / 2
     return expm(form_matrix(n) @ A)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
-from .errors import ConjugatePointError, NumericalError
+from .errors import ConjugatePointError, NumericalError, RefinementError
 from .flows import _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
@@ -340,9 +340,11 @@ class FlowedManifold:
             k = int(np.clip(math.floor(u), 0, len(times) - 2))
             return jacs[k] + (u - k) * (jacs[k + 1] - jacs[k])
 
-        return transport_lift(self.base.cover_lift(theta),
-                              self.base.tangent_frame(theta),
-                              s_fn, self.t_start, self.t_end)
+        lift, frame = self.base.cover_lift(theta), self.base.tangent_frame(theta)
+        try:
+            return transport_lift(lift, frame, s_fn, self.t_start, self.t_end)
+        except ValueError as err:  # the interpolated Jacobian is singular between samples
+            raise RefinementError("flow path too coarse to transport the lift") from err
 
     def offset(self, z):
         back, _, _ = flow_map(self.hamiltonian, np.asarray(z, dtype=float),

@@ -50,6 +50,39 @@ def test_polynomial_derivatives_match_finite_differences(rng):
             assert np.allclose(H, H.T)
 
 
+def test_polynomial_matches_per_term_products(rng):
+    # reference: each term of the value and of every first and second
+    # derivative as one math.prod of Python-float powers
+    def reference(terms, x, deriv):
+        total, scale = 0.0, 0.0
+        for c, e in terms:
+            e, mult = list(e), c
+            for j in deriv:
+                mult *= e[j]
+                e[j] -= 1
+            if mult:
+                term = mult * math.prod(xk ** p for xk, p in zip(x, e))
+                total, scale = total + term, scale + abs(term)
+        return total, scale
+
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            terms = [(rng.uniform(-1, 1), tuple(rng.multinomial(d, [1 / n] * n)))
+                     for d in rng.integers(0, 7, size=8)]
+            poly = Polynomial(n, terms)
+            for shape in ((), (5,), (2, 3)):
+                pts = rng.uniform(-1.8, 1.8, size=shape + (n,))
+                got = [poly.value(pts), poly.grad(pts), poly.hess(pts)]
+                for idx in np.ndindex(shape):
+                    x = [float(v) for v in pts[idx]]
+                    checks = [(got[0][idx], ())]
+                    checks += [(got[1][idx + (i,)], (i,)) for i in range(n)]
+                    checks += [(got[2][idx + (i, j)], (j, i)) for i in range(n) for j in range(n)]
+                    for value, deriv in checks:
+                        want, scale = reference(terms, x, deriv)
+                        assert abs(value - want) <= 1e-13 * scale
+
+
 def test_polynomial_vectorized_evaluation(rng):
     poly = random_polynomial(2, rng, degree=3, min_degree=1)
     pts = rng.uniform(-1, 1, size=(40, 2))
@@ -194,12 +227,22 @@ def test_grid_counts_equal_histogram2d(rng):
     x = np.concatenate([edges_x, rng.choice(edges_x, 40), rng.uniform(0, 1, 600_000)])
     y = np.concatenate([edges_y, edges_y[::-1][:17], rng.choice(edges_y, 23),
                         rng.uniform(-2, 3, 600_000)])
-    cases = [(x, y), (x[:grid + 1], y[:grid + 1]), (np.array([0.3]), np.array([-1.2])),
-             (np.full(5, 0.7), rng.uniform(0, 1, 5))]
-    for a, b in cases:
+    cases = [(grid, x, y), (grid, x[:grid + 1], y[:grid + 1]),
+             (grid, np.array([0.3]), np.array([-1.2])),
+             (grid, np.full(5, 0.7), rng.uniform(0, 1, 5))]
+    # every edge of the bins the counts use, and both float neighbours of it
+    for res in (16, 512):
+        ex = np.histogram_bin_edges([], res, (-0.83, 1.37))
+        ey = np.histogram_bin_edges([], res, (2.1, 2.6))
+        near = [np.concatenate([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
+                for e in (ex, ey)]
+        # the neighbours outside [e[0], e[-1]] would widen the bounding box
+        a, b = (v[(v >= e[0]) & (v <= e[-1])] for v, e in zip(near, (ex, ey)))
+        cases.append((res, a, rng.permutation(np.resize(b, len(a)))))
+    for res, a, b in cases:
         bbox = (a.min(), a.max(), b.min(), b.max())
-        want, _, _ = np.histogram2d(a, b, bins=grid, range=[bbox[:2], bbox[2:]])
-        got = capacity._grid_counts(a, b, grid, bbox)
+        want, _, _ = np.histogram2d(a, b, bins=res, range=[bbox[:2], bbox[2:]])
+        got = capacity._grid_counts(a, b, res, bbox)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got.sum() == len(a)
 

@@ -328,3 +328,17 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["capacity"] == pytest.approx(
         math.pi, abs=0)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy costs every command process ~0.45 s, so it loads on first use
+    src = str(Path(symwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys, symwave.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,7 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symwave.capacity import TorusSpec
-from symwave.errors import ConjugatePointError, DivergenceError, NumericalError
+from symwave.errors import (
+    ConjugatePointError,
+    DivergenceError,
+    NumericalError,
+    RefinementError,
+)
 from symwave.flows import (
     flow_map,
     harmonic_hamiltonian,
@@ -258,6 +263,16 @@ def test_evolve_identity_and_full_period():
     assert phase_defect(ev2.manifold, [0.7]) < 1e-6
     # the evolved phase still generates p dx, and mass rides the parameter
     assert ev2.amplitude is psi.amplitude
+
+
+def test_evolved_lift_on_too_coarse_a_path_is_a_refinement_error():
+    # two samples per period: the interpolated Jacobian between them passes
+    # through 0, so the transported lift is undefined, not the input bad
+    psi = Waveform(CircleManifold(1.0), lambda th: 1.0, 0.5)
+    H = harmonic_hamiltonian([1.0])
+    with pytest.raises(RefinementError, match="too coarse"):
+        evolve(psi, H, 0.0, 2 * math.pi, steps=2).index(0.3)
+    assert evolve(psi, H, 0.0, 2 * math.pi, steps=8).index(0.3) == -1
 
 
 def test_evolve_composition_matches_direct():
