@@ -217,27 +217,40 @@ def leray_index_transversal(a, b, tol=_INT_TOL):
     return _leray_from_spectrum(a, b, _pair_spectrum(a.w, b.w), tol)
 
 
-def _vertical_crossings(frames):
-    """Net caustic count of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
+def _end_lifts(frames):
+    """Lifts of the two ends of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
 
-    The absolute Leray-index change against ``{x = 0}``: crossings with
-    multiplicity, opposite signs cancelling.  ``w = u (F^T F)^-1 u^T`` with
-    ``u = P - iX``, so one batched ``det u`` lifts every sample (steps must
-    move ``arg det u`` by < pi).  An end on ``{x = 0}`` raises `ConjugatePointError`.
+    ``w = u (F^T F)^-1 u^T`` with ``u = P - iX``, so one batched ``det u``
+    lifts every sample; a step moving ``arg det u`` by pi or more is too
+    coarse to unwrap and raises `RefinementError`.
     """
     F = np.asarray(frames, dtype=float)
     n = F.shape[-1]
     u = F[:, n:] - 1j * F[:, :n]
-    alpha = 2.0 * np.unwrap(np.angle(np.linalg.det(u)))
+    half = np.unwrap(np.angle(np.linalg.det(u)))
+    move = float(np.max(np.abs(np.diff(half)), initial=0.0))
+    if move >= np.pi - 1e-9:
+        raise RefinementError(f"sampled path too coarse: arg det u moved by {move:.6f}")
     ends, u_ends = F[[0, -1]], u[[0, -1]]
     w = u_ends @ np.linalg.solve(np.swapaxes(ends, 1, 2) @ ends, np.swapaxes(u_ends, 1, 2))
+    return LagrangianLift(w[0], 2.0 * half[0]), LagrangianLift(w[1], 2.0 * half[-1])
+
+
+def _vertical_crossings(frames):
+    """Net caustic count of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
+
+    The absolute Leray-index change of the `_end_lifts` against ``{x = 0}``:
+    crossings with multiplicity, opposite signs cancelling.  A step moving
+    ``arg det u`` by pi or more raises `RefinementError`, an end on ``{x = 0}``
+    `ConjugatePointError`.
+    """
     m = []
-    for wk, ak in zip(w, alpha[[0, -1]]):
-        lam = np.linalg.eigvals(wk)  # the pair spectrum against w = I
+    for end in _end_lifts(frames):
+        lam = np.linalg.eigvals(end.w)  # the pair spectrum against w = I
         if _band_dim(lam):
             raise ConjugatePointError(
                 "conjugate point at an end of the window: the plane meets {x = 0}")
-        m.append(_leray_from_spectrum(LagrangianLift(wk, ak), vertical_lift(n), lam))
+        m.append(_leray_from_spectrum(end, vertical_lift(end.n), lam))
     return abs(m[1] - m[0])
 
 

@@ -10,7 +10,8 @@ index of the lifted tangent plane against a reference lift, and ``rho`` is a
 nonnegative density coefficient in the manifold parameter.  The supported
 manifolds are parameterized circles ``x = r cos(theta), p = r sin(theta)``,
 products of such circles with flat line factors, gradient graphs
-``p = grad(Phi)(x)``, and Hamiltonian-flow images of any of these.
+``p = grad(Phi)(x)``, and Hamiltonian-flow images of any of these, whose
+lifts are read from the flow's sampled Jacobians (one flow line kept).
 
 Conventions
 -----------
@@ -34,15 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
-from .errors import ConjugatePointError, NumericalError, RefinementError
+from .errors import ConjugatePointError, NumericalError
 from .flows import _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
+    _end_lifts,
     _vertical_crossings,
     deck_act,
     leray_index,
     lift_path_adaptive,
-    transport_lift,
     vertical_lift,
 )
 from .symplectic import (
@@ -268,10 +269,11 @@ class FlowedManifold:
     density coefficient in the parameter is preserved exactly and the deck
     structure is inherited unchanged: Hamiltonian isotopies leave both the
     loop integrals of ``p dx`` (``f* (p dx) - p dx`` is exact) and the integer
-    loop indices (homotopy invariance) untouched.  Cover lifts transport the
-    base lift along the Jacobian path of the flow, so caustic crossings enter
-    through plain index jumps rather than errors.  Nesting is supported: the
-    base may itself be a `FlowedManifold`.
+    loop indices (homotopy invariance) untouched.  Cover lifts carry the base
+    lift along the flow's sampled Jacobians through the caustic kernel
+    `maslov._end_lifts`, so caustic crossings enter as plain index jumps.
+    Only the last parameter's flow line is kept, which bounds memory.
+    Nesting is supported: the base may itself be a `FlowedManifold`.
     """
 
     def __init__(self, base, hamiltonian, t_start, t_end, steps=1000):
@@ -284,7 +286,7 @@ class FlowedManifold:
         self.t_start = float(t_start)
         self.t_end = float(t_end)
         self.steps = int(steps)
-        self._cache = {}
+        self._line = (None, None)
 
     @property
     def n(self):
@@ -298,20 +300,16 @@ class FlowedManifold:
         return self.base.reference()
 
     def path(self, theta):
-        """The flow line from the base point: ``(times, points, jacobians, action)``.
-
-        Integrated once per parameter and cached; the arrays are read-only.
-        """
+        """The flow line ``(times, points, jacobians, action)``; the last one is kept, read-only."""
         th = _coerce_param(theta, self.param_dim)
         key = th.tobytes()
-        data = self._cache.get(key)
-        if data is None:
+        if self._line[0] != key:
             data = flow_path(self.hamiltonian, self.base.point(th),
                              self.t_start, self.t_end, self.steps)
             for arr in data:
                 arr.flags.writeable = False
-            self._cache[key] = data
-        return data
+            self._line = (key, data)
+        return self._line[1]
 
     def point(self, theta):
         return self.path(theta)[1][-1].copy()
@@ -330,21 +328,9 @@ class FlowedManifold:
         return self.base.phase(theta) + self.action(theta)
 
     def cover_lift(self, theta):
-        times, _, jacs, _ = self.path(theta)
-        if len(times) == 1:
-            return self.base.cover_lift(theta)
-        span = times[-1] - times[0]
-
-        def s_fn(s):
-            u = (s - times[0]) / span * (len(times) - 1)
-            k = int(np.clip(math.floor(u), 0, len(times) - 2))
-            return jacs[k] + (u - k) * (jacs[k + 1] - jacs[k])
-
-        lift, frame = self.base.cover_lift(theta), self.base.tangent_frame(theta)
-        try:
-            return transport_lift(lift, frame, s_fn, self.t_start, self.t_end)
-        except ValueError as err:  # the interpolated Jacobian is singular between samples
-            raise RefinementError("flow path too coarse to transport the lift") from err
+        """The base lift carried along the sampled Jacobians of the flow line."""
+        start, end = _end_lifts(self.path(theta)[2] @ self.base.tangent_frame(theta).stacked())
+        return LagrangianLift(end.w, self.base.cover_lift(theta).alpha + end.alpha - start.alpha)
 
     def offset(self, z):
         back, _, _ = flow_map(self.hamiltonian, np.asarray(z, dtype=float),
@@ -410,8 +396,9 @@ def phase_defect(manifold, theta, step=1e-5):
     for i in range(manifold.param_dim):
         e = np.zeros_like(th)
         e[i] = step
-        dphi = (manifold.phase(th + e) - manifold.phase(th - e)) / (2 * step)
-        dx = (manifold.point(th + e) - manifold.point(th - e))[: manifold.n] / (2 * step)
+        # both reads at one parameter in turn: a flowed manifold keeps one flow line
+        hi, lo = ((manifold.phase(th + s), manifold.point(th + s)[: manifold.n]) for s in (e, -e))
+        dphi, dx = ((a - b) / (2 * step) for a, b in zip(hi, lo))
         worst = max(worst, abs(dphi - float(p @ dx)))
     return worst
 

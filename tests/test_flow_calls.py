@@ -7,7 +7,9 @@ flowed manifold.  A grid position past a fold gives up after a few flows.
 The counts below pin that down.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -118,3 +120,12 @@ def test_flowed_manifold_integrates_each_parameter_once(integrations):
     assert len(integrations) == 1
     with pytest.raises(ValueError):
         points[-1, 0] = 0.0
+
+
+def test_flowed_manifold_keeps_one_flow_line():
+    base = GradientGraphManifold(Polynomial(1, [(0.2, (1,)), (0.25, (2,))]))
+    man = FlowedManifold(base, harmonic_hamiltonian([1.0]), 0.0, 0.4, steps=50)
+    first = weakref.ref(man.path([0.1])[2])
+    man.path([0.2])
+    gc.collect()
+    assert first() is None

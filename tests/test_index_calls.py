@@ -2,20 +2,23 @@
 
 Each pair of planes has its spectrum computed once, and ``inert``
 orthonormalizes each frame once; the auxiliary-plane path of ``leray_index``
-orthonormalizes the caller's frames once for both of its evaluations.  These
-counts pin that down.
+orthonormalizes the caller's frames once for both of its evaluations.  A
+flowed cover lift reads one batched determinant over its sampled path.
+These counts pin that down.
 """
 
 import numpy as np
 import pytest
 
+from symwave.flows import quartic_hamiltonian
 from symwave.maslov import inert, leray_index, lift_from_frame
+from symwave.polynomials import Polynomial
 from symwave.symplectic import LagrangianFrame, random_lagrangian_frame, vertical_frame
+from symwave.waveforms import FlowedManifold, GradientGraphManifold
 
 
-@pytest.fixture
-def linalg_calls(monkeypatch):
-    calls = {"eigvals": 0, "qr": 0}
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         original = getattr(np.linalg, name)
 
@@ -25,6 +28,11 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    return _count_calls(monkeypatch, ("eigvals", "qr"))
 
 
 @pytest.fixture
@@ -52,6 +60,15 @@ def test_self_index_call_counts(triple, linalg_calls):
     linalg_calls.update(eigvals=0, qr=0)
     assert leray_index(a, a, frames=(fa, fa)) == 2
     assert linalg_calls["eigvals"] <= 11 and linalg_calls["qr"] <= 4
+
+
+def test_flowed_cover_lift_has_one_qr_and_one_det(monkeypatch):
+    base = GradientGraphManifold(Polynomial(1, [(0.2, (1,)), (0.25, (2,))]))
+    man = FlowedManifold(base, quartic_hamiltonian([1.0], 0.1), 0.0, 2.0, steps=1000)
+    man.path([0.4])  # integrate first: only the lift is counted
+    calls = _count_calls(monkeypatch, ("qr", "det"))
+    man.cover_lift([0.4])
+    assert calls["qr"] <= 1 and calls["det"] <= 1
 
 
 # the second frame is orthonormal, so it skips the rank check and QR

@@ -20,7 +20,7 @@ from symwave.flows import (
     quadratic_hamiltonian,
     quartic_hamiltonian,
 )
-from symwave.maslov import _vertical_crossings, leray_index, vertical_lift
+from symwave.maslov import _vertical_crossings, leray_index, lift_path, vertical_lift
 from symwave.polynomials import Polynomial
 from symwave.symplectic import frame_from_souriau, vertical_frame
 from symwave.waveforms import (
@@ -266,13 +266,42 @@ def test_evolve_identity_and_full_period():
 
 
 def test_evolved_lift_on_too_coarse_a_path_is_a_refinement_error():
-    # two samples per period: the interpolated Jacobian between them passes
-    # through 0, so the transported lift is undefined, not the input bad
+    # two samples per period: the Jacobians at 0, pi, 2 pi are I, -I, I, so
+    # each step turns det(P - iX) by pi and the sampled lift is ambiguous,
+    # not the input bad
     psi = Waveform(CircleManifold(1.0), lambda th: 1.0, 0.5)
     H = harmonic_hamiltonian([1.0])
     with pytest.raises(RefinementError, match="too coarse"):
         evolve(psi, H, 0.0, 2 * math.pi, steps=2).index(0.3)
     assert evolve(psi, H, 0.0, 2 * math.pi, steps=8).index(0.3) == -1
+
+
+COUPLED = quadratic_hamiltonian(np.array([[1.0, 0.3, 0.0, 0.2], [0.3, 1.5, 0.1, 0.0],
+                                           [0.0, 0.1, 1.0, 0.4], [0.2, 0.0, 0.4, 0.8]]))
+
+
+@pytest.mark.parametrize("steps", [10, 1000])
+@pytest.mark.parametrize("manifold, theta, expected", [
+    (TorusManifold((1.0, 1.5)), [0.3, 1.1], 0),
+    (GradientGraphManifold(Polynomial(2, [(0.3, (2, 0)), (0.2, (1, 1)), (0.1, (0, 2))])),
+     [0.3, -0.2], -1),
+], ids=["torus", "graph"])
+def test_coupled_flow_index_lifts_the_sampled_frames(manifold, theta, expected, steps):
+    # a coupled flow in n = 2: a linear interpolant of its Jacobians is not
+    # symplectic, so the index must come from the exact sampled frames
+    psi = Waveform(manifold, lambda th: 1.0, 0.5)
+    ev = evolve(psi, COUPLED, 0.0, 2.0, steps=steps)
+    jacs = ev.manifold.path(theta)[2]
+    frame = manifold.tangent_frame(theta)
+    lifts = lift_path([frame.transformed(J) for J in jacs], manifold.cover_lift(theta).alpha)
+    assert ev.index(theta) == leray_index(lifts[-1], psi.index_base) == expected
+
+
+def test_caustic_kernel_rejects_a_flipped_basis():
+    # one line {p = 0} with its basis flipped: nothing moves, yet det(P - iX)
+    # jumps by pi, which no sampled step may do -- not a phantom caustic
+    with pytest.raises(RefinementError, match="too coarse"):
+        _vertical_crossings(np.array([[[1.0], [0.0]], [[-1.0], [0.0]]]))
 
 
 def test_evolve_composition_matches_direct():
