@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .maslov import maslov_loop_index_adaptive
 from .polynomials import Polynomial, random_polynomial
 from .symplectic import _diagonal_torus_frame, random_symplectic
@@ -283,8 +284,11 @@ def _grid_counts(x, y, grid_res, bbox):
 def _shadow(x, y, plane, grid_res, seed):
     from scipy.ndimage import binary_fill_holes  # imported here: scipy costs ~0.45 s to load
     bbox = (x.min(), x.max(), y.min(), y.max())
-    counts = _grid_counts(x, y, grid_res, bbox)
     span = np.maximum([bbox[1] - bbox[0], bbox[3] - bbox[2]], 1e-12)
+    # a finite box, with room for the Chao1 cells (at most grid_res^2 / 2 more)
+    if not np.isfinite(span[0] * span[1] * grid_res**2):
+        raise NumericalError(f"mapped ball left the finite phase space on plane {plane}")
+    counts = _grid_counts(x, y, grid_res, bbox)
     occupied = counts > 0
     filled = binary_fill_holes(occupied)
     cell_area = (span[0] / grid_res) * (span[1] / grid_res)
@@ -328,10 +332,11 @@ def shadow_areas(f, R, planes, grid_res=512, samples=1_000_000, seed=0, center=N
     row = {c: k for k, c in enumerate(cols)}
     img = np.empty((len(cols), samples))
     done = 0
-    for block in _sample_ball(2 * n, R, center, samples, seed):
-        img[:, done : done + len(block)] = apply_symplectomorphism(f, block)[:, cols].T
-        done += len(block)
-    return [_shadow(img[row[i]], img[row[n + j]], (i, j), grid_res, seed) for i, j in planes]
+    with np.errstate(over="ignore", invalid="ignore"):  # _shadow reports an overflow
+        for block in _sample_ball(2 * n, R, center, samples, seed):
+            img[:, done : done + len(block)] = apply_symplectomorphism(f, block)[:, cols].T
+            done += len(block)
+        return [_shadow(img[row[i]], img[row[n + j]], (i, j), grid_res, seed) for i, j in planes]
 
 
 def shadow_area(f, R, plane, grid_res=512, samples=1_000_000, seed=0, center=None):

@@ -16,7 +16,8 @@ deterministic comment line.  Identical config and seed reproduce the
 ``results`` payload byte for byte (the CSV file is reproducible in full).
 Complex numbers serialize as ``{"re": .., "im": ..}`` pairs (``re``/``im``
 columns in CSV).  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure; errors print a single JSON diagnostic line to stderr.
+failure; errors print a single JSON diagnostic line to stderr.  A float
+parameter that is not finite (JSON ``NaN``, ``Infinity``) is a config error.
 
 Commands and parameters
 -----------------------
@@ -43,6 +44,7 @@ nonsqueeze
     the mixed-plane control table where the bound genuinely fails.  Each
     map moves one ball, sampled with seed ``seed + 31k`` for map ``k``, and
     all its planes read that image; the calibration ball has seed ``seed``.
+    ``R`` must lie in [1e-6, 1e6]; a map that overflows the ball exits 3.
 quantize
     ``hbar`` (required) plus any of ``radii_squared`` (+ ``flat_dims``),
     ``omegas``, ``spectrum_n_max`` (+ ``scan_divisions``); ``contrast``
@@ -153,7 +155,7 @@ class _Params:
         if kind == "float":
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise bad
-            return float(val)
+            return self._finite(key, val)
         if kind == "int":
             if isinstance(val, bool) or not isinstance(val, int):
                 raise bad
@@ -179,9 +181,19 @@ class _Params:
                     raise ConfigError(f"{self._command}: parameter '{key}' must hold numbers")
                 if kind == "ints" and not isinstance(v, int):
                     raise ConfigError(f"{self._command}: parameter '{key}' must hold integers")
-                out.append(float(v) if kind == "floats" else v)
+                out.append(self._finite(key, v) if kind == "floats" else v)
             return out
         raise AssertionError(kind)
+
+    def _finite(self, key, v):
+        # json reads NaN, Infinity and integers too large for a float
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ConfigError(f"{self._command}: parameter '{key}' must be finite")
+        return v
 
     def finish(self):
         if self._rec:
@@ -375,7 +387,8 @@ def run_capacity(params, seed):
 def run_nonsqueeze(params, seed):
     p = _Params("nonsqueeze", params)
     n = p.take("n", 2, "int", lambda v: 1 <= v <= 4, "must be in [1, 4]")
-    R = p.take("R", 1.0, "float", lambda v: v > 0, "must be > 0")
+    # keeps pi R^2 and the grid cell area normal floats, far from the shadow box floor
+    R = p.take("R", 1.0, "float", lambda v: 1e-6 <= v <= 1e6, "must be in [1e-6, 1e6]")
     maps = p.take("maps", 200, "int", lambda v: 0 <= v <= 10_000,
                   "must be in [0, 10000]")
     grid_res = p.take("grid_res", 512, "int", lambda v: 16 <= v <= 4096,

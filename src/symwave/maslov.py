@@ -9,6 +9,11 @@ The Leray index of a transversal pair is
 
 with the principal logarithm; non-transversal pairs are reduced to the
 transversal case through an auxiliary plane and the inertia cocycle.
+
+A sampled path of frames ``[X; P]`` is lifted from one batched
+``det(P - iX)`` over the whole stack.  Plane paths (`lift_path`,
+`lift_path_adaptive`) unwrap ``arg det w = 2 arg det u``, blind to each
+sample's basis; flowed frames (`_end_lifts`) unwrap ``arg det u`` itself.
 """
 
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ from .errors import (
 from .symplectic import (
     LagrangianFrame,
     _band_dim,
+    _lagrangian_stack,
     _orthonormal_lagrangian,
     _pair_spectrum,
     _signature_and_dims,
@@ -74,14 +80,6 @@ class LagrangianLift:
         return float(abs(np.linalg.det(self.w) - np.exp(1j * self.alpha)))
 
 
-def _wrap(angle):
-    # wrap to (-pi, pi]
-    a = np.mod(angle + np.pi, 2 * np.pi) - np.pi
-    if a == -np.pi:
-        a = np.pi
-    return a
-
-
 def lift_from_frame(frame, windings=0):
     """Lift of a plane with ``alpha`` = principal ``arg det w`` + ``2 pi k``."""
     w = souriau_w(frame)
@@ -99,6 +97,37 @@ def deck_act(k, lift):
     return LagrangianLift(lift.w, lift.alpha + 2 * np.pi * int(k))
 
 
+def _arg_det_u(F):
+    # principal arg det u, u = P - iX, of each sample of a (K, 2n, n) stack
+    n = F.shape[-1]
+    return np.angle(np.linalg.det(F[:, n:] - 1j * F[:, :n]))
+
+
+def _souriau(F):
+    # w = u (F^T F)^-1 u^T of each sample of a (K, 2n, n) stack, whatever its basis
+    n = F.shape[-1]
+    u = F[:, n:] - 1j * F[:, :n]
+    return u @ np.linalg.solve(np.swapaxes(F, 1, 2) @ F, np.swapaxes(u, 1, 2))
+
+
+def _steps(arg):
+    # steps of arg det w = 2 arg det u, wrapped to [-pi, pi): a flipped column moves nothing
+    return np.mod(np.diff(2.0 * arg) + np.pi, 2 * np.pi) - np.pi
+
+
+def _lift_stack(F, arg, alpha0, tol):
+    # lifts of a stack from alpha0 at its first sample, unwrapping arg det w
+    if abs(np.exp(2j * arg[0]) - np.exp(1j * alpha0)) > tol:
+        raise ValueError("alpha0 is not an argument of det w at the first sample")
+    d = _steps(arg)
+    jump = np.flatnonzero(np.abs(d) >= np.pi - 1e-9)
+    if jump.size:
+        k = jump[0]
+        raise RefinementError(f"step {k + 1}: arg det w moved by {d[k]:+.6f}; refine the sampling")
+    alphas = np.cumsum(np.concatenate(([float(alpha0)], d)))
+    return [LagrangianLift(w, a) for w, a in zip(_souriau(F), alphas)]
+
+
 def lift_path(frames, alpha0, tol=1e-8):
     """Lift a discretely sampled path of planes starting from ``alpha0``.
 
@@ -108,21 +137,8 @@ def lift_path(frames, alpha0, tol=1e-8):
     """
     if len(frames) == 0:
         raise ValueError("empty path")
-    ws = [souriau_w(f) for f in frames]
-    args = [float(np.angle(np.linalg.det(w))) for w in ws]
-    if abs(np.exp(1j * args[0]) - np.exp(1j * alpha0)) > tol:
-        raise ValueError("alpha0 is not an argument of det w at the first sample")
-    lifts = [LagrangianLift(ws[0], alpha0)]
-    alpha = float(alpha0)
-    for k in range(1, len(ws)):
-        d = _wrap(args[k] - args[k - 1])
-        if abs(d) >= np.pi - 1e-9:
-            raise RefinementError(
-                f"step {k}: arg det w moved by {d:+.6f}; refine the sampling"
-            )
-        alpha += d
-        lifts.append(LagrangianLift(ws[k], alpha))
-    return lifts
+    F = _lagrangian_stack(frames)
+    return _lift_stack(F, _arg_det_u(F), alpha0, tol)
 
 
 def lift_path_adaptive(
@@ -131,40 +147,27 @@ def lift_path_adaptive(
     """Lift ``t -> frame_fn(t)`` over ``[t0, t1]``, bisecting until each step
     moves ``arg det w`` by less than ``max_step``.
 
-    Bisection only *refines*; windings faster than the initial grid resolves
-    would alias away, so ``init_samples`` must sample the path densely enough
-    that no initial step moves ``arg det w`` by pi or more.  Returns
-    ``(times, lifts)`` at the accepted sample points.
+    Bisection is level-wise: each level reads the midpoints of all steps still
+    too coarse in one batch, and ``max_depth`` levels raise `RefinementError`.
+    It only *refines*: ``init_samples`` must be dense enough that no initial
+    step moves ``arg det w`` by pi or more, or the winding aliases away.
+    Returns ``(times, lifts)`` at the accepted sample points.
     """
-
-    def arg_of(t):
-        w = souriau_w(frame_fn(t))
-        return w, float(np.angle(np.linalg.det(w)))
-
-    grid = np.linspace(t0, t1, max(int(init_samples), 2))
-    samples = [arg_of(t) for t in grid]
-    if abs(np.exp(1j * samples[0][1]) - np.exp(1j * alpha0)) > 1e-8:
-        raise ValueError("alpha0 is not an argument of det w at t0")
-
-    times = [grid[0]]
-    lifts = [LagrangianLift(samples[0][0], alpha0)]
-
-    def refine(ta, arga, tb, wb, argb, depth):
-        d = _wrap(argb - arga)
-        if abs(d) < max_step:
-            times.append(tb)
-            lifts.append(LagrangianLift(wb, lifts[-1].alpha + d))
-            return
-        if depth >= max_depth:
+    times = np.linspace(t0, t1, max(int(init_samples), 2))
+    F = _lagrangian_stack([frame_fn(t) for t in times])
+    arg = _arg_det_u(F)
+    for depth in range(max_depth + 1):
+        coarse = np.flatnonzero(np.abs(_steps(arg)) >= max_step)
+        if coarse.size == 0:
+            break
+        if depth == max_depth:
             raise RefinementError("path refinement exceeded maximum depth")
-        tm = 0.5 * (ta + tb)
-        wm, argm = arg_of(tm)
-        refine(ta, arga, tm, wm, argm, depth + 1)
-        refine(tm, argm, tb, wb, argb, depth + 1)
-
-    for k in range(1, len(grid)):
-        refine(grid[k - 1], samples[k - 1][1], grid[k], samples[k][0], samples[k][1], 0)
-    return np.array(times), lifts
+        mid = 0.5 * (times[coarse] + times[coarse + 1])
+        Fm = _lagrangian_stack([frame_fn(t) for t in mid])
+        times = np.insert(times, coarse + 1, mid)
+        F = np.insert(F, coarse + 1, Fm, axis=0)
+        arg = np.insert(arg, coarse + 1, _arg_det_u(Fm))
+    return times, _lift_stack(F, arg, alpha0, 1e-8)
 
 
 def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
@@ -225,14 +228,11 @@ def _end_lifts(frames):
     coarse to unwrap and raises `RefinementError`.
     """
     F = np.asarray(frames, dtype=float)
-    n = F.shape[-1]
-    u = F[:, n:] - 1j * F[:, :n]
-    half = np.unwrap(np.angle(np.linalg.det(u)))
+    half = np.unwrap(_arg_det_u(F))
     move = float(np.max(np.abs(np.diff(half)), initial=0.0))
     if move >= np.pi - 1e-9:
         raise RefinementError(f"sampled path too coarse: arg det u moved by {move:.6f}")
-    ends, u_ends = F[[0, -1]], u[[0, -1]]
-    w = u_ends @ np.linalg.solve(np.swapaxes(ends, 1, 2) @ ends, np.swapaxes(u_ends, 1, 2))
+    w = _souriau(F[[0, -1]])
     return LagrangianLift(w[0], 2.0 * half[0]), LagrangianLift(w[1], 2.0 * half[-1])
 
 
@@ -329,14 +329,13 @@ def maslov_loop_index(frames, tol=_INT_TOL):
     values occur only for loops that reverse orientation, such as a half
     turn of a line.
     """
-    lifts = lift_path(frames, float(np.angle(np.linalg.det(souriau_w(frames[0])))))
+    lifts = lift_path(frames, lift_from_frame(frames[0]).alpha)
     return _loop_winding(lifts, tol)
 
 
 def maslov_loop_index_adaptive(frame_fn, t0, t1, tol=_INT_TOL):
     """Adaptive-refinement variant of :func:`maslov_loop_index`."""
-    w0 = souriau_w(frame_fn(t0))
-    _, lifts = lift_path_adaptive(frame_fn, t0, t1, float(np.angle(np.linalg.det(w0))))
+    _, lifts = lift_path_adaptive(frame_fn, t0, t1, lift_from_frame(frame_fn(t0)).alpha)
     return _loop_winding(lifts, tol)
 
 

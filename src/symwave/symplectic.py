@@ -141,11 +141,27 @@ def is_lagrangian_frame(frame, tol=DEFAULT_TOL):
     Isotropy of the span is equivalent to ``X^T P`` symmetric; full rank is
     checked through the smallest singular value of ``[X; P]``.
     """
-    sv = np.linalg.svd(frame.stacked(), compute_uv=False)
-    if sv[-1] <= tol * max(1.0, sv[0]):
-        return False
-    asym = frame.X.T @ frame.P - frame.P.T @ frame.X
-    return bool(np.max(np.abs(asym)) <= tol * max(1.0, sv[0] ** 2))
+    return not _non_lagrangian(frame.stacked()[None], tol)[0]
+
+
+def _non_lagrangian(F, tol=DEFAULT_TOL):
+    # which frames of a (K, 2n, n) stack fail the rank or the isotropy test,
+    # both relative to the largest singular value
+    n = F.shape[-1]
+    sv = np.linalg.svd(F, compute_uv=False)
+    scale = np.maximum(1.0, sv[:, 0])
+    XtP = F[:, :n].transpose(0, 2, 1) @ F[:, n:]
+    asym = np.abs(XtP - XtP.transpose(0, 2, 1)).max(axis=(1, 2))
+    return (sv[:, -1] <= tol * scale) | (asym > tol * scale**2)
+
+
+def _lagrangian_stack(frames):
+    # the frames stacked (K, 2n, n), checked in one batch as souriau_w checks one
+    F = np.stack([f.stacked() for f in frames])
+    bad = np.flatnonzero(_non_lagrangian(F))
+    if bad.size:
+        raise ValueError(f"not a Lagrangian frame (rank or isotropy failure) at sample {bad[0]}")
+    return F
 
 
 def orthonormalize_frame(frame, tol=1e-12):

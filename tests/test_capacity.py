@@ -27,6 +27,7 @@ from symwave.capacity import (
     shadow_areas,
     symplectomorphism_jacobian,
 )
+from symwave.errors import NumericalError
 from symwave.polynomials import Polynomial, random_polynomial
 from symwave.symplectic import is_symplectic_matrix
 from symwave.waveforms import oscillator_spectrum_from_waveforms
@@ -270,6 +271,15 @@ def test_ground_energy_and_minimal_action():
     assert np.isclose(minimal_orbit_action(hbar), 2 * math.pi * hbar / 2)
     with pytest.raises(ValueError):
         ground_energy([1.0, -1.0], 1.0)
+
+
+def test_shadow_of_an_overflowing_map_is_a_numerical_error():
+    # p -> p + 200 x^199 sends |x| > 36 past the largest float; the overflow
+    # is reported once, as an error, with no RuntimeWarning on the way
+    f = SymplectomorphismSpec(1, (("xshear", Polynomial(1, [(1.0, (200,))])),))
+    with pytest.raises(NumericalError, match="finite phase space"):
+        shadow_areas(f, 100.0, [0], grid_res=16, samples=1000)
+    assert shadow_areas(f, 1.0, [0], grid_res=16, samples=1000)[0].area > 0
 
 
 def test_loop_action_values_and_quadrature_oracle():

@@ -342,3 +342,35 @@ def test_importing_the_cli_loads_no_scipy():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, params", [
+    ("evolve", {"t_end": math.nan}),
+    ("evolve", {"t_end": math.inf}),
+    ("evolve", {"t_end": 10**400}),  # a json integer no float holds
+    ("quantize", {"hbar": 1.0, "omegas": [1.0, math.nan]}),
+])
+def test_non_finite_numbers_are_config_errors(capsys, tmp_path, command, params):
+    base = {"evolve": {"hamiltonian": {"kind": "harmonic"},
+                       "state": {"phi": [0.0, 0.0, 0.15]}, "hbar": 0.05,
+                       "x_grid": {"min": -1.0, "max": 1.0, "count": 9}},
+            "quantize": {}}[command]
+    # json writes NaN and Infinity, and reads them back
+    rc, out, err = invoke(capsys, [command], tmp_path, {"params": {**base, **params}})
+    assert rc == 2 and out == ""
+    diag = diagnostic(err)
+    assert diag["error"] == "config" and "must be finite" in diag["detail"]
+
+
+@pytest.mark.parametrize("params, rc", [
+    ({"n": 1, "R": 1e-300, "maps": 0}, 2),  # pi R^2 underflows to 0
+    ({"n": 1, "R": 1e300, "maps": 0}, 2),  # pi R^2 and the cell area overflow
+    ({"n": 1, "R": 1e300, "maps": 1}, 2),
+    # accepted, but a map sends the ball past the largest float
+    ({"n": 2, "R": 1e6, "maps": 3, "stages": [20, 50]}, 3),
+])
+def test_nonsqueeze_extremes_end_in_a_diagnostic(capsys, tmp_path, params, rc):
+    config = {"params": {**params, "samples": 1000, "grid_res": 16}}
+    code, out, err = invoke(capsys, ["nonsqueeze"], tmp_path, config)
+    assert code == rc and out == ""
+    assert diagnostic(err)["exit_code"] == rc

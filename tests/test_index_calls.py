@@ -3,17 +3,30 @@
 Each pair of planes has its spectrum computed once, and ``inert``
 orthonormalizes each frame once; the auxiliary-plane path of ``leray_index``
 orthonormalizes the caller's frames once for both of its evaluations.  A
-flowed cover lift reads one batched determinant over its sampled path.
-These counts pin that down.
+flowed cover lift reads one batched determinant over its sampled path, and
+a sampled lift one per batch of new samples.  These counts pin that down.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from symwave.flows import quartic_hamiltonian
-from symwave.maslov import inert, leray_index, lift_from_frame
+from symwave.maslov import (
+    inert,
+    leray_index,
+    lift_from_frame,
+    lift_path,
+    lift_path_adaptive,
+    transport_lift,
+)
 from symwave.polynomials import Polynomial
-from symwave.symplectic import LagrangianFrame, random_lagrangian_frame, vertical_frame
+from symwave.symplectic import (
+    LagrangianFrame,
+    form_matrix,
+    random_lagrangian_frame,
+    vertical_frame,
+)
 from symwave.waveforms import FlowedManifold, GradientGraphManifold
 
 
@@ -71,6 +84,40 @@ def test_flowed_cover_lift_has_one_qr_and_one_det(monkeypatch):
     assert calls["qr"] <= 1 and calls["det"] <= 1
 
 
+def turning_frame(t):
+    """Both lines of an n = 2 product turn at 20 rad per unit: ``arg det w = 80 t``."""
+    c, s = np.cos(20 * t), np.sin(20 * t)
+    return LagrangianFrame(np.diag([-s, -s]), np.diag([c, c]))
+
+
+def test_lift_path_has_no_qr_and_one_det(monkeypatch):
+    frames = [turning_frame(t) for t in np.linspace(0.0, 1.0, 200)]
+    calls = _count_calls(monkeypatch, ("qr", "det"))
+    lifts = lift_path(frames, 0.0)
+    assert calls == {"qr": 0, "det": 1}
+    assert abs(lifts[-1].alpha - 80.0) < 1e-9
+
+
+def test_transport_lift_has_one_det_per_refinement_level(monkeypatch):
+    rng = np.random.default_rng(5)
+    fa = random_lagrangian_frame(2, rng)
+    a = lift_from_frame(fa)
+    A = rng.uniform(-1.0, 1.0, size=(4, 4))
+    # a fast rotation: arg det w turns about 40 rad, so the start grid is too coarse
+    generator = form_matrix(2) @ ((A + A.T) / 2 + 10.0 * np.eye(4))
+
+    def s_fn(t):
+        return expm(t * generator)
+
+    times, _ = lift_path_adaptive(lambda t: fa.transformed(s_fn(t)), 0.0, 1.0, a.alpha)
+    levels = round(np.log2((1 / 32) / np.min(np.diff(times))))
+    assert levels >= 1
+    calls = _count_calls(monkeypatch, ("qr", "det"))
+    transport_lift(a, fa, s_fn)
+    # the one QR is the check that fa spans the plane of a
+    assert calls["qr"] <= 1 and calls["det"] <= levels + 1
+
+
 # the second frame is orthonormal, so it skips the rank check and QR
 NON_LAGRANGIAN = (
     LagrangianFrame(np.eye(2), [[0.0, 1.0], [0.0, 0.0]]),
@@ -93,3 +140,17 @@ def test_auxiliary_path_rejects_non_lagrangian_frame():
         for frames in ((bad, f), (f, bad)):
             with pytest.raises(ValueError):
                 leray_index(a, a, frames=frames)
+
+
+def test_sampled_lifts_reject_a_non_lagrangian_frame():
+    for bad in NON_LAGRANGIAN:
+        with pytest.raises(ValueError, match="not a Lagrangian frame"):
+            lift_path([turning_frame(0.0), bad, turning_frame(0.02)], 0.0)
+        # on the start grid, and at a midpoint that only the first level evaluates
+        for at in (0.5, 1 / 64):
+
+            def frame_fn(t, at=at, bad=bad):
+                return bad if t == at else turning_frame(t)
+
+            with pytest.raises(ValueError, match="not a Lagrangian frame"):
+                lift_path_adaptive(frame_fn, 0.0, 1.0, 0.0)

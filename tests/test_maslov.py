@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import theta_frame, theta_lift
@@ -247,6 +249,66 @@ def test_adaptive_lift_matches_dense(rng):
     _, lifts = lift_path_adaptive(fn, 0.0, 2.0, a0)
     dense = lift_path([fn(t) for t in np.linspace(0, 2.0, 4000)], a0)
     assert np.isclose(lifts[-1].alpha, dense[-1].alpha, atol=1e-9)
+
+
+def oracle_lift(frames, alpha0):
+    """Per-sample reference lift: ``arg det w`` of each ``souriau_w``, steps
+    wrapped to (-pi, pi]; returns ``(alphas, largest step)``."""
+    args = np.array([np.angle(np.linalg.det(souriau_w(f))) for f in frames])
+    steps = np.angle(np.exp(1j * np.diff(args)))
+    largest = float(np.max(np.abs(steps), initial=0.0))
+    return alpha0 + np.concatenate(([0.0], np.cumsum(steps))), largest
+
+
+def rotation_path(n, rng):
+    """``t -> e^{itH} u0`` with H Hermitian, read as frames ``[X; P]``, u = P - iX.
+
+    Each sample's columns are rescaled and flipped at random, so the frames
+    are neither orthonormal nor consistently oriented; the plane moves only
+    with ``t`` and ``arg det w`` turns at the rate ``2 tr H``."""
+    S = rng.uniform(-1.5, 1.5, (n, n))
+    T = rng.uniform(-1.5, 1.5, (n, n))
+    H = (S + S.T) / 2 + 1j * (T - T.T) / 2
+    f = random_lagrangian_frame(n, rng)
+    u0 = f.P - 1j * f.X
+
+    def frame_at(t):
+        u = expm(1j * t * H) @ u0 * (rng.uniform(0.2, 5.0, n) * rng.choice([-1.0, 1.0], n))
+        return LagrangianFrame(-u.imag, u.real)
+
+    return frame_at, 2 * np.trace(H).real
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(2, 40), st.floats(0.1, 5.0),
+       st.booleans())
+def test_batched_lift_matches_the_per_sample_oracle(n, seed, samples, span, half_turn):
+    rng = np.random.default_rng(seed)
+    frame_at, rate = rotation_path(n, rng)
+    times = np.linspace(0.0, span, samples)
+    if half_turn:  # the last step turns arg det w by pi, which no unwrapping can resolve
+        assume(abs(rate) > 0.1)
+        times[-1] = times[-2] + np.pi / abs(rate)
+    frames = [frame_at(t) for t in times]
+    alpha0 = float(np.angle(np.linalg.det(souriau_w(frames[0])))) + 2 * np.pi * int(rng.integers(-2, 3))
+    expected, largest = oracle_lift(frames, alpha0)
+    # the two reads of arg det w agree to rounding, not at the threshold itself
+    assume(abs(largest - (np.pi - 1e-9)) > 1e-12)
+    if largest >= np.pi - 1e-9:
+        with pytest.raises(RefinementError):
+            lift_path(frames, alpha0)
+    else:
+        alphas = [lift.alpha for lift in lift_path(frames, alpha0)]
+        assert np.allclose(alphas, expected, rtol=0, atol=1e-9)
+
+    # the default 33-point start grid turns arg det w by at most 2 * 4.5 * 5 / 32 < pi a step
+    times, lifts = lift_path_adaptive(frame_at, 0.0, span, alpha0)
+    got, largest = oracle_lift([frame_at(t) for t in times], alpha0)
+    assert largest < np.pi / 4
+    assert np.allclose([lift.alpha for lift in lifts], got, rtol=0, atol=1e-9)
+    dense = lift_path([frame_at(t) for t in np.linspace(0.0, span, 400)], alpha0)
+    assert abs(lifts[-1].alpha - dense[-1].alpha) <= 1e-9
+    assert abs(dense[-1].alpha - alpha0 - rate * span) <= 1e-9
 
 
 def test_circle_loop_index():
