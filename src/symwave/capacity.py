@@ -284,14 +284,20 @@ def _grid_counts(x, y, grid_res, bbox):
 def _shadow(x, y, plane, grid_res, seed):
     from scipy.ndimage import binary_fill_holes  # imported here: scipy costs ~0.45 s to load
     bbox = (x.min(), x.max(), y.min(), y.max())
-    span = np.maximum([bbox[1] - bbox[0], bbox[3] - bbox[2]], 1e-12)
+    span = (bbox[1] - bbox[0], bbox[3] - bbox[2])
     # a finite box, with room for the Chao1 cells (at most grid_res^2 / 2 more)
     if not np.isfinite(span[0] * span[1] * grid_res**2):
         raise NumericalError(f"mapped ball left the finite phase space on plane {plane}")
+    # each side spans at least 1e-12 of its largest coordinate (some 4,500
+    # float steps there), and the cell area is a normal float
+    cell_area = (span[0] / grid_res) * (span[1] / grid_res)
+    if not (span[0] >= 1e-12 * max(abs(bbox[0]), abs(bbox[1]))
+            and span[1] >= 1e-12 * max(abs(bbox[2]), abs(bbox[3]))
+            and cell_area >= np.finfo(float).tiny):
+        raise NumericalError(f"shadow on plane {plane} is too narrow to bin in floats")
     counts = _grid_counts(x, y, grid_res, bbox)
     occupied = counts > 0
     filled = binary_fill_holes(occupied)
-    cell_area = (span[0] / grid_res) * (span[1] / grid_res)
     f1 = int((counts == 1).sum())
     f2 = int((counts == 2).sum())
     unseen = f1 * (f1 - 1) / (2.0 * (f2 + 1))

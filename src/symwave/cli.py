@@ -35,7 +35,8 @@ index
 capacity
     ``radii`` (ellipsoid) or ``ball`` {n, R} -- capacity pi*min(r)^2 and
     volume closed forms, with the normalization cross-check that the
-    inscribed ball and its cylinder pin the same value.
+    inscribed ball and its cylinder pin the same value.  Radii and ``R``
+    must lie in [1e-6, 1e6], with at most 20 of them (``n`` <= 20).
 nonsqueeze
     ``n``, ``R``, ``maps``, ``grid_res``, ``samples``, ``margin``,
     ``controls``, ``calibration``, ``stages`` [min, max] -- occupancy-grid
@@ -339,16 +340,21 @@ def run_index(params, seed):
 
 def run_capacity(params, seed):
     p = _Params("capacity", params)
+    # radii in [1e-6, 1e6] and n <= 20 keep pi r^2 and the volume
+    # pi^n prod r^2 / n! normal floats
     ball = p.take("ball", None, "dict")
-    radii = p.take("radii", None, "floats")
+    radii = p.take("radii", None, "floats",
+                   lambda v: len(v) <= 20 and all(1e-6 <= r <= 1e6 for r in v),
+                   "must hold at most 20 positive radii in [1e-6, 1e6]")
     tol = p.take("tol", 0.0, "float", lambda v: v >= 0, "must be >= 0")
     resolved = p.finish()
     if (radii is None) == (ball is None):
         raise ConfigError("capacity: give exactly one of 'radii' or 'ball'")
     if ball is not None:
         b = _Params("capacity.ball", ball)
-        bn = b.take("n", _REQUIRED, "int", lambda v: v >= 1, "must be >= 1")
-        bR = b.take("R", _REQUIRED, "float", lambda v: v > 0, "must be > 0")
+        bn = b.take("n", _REQUIRED, "int", lambda v: 1 <= v <= 20, "must be in [1, 20]")
+        bR = b.take("R", _REQUIRED, "float", lambda v: 1e-6 <= v <= 1e6,
+                    "must be in [1e-6, 1e6]")
         resolved["ball"] = b.finish()
         radii = [bR] * bn
     try:
@@ -387,7 +393,7 @@ def run_capacity(params, seed):
 def run_nonsqueeze(params, seed):
     p = _Params("nonsqueeze", params)
     n = p.take("n", 2, "int", lambda v: 1 <= v <= 4, "must be in [1, 4]")
-    # keeps pi R^2 and the grid cell area normal floats, far from the shadow box floor
+    # keeps pi R^2 and the grid cell area normal floats
     R = p.take("R", 1.0, "float", lambda v: 1e-6 <= v <= 1e6, "must be in [1e-6, 1e6]")
     maps = p.take("maps", 200, "int", lambda v: 0 <= v <= 10_000,
                   "must be in [0, 10000]")

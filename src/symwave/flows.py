@@ -7,8 +7,12 @@ the Jacobian of the flow map (the solution of the variational equations) and
 the Poincare-Cartan action ``integral(p dx - H dt)``.
 
 Integrator policy: quadratic Hamiltonians use the exact matrix exponential
-of the linearized system; separable anharmonic families use a fixed-step
-fourth-order splitting; the magnetic family (and reparameterized wrappers)
+of the linearized system, built once per (matrix, time step) and shared
+read-only; the quartic family, whose degrees of freedom are uncoupled, uses
+a fixed-step fourth-order splitting (Yoshida's triple of leapfrogs) run on
+Python floats one degree of freedom at a time, each carrying its exact 2x2
+Jacobian block, with powers as products so that its bits do not depend on
+numpy's SIMD ``pow``; the magnetic family (and reparameterized wrappers)
 fall back to the implicit midpoint rule, whose Cayley-form tangent update is
 exactly symplectic.  Jacobians are never finite-differenced from nearby
 trajectories: determinant signals near caustics need the variational
@@ -22,6 +26,7 @@ and `phase_transport` are views of its samples and fail as it fails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -273,9 +278,22 @@ def _check_path_finite(times, pts):
 # Each integrator fills points[1:] and jacobians[1:] from the start sample at
 # two or more equally spaced times, and leaves overflow to the path scan.
 
-def _integrate_quadratic(H, times, pts, jacs):
+@functools.lru_cache(maxsize=256)
+def _quadratic_step(matrix, n, dt):
+    """Read-only one-step map ``expm(dt J M)`` of ``M``'s float64 bytes.
+
+    Shooting solves and grids repeat few (M, dt) pairs over many flows, so
+    each step matrix is built once and shared; read-only, as every caller
+    gets the same array.
+    """
     from scipy.linalg import expm  # imported here: scipy costs ~0.45 s to load
-    step = expm((times[1] - times[0]) * (_jmat(H.n) @ H.matrix))
+    step = expm(dt * (_jmat(n) @ np.frombuffer(matrix).reshape(2 * n, 2 * n)))
+    step.flags.writeable = False
+    return step
+
+
+def _integrate_quadratic(H, times, pts, jacs):
+    step = _quadratic_step(H.matrix.tobytes(), H.n, float(times[1] - times[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
             jacs[k] = step @ jacs[k - 1]
@@ -292,34 +310,44 @@ def _quadratic_action(H, times, pts):
 
 
 def _integrate_quartic(H, times, pts, jacs):
-    # Yoshida's triple of kick-drift-kick leapfrogs per step.  The potential's
-    # gradient and Hessian diagonal depend on x alone, so each evaluation
-    # serves both the half-kick after a drift and the one before the next.
+    # Yoshida's triple of kick-drift-kick leapfrogs per step, one uncoupled
+    # degree of freedom at a time on Python floats (numpy's per-call cost on
+    # length-n arrays was nearly all of a step), with its exact 2x2 Jacobian
+    # block; the off-block entries are 0.  Each potential evaluation serves
+    # the half-kick after a drift and the one before the next.  Powers are
+    # products: float ``**`` raises on overflow, and numpy's array pow rounds
+    # unlike ``x * x * x``.  Overflow runs on as inf/nan to the path scan.
     n = H.n
-    dt = times[1] - times[0]
-    m = H.masses
-    w2 = m * H.omegas**2
+    dt = float(times[1] - times[0])
+    hs = [w * dt for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)]
     g4, g12 = 4.0 * H.coupling, 12.0 * H.coupling
-    subs = [(h, 0.5 * h, (h / m)[:, None])
-            for h in (w * dt for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1))]
-    x, p = pts[0, :n].copy(), pts[0, n:].copy()
-    jac = np.eye(2 * n)
-    top, bottom = jac[:n], jac[n:]  # dx/dz0 and dp/dz0, updated in place
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_grad = w2 * x + g4 * x**3
-        v_hess = w2 + g12 * x**2
-        for k in range(1, len(times)):
+    jacs[1:] = 0.0
+    for j, (m, w2) in enumerate(zip(H.masses.tolist(), (H.masses * H.omegas**2).tolist())):
+        subs = [(h, 0.5 * h, h / m) for h in hs]
+        x, p = float(pts[0, j]), float(pts[0, n + j])
+        xx, xp, px, pp = 1.0, 0.0, 0.0, 1.0  # dx/dx0, dx/dp0, dp/dx0, dp/dp0
+        v_grad = w2 * x + g4 * (x * x * x)
+        v_hess = w2 + g12 * (x * x)
+        rows = []
+        for _ in range(len(times) - 1):
             for h, half_h, h_over_m in subs:
-                p = p - half_h * v_grad
-                bottom -= (half_h * v_hess)[:, None] * top
-                x = x + h * p / m
-                top += h_over_m * bottom
-                v_grad = w2 * x + g4 * x**3
-                v_hess = w2 + g12 * x**2
-                p = p - half_h * v_grad
-                bottom -= (half_h * v_hess)[:, None] * top
-            pts[k, :n], pts[k, n:] = x, p
-            jacs[k] = jac
+                c = half_h * v_hess
+                p -= half_h * v_grad
+                px -= c * xx
+                pp -= c * xp
+                x += h * p / m
+                xx += h_over_m * px
+                xp += h_over_m * pp
+                v_grad = w2 * x + g4 * (x * x * x)
+                v_hess = w2 + g12 * (x * x)
+                c = half_h * v_hess
+                p -= half_h * v_grad
+                px -= c * xx
+                pp -= c * xp
+            rows.append((x, p, xx, xp, px, pp))
+        block = np.array(rows)
+        pts[1:, [j, n + j]] = block[:, :2]
+        jacs[1:, [j, j, n + j, n + j], [j, n + j, j, n + j]] = block[:, 2:]
 
 
 def _integrate_midpoint(H, times, pts, jacs, newton_tol=1e-13, max_iter=60):

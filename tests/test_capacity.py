@@ -282,6 +282,19 @@ def test_shadow_of_an_overflowing_map_is_a_numerical_error():
     assert shadow_areas(f, 1.0, [0], grid_res=16, samples=1000)[0].area > 0
 
 
+def test_tiny_shadows_scale_with_the_ball():
+    # the box floor is relative: a ball of radius 1e-13 at the origin bins
+    # as one of radius 1e-3, and one too narrow for the floats it sits on
+    # (1e-13 at distance 1) is an error, not an area of the floor's cells
+    f = identity_symplectomorphism(1)
+    unit = {R: shadow_area(f, R, 0, grid_res=64, samples=20000).area / (math.pi * R * R)
+            for R in (1e-3, 1e-13)}
+    assert unit[1e-13] == pytest.approx(unit[1e-3], rel=1e-12)
+    assert abs(unit[1e-13] - 1.0) < 0.03
+    with pytest.raises(NumericalError, match="too narrow"):
+        shadow_area(f, 1e-13, 0, grid_res=64, samples=20000, center=[1.0, 1.0])
+
+
 def test_loop_action_values_and_quadrature_oracle():
     t = TorusSpec((1.0, 2.0))
     assert np.isclose(loop_action(t, [1, 0]), math.pi)

@@ -120,6 +120,20 @@ def test_capacity_config_errors(capsys, tmp_path):
     assert rc == 2 and "bogus" in diagnostic(err)["detail"]
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"radii": [1e300, 1e300]}, "radii"),  # pi r^2 overflows
+    ({"ball": {"n": 2, "R": 1e300}}, "'R'"),
+    ({"radii": [1.0] * 200}, "radii"),  # n! is past the largest float
+    ({"ball": {"n": 400, "R": 1.0}}, "'n'"),
+    ({"ball": {"n": 30, "R": 1e6}}, "'n'"),  # R^2n overflows
+], ids=["radii-1e300", "ball-R-1e300", "200-radii", "ball-n-400", "ball-n-30"])
+def test_capacity_extremes_are_config_errors(capsys, tmp_path, params, key):
+    rc, out, err = invoke(capsys, ["capacity"], tmp_path, {"params": params})
+    assert rc == 2 and out == ""
+    diag = diagnostic(err)
+    assert diag["error"] == "config" and key in diag["detail"]
+
+
 def test_unknown_command_is_a_config_error(capsys):
     rc, _, err = invoke(capsys, ["frobnicate"])
     assert rc == 2 and diagnostic(err)["error"] == "config"

@@ -4,7 +4,8 @@ Each trajectory is integrated once: a Morse window is one flow, a Van Vleck
 Newton evaluation is one flow whose path also serves the conjugate-point
 scan and the action, and ``run_evolve`` reads its x0 trajectory from the
 flowed manifold.  A grid position past a fold gives up after a few flows.
-The counts below pin that down.
+The counts below pin that down, and that a quadratic step matrix is built
+once per (generator, time step), however many flows repeat it.
 """
 
 import gc
@@ -13,11 +14,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from symwave import flows
 from symwave.cli import run_evolve
 from symwave.errors import NumericalError
-from symwave.flows import harmonic_hamiltonian, quartic_hamiltonian
+from symwave.flows import harmonic_hamiltonian, quartic_hamiltonian, two_point_action
 from symwave.polynomials import Polynomial
 from symwave.waveforms import (FlowedManifold, GradientGraphManifold,
                                morse_index, van_vleck_propagate)
@@ -129,3 +131,24 @@ def test_flowed_manifold_keeps_one_flow_line():
     man.path([0.2])
     gc.collect()
     assert first() is None
+
+
+def test_quadratic_step_matrix_is_built_once_per_time_step(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.copy())
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    flows._quadratic_step.cache_clear()
+    H = harmonic_hamiltonian([1.3])
+    for k in range(200):
+        res = two_point_action(H, [0.1 + 0.002 * k], [0.4], 0.0, (0.7, 1.9)[k % 2])
+        assert res["endpoint"][0] == pytest.approx(0.4, abs=1e-10)
+    assert len(calls) <= 2
+    step = flows._quadratic_step(H.matrix.tobytes(), H.n, 0.7)
+    assert np.array_equal(step, expm(0.7 * (flows._jmat(1) @ H.matrix)))
+    with pytest.raises(ValueError):
+        step[0, 0] = 0.0

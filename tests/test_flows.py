@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from symwave.errors import ConjugatePointError, DivergenceError
@@ -247,16 +249,17 @@ def test_views_diverge_like_flow_path(H, z0, t1, steps, last_time):
 
 
 def _reference_leapfrog(x, p, jac, dt, H):
-    # reference quartic step: one Yoshida leapfrog triple, with the potential's
-    # gradient and Hessian evaluated afresh at every half-kick
+    # reference quartic step: one Yoshida leapfrog triple on numpy arrays, with
+    # the potential's gradient and Hessian evaluated afresh at every half-kick
+    # and powers written as the kernel's products
     n = H.n
     w2 = H.masses * H.omegas**2
 
     def v_grad(x):
-        return w2 * x + 4.0 * H.coupling * x**3
+        return w2 * x + 4.0 * H.coupling * (x * x * x)
 
     def v_hess_diag(x):
-        return w2 + 12.0 * H.coupling * x**2
+        return w2 + 12.0 * H.coupling * (x * x)
 
     for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1):
         h = w * dt
@@ -269,25 +272,70 @@ def _reference_leapfrog(x, p, jac, dt, H):
     return x, p, jac
 
 
+def _reference_path(H, z0, times):
+    # the reference steps over the sample times; overflow runs on as inf/nan
+    n = H.n
+    ref_pts = np.empty((len(times), 2 * n))
+    ref_jacs = np.empty((len(times), 2 * n, 2 * n))
+    ref_pts[0], ref_jacs[0] = z0, np.eye(2 * n)
+    x, p, jac = np.array(z0[:n], dtype=float), np.array(z0[n:], dtype=float), np.eye(2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(times)):
+            x, p, jac = _reference_leapfrog(x, p, jac.copy(), times[1] - times[0], H)
+            ref_pts[k, :n], ref_pts[k, n:] = x, p
+            ref_jacs[k] = jac
+    return ref_pts, ref_jacs
+
+
 @pytest.mark.parametrize("H, z0", [
     (quartic_hamiltonian([1.0], 0.1), [0.6, 0.3]),
     (quartic_hamiltonian([1.0, 1.7], 0.2, masses=[1.3, 0.6]), [0.3, -0.2, 0.1, 0.4]),
 ], ids=["n=1", "n=2-masses"])
 def test_quartic_integrator_matches_reference_bitwise(H, z0):
-    n, steps = H.n, 2000
-    times, pts, jacs, act = flow_path(H, z0, 0.0, 2.0, steps)
-    dt = times[1] - times[0]
-    ref_pts = np.empty_like(pts)
-    ref_jacs = np.empty_like(jacs)
-    ref_pts[0], ref_jacs[0] = z0, np.eye(2 * n)
-    x, p, jac = np.array(z0[:n], dtype=float), np.array(z0[n:], dtype=float), np.eye(2 * n)
-    for k in range(1, steps + 1):
-        x, p, jac = _reference_leapfrog(x, p, jac.copy(), dt, H)
-        ref_pts[k, :n], ref_pts[k, n:] = x, p
-        ref_jacs[k] = jac
+    times, pts, jacs, act = flow_path(H, z0, 0.0, 2.0, 2000)
+    ref_pts, ref_jacs = _reference_path(H, z0, times)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(jacs, ref_jacs)
     assert np.array_equal(act, _trapezoid_action(H, times, ref_pts))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 300), st.booleans(),
+       st.booleans())
+def test_quartic_kernel_is_the_reference_block_by_block(n, seed, steps, backward, wall):
+    # random masses, frequencies and coupling.  A start on the quartic wall,
+    # with two or more steps of at least 0.02, overflows: the kernel must
+    # overflow where the reference does and report the same last time
+    rng = np.random.default_rng(seed)
+    H = quartic_hamiltonian(rng.uniform(0.3, 2.0, n), rng.uniform(0.01, 0.5),
+                            masses=rng.uniform(0.3, 2.0, n))
+    z0 = rng.uniform(-1.0, 1.0, 2 * n)
+    if wall:
+        z0[rng.integers(n)] = 1e3
+        steps = max(steps, 2)
+    t0 = rng.uniform(-1.0, 1.0)
+    dt = rng.uniform(0.02 if wall else 1e-3, 0.05)
+    t1 = t0 + (-1.0 if backward else 1.0) * steps * dt
+    ref_times = np.linspace(t0, t1, steps + 1)
+    ref_pts, ref_jacs = _reference_path(H, z0, ref_times)
+    bad = ~np.all(np.isfinite(ref_pts), axis=1)
+    assert bad.any() == wall
+    if wall:
+        with pytest.raises(DivergenceError) as exc:
+            flow_path(H, z0, t0, t1, steps)
+        assert exc.value.last_time == ref_times[max(0, int(np.argmax(bad)) - 1)]
+        return
+    times, pts, jacs, _ = flow_path(H, z0, t0, t1, steps)
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(jacs, ref_jacs)
+    rows = np.array([[j, j, n + j, n + j] for j in range(n)])
+    cols = np.array([[j, n + j, j, n + j] for j in range(n)])
+    off_block = np.ones((2 * n, 2 * n), dtype=bool)
+    off_block[rows, cols] = False
+    assert np.all(jacs[:, off_block] == 0.0)
+    blocks = jacs[:, rows, cols]  # (samples, n, 4): dx/dx0, dx/dp0, dp/dx0, dp/dp0
+    det = blocks[..., 0] * blocks[..., 3] - blocks[..., 1] * blocks[..., 2]
+    assert np.max(np.abs(det - 1.0)) <= 1e-12
 
 
 def test_chapman_kolmogorov():
