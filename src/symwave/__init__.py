@@ -1,5 +1,11 @@
 """Symplectic index calculus, capacities, and semiclassical waveforms."""
 
+import os
+
+# The matrices here are small, so OpenBLAS's worker threads only spin: one
+# thread unless the caller set the variable.  It is read when numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .symplectic import (  # noqa: F401

@@ -20,8 +20,9 @@ solution.  Each family (quadratic, harmonic included; quartic; magnetic;
 reparam) is one table entry: value, gradient, Hessian, integrator, action.
 
 `flow_path` is the one path function: it integrates, scans the path once for
-overflow, then sums the action.  `integrate`, `flow_map`, `action_integral`
-and `phase_transport` are views of its samples and fail as it fails.
+overflow, then sums the action and scans that too.  `integrate`, `flow_map`,
+`action_integral` and `phase_transport` are views of its samples and fail as
+it fails.
 """
 
 from __future__ import annotations
@@ -266,13 +267,12 @@ class Trajectory:
         return self.point(len(self.times) - 1)
 
 
-def _check_path_finite(times, pts):
-    # the state before the first non-finite sample is the last valid one
+def _check_path_finite(times, pts, what="flow left the finite phase space"):
+    # the sample before the first non-finite one is the last valid one
     bad = ~np.all(np.isfinite(pts), axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise DivergenceError("flow left the finite phase space",
-                              last_time=float(times[max(0, k - 1)]))
+        raise DivergenceError(what, last_time=float(times[max(0, k - 1)]))
 
 
 # Each integrator fills points[1:] and jacobians[1:] from the start sample at
@@ -422,7 +422,8 @@ def _family(H):
 
 
 def _integrate_raw(H, z0, t0, t1, steps):
-    # the one integrator dispatch and overflow scan; the action sums a finite path
+    # the one integrator dispatch and overflow scan; the action sums a finite
+    # path, and a finite path can still overflow it (H squares p)
     family = _family(H)
     times = np.linspace(t0, t1, steps + 1)
     pts = np.empty((steps + 1, 2 * H.n))
@@ -430,7 +431,10 @@ def _integrate_raw(H, z0, t0, t1, steps):
     pts[0], jacs[0] = z0, np.eye(2 * H.n)
     family.integrator(H, times, pts, jacs)
     _check_path_finite(times, pts)
-    return times, pts, jacs, family.action(H, times, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        action = family.action(H, times, pts)
+    _check_path_finite(times, action[:, None], "flow action left the finite range")
+    return times, pts, jacs, action
 
 
 def _as_state(z, n):
@@ -447,7 +451,8 @@ def flow_path(H, z0, t0, t1, steps=1000):
 
     ``steps + 1`` samples as in `Trajectory`; ``t1 < t0`` integrates backward,
     ``t1 == t0`` returns the single-sample path.  Leaving the finite phase
-    space raises `DivergenceError` with the last finite sample's time.
+    space raises `DivergenceError` with the last finite sample's time, and
+    so does an accumulated action that overflows on a finite path.
     """
     z0 = _as_state(z0, H.n)
     if t1 != t0:

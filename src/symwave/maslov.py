@@ -16,6 +16,8 @@ A sampled path of frames ``[X; P]`` is lifted from one batched
 sample's basis; flowed frames (`_end_lifts`) unwrap ``arg det u`` itself.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +187,13 @@ def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
 
 
 def _log_trace(lam, branch_tol=1e-12):
-    if np.any(np.abs(lam) <= branch_tol):
+    # Tr Log over a spectrum given as a list of Python complexes
+    if any(abs(z) <= branch_tol for z in lam):
         raise BranchCutError("singular matrix has no logarithm")
-    ang = np.angle(lam)
-    if np.any(np.pi - np.abs(ang) <= branch_tol):
+    ang = [cmath.phase(z) for z in lam]
+    if any(math.pi - abs(t) <= branch_tol for t in ang):
         raise BranchCutError("eigenvalue on the negative real axis")
-    return complex(np.sum(np.log(np.abs(lam))) + 1j * np.sum(ang))
+    return complex(sum(math.log(abs(z)) for z in lam), sum(ang))
 
 
 def principal_log_trace(M, branch_tol=1e-12):
@@ -200,14 +203,14 @@ def principal_log_trace(M, branch_tol=1e-12):
     argument in ``(-pi, pi)``; eigenvalues on (or within ``branch_tol`` of)
     the closed negative real axis raise :class:`BranchCutError`.
     """
-    return _log_trace(np.linalg.eigvals(np.atleast_2d(np.asarray(M, dtype=complex))), branch_tol)
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    return _log_trace(np.linalg.eigvals(M).tolist(), branch_tol)
 
 
-def _leray_from_spectrum(a, b, lam, tol=_INT_TOL):
-    # lam is the spectrum of w_a w_b^*; -w_a w_b^* has the spectrum -lam
-    if _band_dim(lam):
-        raise TransversalityError("planes are not transversal")
-    v = (a.alpha - b.alpha + 1j * _log_trace(-lam)) / (2 * np.pi) + a.n / 2
+def _leray_log(a, b, lam, tol=_INT_TOL):
+    # the logarithm formula on the spectrum lam of w_a w_b^*, which the caller
+    # has found transversal; -w_a w_b^* has the spectrum -lam
+    v = (a.alpha - b.alpha + 1j * _log_trace([-z for z in lam])) / (2 * math.pi) + a.n / 2
     if abs(v.imag) > tol or abs(v.real - round(v.real)) > tol:
         raise IntegralityError(f"Leray index landed at {v}, not an integer")
     return int(round(v.real))
@@ -217,7 +220,10 @@ def leray_index_transversal(a, b, tol=_INT_TOL):
     """Leray index of a transversal pair of lifts."""
     if a.n != b.n:
         raise ValueError("lifts live in different dimensions")
-    return _leray_from_spectrum(a, b, _pair_spectrum(a.w, b.w), tol)
+    lam = _pair_spectrum(a.w, b.w)
+    if _band_dim(lam):
+        raise TransversalityError("planes are not transversal")
+    return _leray_log(a, b, lam, tol)
 
 
 def _end_lifts(frames):
@@ -246,11 +252,11 @@ def _vertical_crossings(frames):
     """
     m = []
     for end in _end_lifts(frames):
-        lam = np.linalg.eigvals(end.w)  # the pair spectrum against w = I
+        lam = np.linalg.eigvals(end.w).tolist()  # the pair spectrum against w = I
         if _band_dim(lam):
             raise ConjugatePointError(
                 "conjugate point at an end of the window: the plane meets {x = 0}")
-        m.append(_leray_from_spectrum(end, vertical_lift(end.n), lam))
+        m.append(_leray_log(end, vertical_lift(end.n), lam))
     return abs(m[1] - m[0])
 
 
@@ -284,7 +290,7 @@ def _leray_via_auxiliary(a, b, frame_a, frame_b, rng):
         lam_ac, lam_bc = _pair_spectrum(a.w, wc), _pair_spectrum(b.w, wc)
         if _band_dim(lam_ac) == 0 and _band_dim(lam_bc) == 0:
             c = LagrangianLift(wc, float(np.mod(np.angle(np.linalg.det(wc)), 2 * np.pi)))
-            m_ac, m_bc = _leray_from_spectrum(a, c, lam_ac), _leray_from_spectrum(b, c, lam_bc)
+            m_ac, m_bc = _leray_log(a, c, lam_ac), _leray_log(b, c, lam_bc)
             return m_ac - m_bc + inert(frame_a, frame_b, frame_c)
     raise NumericalError("failed to find an auxiliary transversal plane")
 
@@ -302,7 +308,7 @@ def leray_index(a, b, frames=None, rng=None):
     """
     lam = _pair_spectrum(a.w, b.w)
     if _band_dim(lam) == 0:
-        return _leray_from_spectrum(a, b, lam)
+        return _leray_log(a, b, lam)
     frames = frames or (frame_from_souriau(a.w), frame_from_souriau(b.w))
     frame_a, frame_b = (_orthonormal_lagrangian(f) for f in frames)
     rng = np.random.default_rng(813970) if rng is None else rng

@@ -215,13 +215,15 @@ def is_souriau_point(w, tol=DEFAULT_TOL):
 
 
 def _pair_spectrum(w, wp):
-    # unimodular eigenvalues of w (w')^*; 1 has multiplicity dim(l ^ l')
-    return np.linalg.eigvals(np.asarray(w) @ np.asarray(wp).conj().T)
+    # unimodular eigenvalues of w (w')^* as a list of Python complexes: its
+    # readers reduce 1 to 6 numbers, where numpy's per-call cost dominates;
+    # 1 has multiplicity dim(l ^ l')
+    return np.linalg.eigvals(np.asarray(w) @ np.asarray(wp).conj().T).tolist()
 
 
 def _band_dim(lam, tol=DEFAULT_TOL):
     # the one zero-band rule: rank, transversality and nullity are decided here
-    return int(np.sum(np.abs(lam - 1.0) <= tol))
+    return sum(abs(z - 1.0) <= tol for z in lam)
 
 
 def transversal(w, wp, tol=DEFAULT_TOL):

@@ -53,6 +53,16 @@ def test_index_grid_matches_closed_form(capsys, tmp_path):
     assert env["config"]["params"]["theta_min"] == -6.0  # defaults echoed
 
 
+@pytest.mark.parametrize("count", [1, 1101, 2000])
+def test_index_grid_size_past_its_memory_bound_is_a_config_error(capsys, tmp_path, count):
+    # 1,100 angles peak at 1.9 GiB; a larger grid is rejected before any pair is read
+    rc, out, err = invoke(capsys, ["index"], tmp_path,
+                          {"params": {"task": "grid", "theta_count": count}})
+    assert rc == 2 and out == ""
+    diag = diagnostic(err)
+    assert diag["error"] == "config" and "[2, 1100]" in diag["detail"]
+
+
 def test_index_loop_circle_and_torus(capsys, tmp_path):
     env = envelope(capsys, ["index"], tmp_path,
                    {"params": {"task": "loop", "kind": "circle"}})
@@ -356,6 +366,26 @@ def test_importing_the_cli_loads_no_scipy():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_blas_threads_default_to_one_unless_set(preset):
+    # importing symwave before numpy sets OPENBLAS_NUM_THREADS=1 only when it is unset
+    src = str(Path(symwave.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import os, symwave, numpy; tasks = '/proc/self/task'; "
+              "print(os.environ['OPENBLAS_NUM_THREADS'], "
+              "len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"  # numpy loaded without a BLAS worker pool
 
 
 @pytest.mark.parametrize("command, params", [

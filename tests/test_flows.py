@@ -193,6 +193,16 @@ def test_quartic_divergence_reported():
     assert exc.value.last_time == 0.02
 
 
+def test_overflowing_action_on_a_finite_path_is_reported():
+    # one step from the quartic wall ends at x ~ 4e53, p ~ -5e159: finite,
+    # but p**2 in H overflows, so the action of the second sample is not
+    H = quartic_hamiltonian([1.66089812], 0.4958625955243746, masses=[0.3343478])
+    t0, t1 = 0.9652578126781821, 1.0108973862401012
+    with pytest.raises(DivergenceError, match="action") as exc:
+        flow_path(H, [1e3, 0.498102219], t0, t1, 1)
+    assert exc.value.last_time == t0
+
+
 def _view_specs():
     A = (Polynomial(1, [(0.3, (2,))]),)
     U = Polynomial(1, [(0.5, (2,))])

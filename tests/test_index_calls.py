@@ -1,8 +1,9 @@
 """Eigendecompositions and orthonormalizations per index evaluation.
 
-Each pair of planes has its spectrum computed once, and ``inert``
-orthonormalizes each frame once; the auxiliary-plane path of ``leray_index``
-orthonormalizes the caller's frames once for both of its evaluations.  A
+Each pair of planes has its spectrum computed once, a transversal index
+decides transversality once, and ``inert`` orthonormalizes each frame once;
+the auxiliary-plane path of ``leray_index`` orthonormalizes the caller's
+frames once for both of its evaluations.  A
 flowed cover lift reads one batched determinant over its sampled path, and
 a sampled lift one per batch of new samples.  These counts pin that down.
 """
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from symwave import maslov
 from symwave.flows import quartic_hamiltonian
 from symwave.maslov import (
     inert,
@@ -23,6 +25,7 @@ from symwave.maslov import (
 from symwave.polynomials import Polynomial
 from symwave.symplectic import (
     LagrangianFrame,
+    _band_dim,
     form_matrix,
     random_lagrangian_frame,
     vertical_frame,
@@ -60,6 +63,21 @@ def test_transversal_index_has_one_spectrum(triple, linalg_calls):
     linalg_calls.update(eigvals=0, qr=0)
     leray_index(a, b, frames=(fa, fb))
     assert linalg_calls == {"eigvals": 1, "qr": 0}
+
+
+def test_transversal_index_decides_transversality_once(triple, linalg_calls, monkeypatch):
+    fa, fb, _ = triple
+    a, b = lift_from_frame(fa), lift_from_frame(fb)
+    bands = []
+
+    def counted(lam, *args):
+        bands.append(lam)
+        return _band_dim(lam, *args)
+
+    monkeypatch.setattr(maslov, "_band_dim", counted)
+    linalg_calls.update(eigvals=0, qr=0)
+    leray_index(a, b)
+    assert linalg_calls["eigvals"] == 1 and len(bands) == 1
 
 
 def test_inert_has_three_spectra_and_three_qr(triple, linalg_calls):
