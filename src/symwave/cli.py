@@ -22,7 +22,7 @@ parameter that is not finite (JSON ``NaN``, ``Infinity``) is a config error.
 Commands and parameters
 -----------------------
 index
-    ``task="grid"``: ``theta_count`` (2 to 1100), ``theta_min``,
+    ``task="grid"``: ``theta_count`` (2 to 2000), ``theta_min``,
     ``theta_max`` -- table of the two-lift index m(theta, theta') on the
     circle of tangent lines against the closed form
     floor((theta - theta')/pi) + 1.
@@ -68,8 +68,8 @@ evolve
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -204,29 +204,18 @@ class _Params:
         return self.resolved
 
 
-_PLAIN_LEAVES = frozenset((str, int, float, bool))
-
-
-def _jsonable(obj):
-    """Recursively convert results to JSON-safe plain types."""
-    if type(obj) in _PLAIN_LEAVES:  # exactly a plain leaf: nothing to convert
-        return obj
-    if obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (bool, np.bool_)):
+def _leaf(obj):
+    """``json`` hook for the leaves it cannot write: numpy scalars, complex, arrays."""
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -234,9 +223,10 @@ def _jsonable(obj):
 # index
 
 
-# one row per pair, held and emitted whole: peak RSS grows by about 1.55 kB
-# per pair, to 1.9 GiB at 1,100 angles
-_GRID_MAX = 1100
+# one row per pair, held whole and streamed out: peak RSS was 63 MiB at 300
+# angles, 347 MiB at 1,100 and 1,054 MiB at 2,000, about 40 MiB plus 266 B
+# per pair
+_GRID_MAX = 2000
 
 
 def _index_grid(p, seed):
@@ -674,13 +664,16 @@ def run_evolve(params, seed):
     tol = p.take("tol", 1e-10, "float", lambda v: v > 0, "must be > 0")
     resolved = p.finish()
 
+    bad_wins = ConfigError("evolve: 'morse_windows' must list [start, end] "
+                           "pairs with start < end")
     if not isinstance(wins, list) or any(
             not (isinstance(w, (list, tuple)) and len(w) == 2
                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         for v in w) and w[0] < w[1]) for w in wins):
-        raise ConfigError("evolve: 'morse_windows' must list [start, end] "
-                          "pairs with start < end")
-    wins = [[float(a), float(b)] for a, b in wins]
+                         for v in w)) for w in wins):
+        raise bad_wins
+    wins = [[p._finite("morse_windows", v) for v in w] for w in wins]
+    if any(not a < b for a, b in wins):
+        raise bad_wins
     resolved["morse_windows"] = wins
 
     H, ham_resolved = _make_hamiltonian(ham_rec)
@@ -886,22 +879,20 @@ def _resolve_config(args):
     return cfg, params
 
 
-def _render_csv(envelope, table):
+def _render_csv(fh, envelope, table):
     # the meta line carries only the experiment-defining config (no output
     # path, no timing) so identical runs give byte-identical files
     cfg = envelope["config"]
     meta = {"command": cfg["command"], "params": cfg["params"],
             "seed": cfg["seed"], "version": envelope["version"]}
-    buf = io.StringIO()
-    buf.write("# symwave "
-              + json.dumps(meta, sort_keys=True, separators=(",", ":"))
-              + "\n")
+    fh.write("# symwave "
+             + json.dumps(meta, sort_keys=True, separators=(",", ":"), default=_leaf)
+             + "\n")
     fields, rows = table
-    writer = csv.DictWriter(buf, fieldnames=list(fields), restval="",
+    writer = csv.DictWriter(fh, fieldnames=list(fields), restval="",
                             lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _fail(code, category, detail):
@@ -932,18 +923,16 @@ def main(argv=None):
     except NumericalError as exc:
         return _fail(3, "numerical", exc)
     duration = time.perf_counter() - start
-    cfg = {**cfg, "params": _jsonable(resolved)}
-    envelope = {"config": cfg, "results": _jsonable(results),
+    envelope = {"config": {**cfg, "params": resolved}, "results": results,
                 "version": __version__,
                 "duration_seconds": round(duration, 6)}
-    if cfg["output"]["format"] == "csv":
-        text = _render_csv(envelope, table)
-    else:
-        text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if cfg["output"]["format"] == "csv":
+            _render_csv(fh, envelope, table)
+        else:
+            json.dump(envelope, fh, sort_keys=True, indent=2, default=_leaf)
+            fh.write("\n")
     return 0
 
 

@@ -226,13 +226,18 @@ def leray_index_transversal(a, b, tol=_INT_TOL):
     return _leray_log(a, b, lam, tol)
 
 
-def _end_lifts(frames):
+def _end_lifts(frames, turn=None):
     """Lifts of the two ends of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
 
     ``w = u (F^T F)^-1 u^T`` with ``u = P - iX``, so one batched ``det u``
     lifts every sample; a step moving ``arg det u`` by pi or more is too
-    coarse to unwrap and raises `RefinementError`.
+    coarse to unwrap and raises `RefinementError`.  ``turn`` is the caller's
+    bound on how far one step of the path can turn ``arg det u`` (for a flow,
+    ``n |dt| sup ||H''||_2``); a bound of pi or more raises `RefinementError`
+    too, since a full turn inside one step would read as no turn at all.
     """
+    if turn is not None and turn >= np.pi:
+        raise RefinementError(f"sampled path too coarse: a step may turn arg det u by {turn:.6f}")
     F = np.asarray(frames, dtype=float)
     half = np.unwrap(_arg_det_u(F))
     move = float(np.max(np.abs(np.diff(half)), initial=0.0))
@@ -242,16 +247,16 @@ def _end_lifts(frames):
     return LagrangianLift(w[0], 2.0 * half[0]), LagrangianLift(w[1], 2.0 * half[-1])
 
 
-def _vertical_crossings(frames):
+def _vertical_crossings(frames, turn=None):
     """Net caustic count of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
 
     The absolute Leray-index change of the `_end_lifts` against ``{x = 0}``:
     crossings with multiplicity, opposite signs cancelling.  A step moving
-    ``arg det u`` by pi or more raises `RefinementError`, an end on ``{x = 0}``
-    `ConjugatePointError`.
+    ``arg det u`` by pi or more, or whose ``turn`` bound is pi or more,
+    raises `RefinementError`, an end on ``{x = 0}`` `ConjugatePointError`.
     """
     m = []
-    for end in _end_lifts(frames):
+    for end in _end_lifts(frames, turn):
         lam = np.linalg.eigvals(end.w).tolist()  # the pair spectrum against w = I
         if _band_dim(lam):
             raise ConjugatePointError(

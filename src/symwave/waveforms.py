@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
-from .errors import ConjugatePointError, NumericalError
+from .errors import ConjugatePointError, NumericalError, RefinementError
 from .flows import _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
@@ -262,6 +262,19 @@ class GradientGraphManifold:
         return 0
 
 
+def _step_turn(H, times):
+    """Certified bound on how far one step of a sampled flow turns ``arg det u``, or None.
+
+    Along the linearized flow ``arg det u`` of a plane turns at the rate
+    ``tr(Q^T H'' Q)``, ``Q`` an orthonormal frame of the plane, so by at most
+    ``n ||H''||_2 |dt|`` per step.  ``H''`` is the constant ``M`` of the
+    quadratic family; the other families certify nothing (None).
+    """
+    if H.matrix is None or len(times) < 2:
+        return None
+    return H.n * float(np.linalg.norm(H.matrix, 2)) * float(np.max(np.abs(np.diff(times))))
+
+
 class FlowedManifold:
     """The image of a base manifold under a Hamiltonian flow ``f_{t, t'}``.
 
@@ -329,7 +342,9 @@ class FlowedManifold:
 
     def cover_lift(self, theta):
         """The base lift carried along the sampled Jacobians of the flow line."""
-        start, end = _end_lifts(self.path(theta)[2] @ self.base.tangent_frame(theta).stacked())
+        times, _, jacs, _ = self.path(theta)
+        start, end = _end_lifts(jacs @ self.base.tangent_frame(theta).stacked(),
+                                _step_turn(self.hamiltonian, times))
         return LagrangianLift(end.w, self.base.cover_lift(theta).alpha + end.alpha - start.alpha)
 
     def offset(self, z):
@@ -678,7 +693,7 @@ def chart_shadow_value(psi, theta, chart):
     return np.exp(1j * float(psi.phase(th)) / psi.hbar) * _ipow(m) * math.sqrt(a) * conv
 
 
-_SCAN_SAMPLES = 65  # samples of a quadratic window's state-independent conjugate scan
+_SCAN_MAX = 1_000_000  # steps of a quadratic window's conjugate scan, as many as a flow in `evolve`
 
 
 def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
@@ -697,7 +712,10 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
     A diverging trial is a rejected step.  A caustic at or inside the window
     (`maslov._vertical_crossings` of the flowed source plane) raises
     `ConjugatePointError`: the multi-branch sum applies there instead;
-    ``det_tol`` only guards the Newton matrix.  A grid position with no
+    ``det_tol`` only guards the Newton matrix.  A quadratic window is scanned
+    once for all positions in max(64, ceil(2 n ||M||_2 T / pi)) exact steps,
+    so no step turns the plane by more than pi/2; a scan past `_SCAN_MAX`
+    steps raises `RefinementError`.  A grid position with no
     source point, such as one past a fold of the flowed graph, raises
     `NumericalError` ("no source point found") once a Newton step stalls
     through a few halvings.  ``phi`` must expose value/grad/hess.
@@ -718,9 +736,15 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
                          for x in grid], dtype=complex)
 
     quadratic = H.matrix is not None  # the quadratic family
-    if quadratic:  # one state-independent exact time scan
-        _, _, scan_jacs, _ = flow_path(H, np.zeros(2 * n), t_start, t_end,
-                                       steps=_SCAN_SAMPLES - 1)
+    turn = None
+    if quadratic:  # one state-independent exact time scan, no step turning past pi/2
+        need = 2 * n * float(np.linalg.norm(H.matrix, 2)) * abs(t_end - t_start) / math.pi
+        if not need <= _SCAN_MAX:  # nor a span that overflows
+            raise RefinementError(f"window too long to scan for conjugate points in "
+                                  f"{_SCAN_MAX} steps")
+        scan_times, _, scan_jacs, _ = flow_path(H, np.zeros(2 * n), t_start, t_end,
+                                                steps=max(64, math.ceil(need)))
+        turn = _step_turn(H, scan_times)
 
     def graph(xp):
         return (np.concatenate([xp, np.asarray(phi.grad(xp), dtype=float)]),
@@ -734,7 +758,7 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         xp, (_, _, jacs, action), frame = _shoot(
             H, graph, x, xp, t_start, t_end, steps, newton_tol, max_iter, det_tol)
         window = scan_jacs if quadratic else jacs
-        if _vertical_crossings(window @ frame):
+        if _vertical_crossings(window @ frame, turn):
             raise ConjugatePointError(
                 "conjugate point inside the window; use the multi-branch shadow sum")
         det = np.linalg.det(_position_block(window, frame))[-1]
@@ -752,7 +776,9 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
     integrated trajectory (variational Jacobians, no finite differences).
     This assumes a definite ``d^2 H / dp^2``, as every harmonic, free,
     quartic and magnetic generator has; otherwise it is the net crossing
-    number.  A conjugate endpoint raises `ConjugatePointError`.
+    number.  A conjugate endpoint raises `ConjugatePointError`; a quadratic
+    generator whose step may turn the fibre by pi or more (``n ||M||_2 dt``)
+    raises `RefinementError`, as the count could alias.
     """
     n = H.n
     z0 = np.concatenate([np.atleast_1d(np.asarray(x_start, dtype=float)),
@@ -761,9 +787,9 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
         raise ValueError("x_start and p_start must each have length n")
     if t_end <= t_start:
         raise ValueError("need t_end > t_start")
-    _, _, jacs, _ = flow_path(H, z0, t_start, t_end, steps)
+    times, _, jacs, _ = flow_path(H, z0, t_start, t_end, steps)
     # the fibre starts on the vertical plane itself: count from the next sample
-    return _vertical_crossings(jacs[1:, :, n:])
+    return _vertical_crossings(jacs[1:, :, n:], _step_turn(H, times))
 
 
 def _ladder_residual(r2, hbar, density_only):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front-end."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import symwave
+from symwave import cli
 from symwave.cli import main
 
 
@@ -53,14 +56,39 @@ def test_index_grid_matches_closed_form(capsys, tmp_path):
     assert env["config"]["params"]["theta_min"] == -6.0  # defaults echoed
 
 
-@pytest.mark.parametrize("count", [1, 1101, 2000])
+@pytest.mark.parametrize("count", [1, 2001])
 def test_index_grid_size_past_its_memory_bound_is_a_config_error(capsys, tmp_path, count):
-    # 1,100 angles peak at 1.9 GiB; a larger grid is rejected before any pair is read
+    # 2,000 angles peak near 1 GiB; a larger grid is rejected before any pair is read
     rc, out, err = invoke(capsys, ["index"], tmp_path,
                           {"params": {"task": "grid", "theta_count": count}})
     assert rc == 2 and out == ""
     diag = diagnostic(err)
-    assert diag["error"] == "config" and "[2, 1100]" in diag["detail"]
+    assert diag["error"] == "config" and "[2, 2000]" in diag["detail"]
+
+
+def test_index_grid_streams_its_output_in_bounded_memory(tmp_path):
+    # 300 angles peaked at 180 MiB while the output was copied and joined in
+    # memory before writing; streamed, about 63 MiB
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"params": {"task": "grid", "theta_count": 300}}))
+    out = tmp_path / "grid.out.json"
+    src = str(Path(symwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # Linux starts a child's peak RSS at its parent's RSS at the fork, so a
+    # small launcher forks the command, not this test process
+    launcher = ("import os, subprocess, sys; "
+                "p = subprocess.Popen([sys.executable, '-m', 'symwave.cli', 'index', "
+                "'--config', sys.argv[1], '--out', sys.argv[2]]); "
+                "_, status, usage = os.wait4(p.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", launcher, str(config), str(out)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = (int(v) for v in proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kib / 1024 < 120
+    assert json.loads(out.read_text())["results"]["all_match"]
 
 
 def test_index_loop_circle_and_torus(capsys, tmp_path):
@@ -305,6 +333,15 @@ def test_evolve_error_paths(capsys, tmp_path):
     assert diagnostic(err)["error"] == "numerical"
     assert "conjugate point" in diagnostic(err)["detail"]
 
+    # 128 caustics in a long window: the quadratic scan takes enough steps
+    # to see them (a fixed 64-step scan saw none and exited 0)
+    long = json.loads(json.dumps(base))
+    long["params"]["t_end"] = 403.1238898038469
+    long["params"]["x_grid"] = {"min": 0.2, "max": 0.2, "count": 1}
+    rc, out, err = invoke(capsys, ["evolve"], tmp_path, long)
+    assert rc == 3 and out == ""
+    assert "conjugate point" in diagnostic(err)["detail"]
+
     # oracle outside its validity window
     late = json.loads(json.dumps(base))
     late["params"]["oracle"] = "mehler"
@@ -393,6 +430,7 @@ def test_blas_threads_default_to_one_unless_set(preset):
     ("evolve", {"t_end": math.inf}),
     ("evolve", {"t_end": 10**400}),  # a json integer no float holds
     ("quantize", {"hbar": 1.0, "omegas": [1.0, math.nan]}),
+    ("evolve", {"t_end": 1.0, "morse_windows": [[0, 1e400]]}),  # json Infinity
 ])
 def test_non_finite_numbers_are_config_errors(capsys, tmp_path, command, params):
     base = {"evolve": {"hamiltonian": {"kind": "harmonic"},
@@ -418,3 +456,96 @@ def test_nonsqueeze_extremes_end_in_a_diagnostic(capsys, tmp_path, params, rc):
     code, out, err = invoke(capsys, ["nonsqueeze"], tmp_path, config)
     assert code == rc and out == ""
     assert diagnostic(err)["exit_code"] == rc
+
+
+# The writer before output was streamed, kept as the byte-for-byte reference:
+# a converted copy of the whole envelope, joined into one string.
+def _reference_jsonable(obj):
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"im": float(obj.imag), "re": float(obj.real)}
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_json(cfg, resolved, results, duration):
+    env = {"config": {**cfg, "params": _reference_jsonable(resolved)},
+           "results": _reference_jsonable(results), "version": symwave.__version__,
+           "duration_seconds": duration}
+    return json.dumps(env, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_csv(cfg, resolved, table):
+    buf = io.StringIO()
+    meta = {"command": cfg["command"], "params": _reference_jsonable(resolved),
+            "seed": cfg["seed"], "version": symwave.__version__}
+    buf.write("# symwave " + json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    fields, rows = table
+    writer = csv.DictWriter(buf, fieldnames=list(fields), restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+_ODD_LEAVES = {
+    "flags": [np.bool_(True), np.False_, True],
+    "ints": (np.int64(-3), np.int32(7), np.uint8(255), 10**20),
+    "floats": [np.float32(0.1), np.float64(1 / 3), 2.5, -0.0, 1e-310],
+    "special": [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("-inf")],
+    "complex": [1 + 2j, np.complex128(-0.5 + 1e-17j), np.complex64(3 - 4j)],
+    "arrays": {"real": np.linspace(0.0, 1.0, 5), "ints": np.arange(4).reshape(2, 2),
+               "complex": np.array([1j, 2 - 1j, math.nan + 0j]),
+               "special": np.array([math.inf, -math.inf, 0.25]), "empty": np.zeros((0, 3))},
+    "nested": {"b": {"z": [(), ({"y": None, "x": "text"},)]}, "a": np.bool_(False)},
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_streamed_json_is_the_bytes_of_the_copied_envelope(capsys, tmp_path, monkeypatch,
+                                                             to_file):
+    resolved = {"weights": (np.float64(0.5), 2), "tol": 0.0}
+    table = (("quantity", "value"), [])
+    monkeypatch.setitem(cli._RUNNERS, "capacity",
+                        lambda params, seed: (resolved, _ODD_LEAVES, table))
+    target = tmp_path / "odd.json"
+    argv = ["capacity", "--seed", "5"] + (["--out", str(target)] if to_file else [])
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 0, err
+    text = target.read_text(encoding="utf-8") if to_file else out
+    duration = json.loads(text)["duration_seconds"]
+    cfg = {"command": "capacity", "seed": 5,
+           "output": {"path": str(target) if to_file else None, "format": "json"}}
+    assert text == _reference_json(cfg, resolved, _ODD_LEAVES, duration)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_streamed_grid_is_the_bytes_of_the_copied_envelope(capsys, tmp_path, to_file):
+    params = {"task": "grid", "theta_count": 12}
+    resolved, results, table = cli.run_index(dict(params), 3)
+    target = tmp_path / "grid.out"
+    cfg = {"command": "index", "seed": 3,
+           "output": {"path": str(target) if to_file else None, "format": "json"}}
+    for fmt in ("json", "csv"):
+        cfg["output"]["format"] = fmt
+        argv = ["index", "--seed", "3", "--format", fmt]
+        argv += ["--out", str(target)] if to_file else []
+        rc, out, err = invoke(capsys, argv, tmp_path, {"params": params})
+        assert rc == 0, err
+        text = target.read_text(encoding="utf-8") if to_file else out
+        if fmt == "json":
+            duration = json.loads(text)["duration_seconds"]
+            assert text == _reference_json(cfg, resolved, results, duration)
+        else:
+            assert text == _reference_csv(cfg, resolved, table)

@@ -33,3 +33,41 @@ def test_every_module_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(_imported_names(tree)) - used - set(_exported_names(tree))
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def _private_definitions(tree):
+    # module-level private functions, classes and constants, by top-level statement
+    for k, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, k) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree):
+    # every name a top-level statement reads: bare, as an attribute, or imported
+    for k, stmt in enumerate(tree.body):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                yield node.id, k
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, k
+            elif isinstance(node, ast.ImportFrom):
+                yield from ((a.name, k) for a in node.names)
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper is read somewhere in the package besides its own definition
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    refs = {(name, module, k) for module, tree in trees.items()
+            for name, k in _references(tree)}
+    dangling = sorted(f"{module}:{name}" for module, tree in trees.items()
+                      for name, k in _private_definitions(tree)
+                      if not any(r[0] == name and (r[1], r[2]) != (module, k) for r in refs))
+    assert not dangling, f"private definitions nobody references: {dangling}"

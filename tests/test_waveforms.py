@@ -581,6 +581,60 @@ def test_morse_index_matches_harmonic_closed_form(w1, w2, equal, T):
     assert morse_index(H, [0.3, -0.2], [0.1, 0.4], 0.0, T) == int(np.sum(np.floor(turns)))
 
 
+@pytest.mark.parametrize("t_end, steps", [(1.5 * math.pi, 1), (2 * math.pi + 1, 1),
+                                          (4 * math.pi + 1, 2)])
+def test_morse_count_on_too_coarse_a_quadratic_path_is_a_refinement_error(t_end, steps):
+    # each step turns the fibre by omega dt >= pi, so the sampled count could
+    # alias (it read 0 where the truth is 1, 2 and 4)
+    H = harmonic_hamiltonian([1.0])
+    with pytest.raises(RefinementError, match="too coarse"):
+        morse_index(H, [0.3], [0.2], 0.0, t_end, steps=steps)
+
+
+def test_one_step_evolved_circle_lift_is_a_refinement_error():
+    # the two sampled Jacobians are both I, so the lift saw no rotation and
+    # read 1; three steps or more read -1
+    psi = Waveform(CircleManifold(1.0), lambda th: 1.0, 0.5)
+    H = harmonic_hamiltonian([1.0])
+    with pytest.raises(RefinementError, match="too coarse"):
+        evolve(psi, H, 0.0, 2 * math.pi, steps=1).index(0.3)
+    assert evolve(psi, H, 0.0, 2 * math.pi, steps=3).index(0.3) == -1
+
+
+def test_long_quadratic_window_scans_every_caustic():
+    # 128 caustics inside [0, 128 pi + 1]: a fixed 64-step scan moved by
+    # 2 pi + 0.016 per step, saw none, and returned the value over [0, 1]
+    phi = Polynomial(1, [(0.15, (2,))])
+    H = harmonic_hamiltonian([1.0])
+    with pytest.raises(ConjugatePointError):
+        van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 128 * math.pi + 1, [0.2], 0.05)
+    # a window whose scan would pass a million steps is refused before it runs
+    with pytest.raises(RefinementError, match="too long"):
+        van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, 1e7, [0.2], 0.05)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.5, 10.0),
+       st.integers(1, 60))
+def test_quadratic_morse_count_is_exact_or_refused(n, seed, definite, T, steps):
+    # no step count yields a wrong integer: the coarse count is the dense one,
+    # or the turn bound n ||M||_2 dt >= pi refuses it
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(2 * n, 2 * n))
+    M = A @ A.T / (2 * n) + 0.1 * np.eye(2 * n) if definite else (A + A.T) / 2
+    H = quadratic_hamiltonian(M)
+    x, p = rng.normal(size=n), rng.normal(size=n)
+    try:
+        dense = morse_index(H, x, p, 0.0, T, steps=4000)
+    except ConjugatePointError:
+        assume(False)
+    try:
+        count = morse_index(H, x, p, 0.0, T, steps=steps)
+    except RefinementError:
+        return
+    assert count == dense
+
+
 def test_evolved_index_field_drops_by_the_caustic_count():
     # Morse index theorem: the transported lift's index falls by one per
     # focal point of the flowed graph plane, which the batched kernel counts
