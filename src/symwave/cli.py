@@ -7,7 +7,8 @@ Usage::
 
 The config file is one JSON document: either a bare parameter record or
 ``{"command": ..., "seed": ..., "params": {...}}``.  Flags override the
-file.  Results are emitted as a JSON envelope::
+file; the seed is a non-negative integer.  Results are emitted as a JSON
+envelope::
 
     {"config": <resolved>, "results": ..., "version": ..., "duration_seconds": ...}
 
@@ -17,54 +18,49 @@ deterministic comment line.  Identical config and seed reproduce the
 Complex numbers serialize as ``{"re": .., "im": ..}`` pairs (``re``/``im``
 columns in CSV).  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure; errors print a single JSON diagnostic line to stderr.  A float
-parameter that is not finite (JSON ``NaN``, ``Infinity``) is a config error.
+parameter that is not finite (JSON ``NaN``, ``Infinity``) is a config error,
+and so is ``null`` for a parameter whose default is not ``null``.
 
 Commands and parameters
 -----------------------
+One table of this module declares each parameter's kind, default and domain;
+the lists below give each range or choice set, and a test holds them to it.
+
 index
-    ``task="grid"``: ``theta_count`` (2 to 2000), ``theta_min``,
-    ``theta_max`` -- table of the two-lift index m(theta, theta') on the
-    circle of tangent lines against the closed form
-    floor((theta - theta')/pi) + 1.
-    ``task="loop"``: ``kind`` ("circle"|"torus"), ``windings``,
-    ``flat_dims`` -- machinery loop index against the closed form
-    2 * sum(windings).
-    ``task="identities"``: ``dims``, ``trials`` -- exact checks of the
-    cocycle identity, the self-index m(a, a) = n, and the deck shift
-    m(k.a, k'.b) = m(a, b) + k - k' on random lifts.
-    ``--tol`` relaxes the integer match columns (default 0: exact).
+    ``task`` "grid"|"loop"|"identities", ``tol`` >= 0 (default 0: exact);
+    grid: ``theta_count`` in [2, 2000], ``theta_min``, ``theta_max`` (min <
+    max); loop: ``kind`` "circle"|"torus", ``windings`` (1 to 8),
+    ``flat_dims`` in [0, 8]; identities: ``dims`` (each 1 to 6), ``trials``
+    in [1, 100000] -- the two-lift index against floor((theta - theta')/pi)
+    + 1, loop indices against 2 * sum(windings), and the index identities.
 capacity
-    ``radii`` (ellipsoid) or ``ball`` {n, R} -- capacity pi*min(r)^2 and
-    volume closed forms, with the normalization cross-check that the
-    inscribed ball and its cylinder pin the same value.  Radii and ``R``
-    must lie in [1e-6, 1e6], with at most 20 of them (``n`` <= 20).
+    ``radii`` (at most 20, each in [1e-6, 1e6]) or ``ball`` {``n`` in
+    [1, 20], ``R`` in [1e-6, 1e6]}, ``tol`` >= 0 -- capacity and volume
+    closed forms, and the inscribed-ball and cylinder cross-checks.
 nonsqueeze
-    ``n``, ``R``, ``maps``, ``grid_res``, ``samples``, ``margin``,
-    ``controls``, ``calibration``, ``stages`` [min, max] -- occupancy-grid
-    shadow areas of symplectically mapped balls against pi R^2 (1 - margin):
-    identity calibration rows, the seeded random-map batch, and (optionally)
-    the mixed-plane control table where the bound genuinely fails.  Each
-    map moves one ball, sampled with seed ``seed + 31k`` for map ``k``, and
-    all its planes read that image; the calibration ball has seed ``seed``.
-    ``R`` must lie in [1e-6, 1e6]; a map that overflows the ball exits 3.
+    ``n`` in [1, 4], ``R`` in [1e-6, 1e6], ``maps`` in [0, 10000],
+    ``grid_res`` in [16, 4096], ``samples`` in [1000, 1e8], ``margin`` in
+    [0, 1), ``controls``, ``calibration``, ``stages`` [min, max] (1 to 50)
+    -- shadow areas of mapped balls against pi R^2 (1 - margin); map k's
+    ball is sampled with seed + 31k, and a map that overflows it exits 3.
 quantize
-    ``hbar`` (required) plus any of ``radii_squared`` (+ ``flat_dims``),
-    ``omegas``, ``spectrum_n_max`` (+ ``scan_divisions``); ``contrast``
-    adds the index-free column (integer ladder N*hbar).  Emits
-    per-generator minimum-area checks (action, loop index, level, residual,
-    pass), ground/torus energies, and the radius-scan spectrum.
-    ``--tol`` is the quantization residual tolerance (default 1e-9).
+    ``hbar`` > 0 (required), ``tol`` > 0 (default 1e-9), and any of
+    ``radii_squared`` (+ ``flat_dims`` in [0, 8]), ``omegas``,
+    ``spectrum_n_max`` in [0, 64] (+ ``scan_divisions`` in [10, 10000]);
+    ``contrast`` adds the index-free column -- minimum-area checks per
+    generator, ground/torus energies and the radius-scan spectrum.
 evolve
-    ``hamiltonian`` {kind: harmonic|free|quadratic|quartic, ...},
-    ``state`` {phi: [c0, c1, ...], amplitude: gaussian|constant, sigma, x0},
-    ``hbar``, ``t_start``, ``t_end``, ``steps``, ``x_grid`` {min, max,
-    count}, ``shadow``, ``oracle`` ("mehler" for harmonic, "fresnel" for
-    free), ``morse_windows`` [[a, b], ...], ``index_points``,
-    ``trajectory_samples`` -- transports Gaussian data on a gradient graph:
-    trajectory samples, transported phase, the index field, the
-    position-space shadow by source-point transport, per-window conjugate
-    point counts, and the closed-form oracle error column when an oracle is
-    named.  ``--tol`` only guards the source-point Newton matrix (default 1e-10).
+    ``hamiltonian`` {``kind`` "harmonic"|"free"|"quadratic"|"quartic";
+    ``omegas`` (harmonic, quartic), ``dim`` in [1, 8] (free), ``matrix``
+    2n x 2n (quadratic), ``coupling`` (quartic)}, ``state`` {``phi`` (1 to
+    16 coefficients), ``amplitude`` "gaussian"|"constant", ``sigma`` > 0,
+    ``x0``}, ``hbar`` > 0, ``t_start``, ``t_end``, ``steps`` in [1, 1e6],
+    ``x_grid`` {``min``, ``max``, ``count`` 1 to 1e6}, ``shadow``,
+    ``oracle`` "mehler" (harmonic) or "fresnel" (free), ``morse_windows``
+    [[a, b], ...], ``index_points`` in [2, 1024], ``trajectory_samples`` in
+    [2, 100000], ``tol`` > 0 (default 1e-10, the Newton guard) -- Gaussian
+    data transported on a gradient graph; the span t_end - t_start and each
+    window's length must be finite.
 """
 
 import argparse
@@ -121,87 +117,129 @@ from .waveforms import (
 
 __all__ = ["ConfigError", "main"]
 
-_REQUIRED = object()
-
 
 class ConfigError(ValueError):
     """A malformed or inconsistent experiment configuration."""
 
 
-class _Params:
-    """Validated, default-filling view of one parameter record."""
+# ---------------------------------------------------------------------------
+# parameter tables
+#
+# A row is (name, kind, default, domain[, why]), and the default ``...`` marks
+# a required parameter.  A domain is an ``_In`` interval, a ``_List`` shape, a
+# tuple of choices, a dict of choices whose rows join the table, a nested
+# record's table (kind "dict"), or a predicate.  A failed check says ``why``,
+# or words derived from the domain.  Checks that span fields are short
+# functions next to each command's table.
 
-    def __init__(self, command, record):
-        if not isinstance(record, dict):
-            raise ConfigError(f"{command}: parameters must be a JSON object")
-        self._command = command
-        self._rec = dict(record)
-        self.resolved = {}
 
-    def take(self, key, default=_REQUIRED, kind=None, check=None, why=""):
-        if key in self._rec:
-            val = self._rec.pop(key)
-        elif default is _REQUIRED:
-            raise ConfigError(f"{self._command}: missing required parameter '{key}'")
+class _In:
+    """The numbers from ``lo`` to ``hi``; ``ends`` marks each end closed or open."""
+
+    def __init__(self, lo, hi=math.inf, ends="[]"):
+        self.lo, self.hi, self.ends = lo, hi, ends
+
+    def __contains__(self, v):
+        return ((self.lo < v if self.ends[0] == "(" else self.lo <= v)
+                and (v < self.hi if self.ends[1] == ")" else v <= self.hi))
+
+    def __str__(self):
+        lo, hi = (f"{v:g}".replace("e+0", "e").replace("e-0", "e-") for v in (self.lo, self.hi))
+        if self.hi == math.inf:
+            return f"{'>' if self.ends[0] == '(' else '>='} {lo}"
+        return f"in {self.ends[0]}{lo}, {hi}{self.ends[1]}"
+
+
+class _List:
+    """Lists with a length in ``sizes`` and, unless ``items`` is None, items in it."""
+
+    def __init__(self, sizes, items=None):
+        self.sizes, self.items = sizes, items
+
+    def __contains__(self, v):
+        return len(v) in self.sizes and (self.items is None or all(x in self.items for x in v))
+
+
+_TYPES = {"float": (int, float), "int": int, "bool": bool, "str": str, "dict": dict}
+
+
+def _coerce(where, key, val, kind):
+    must = f"{where}: parameter '{key}' must "
+    if kind == "matrix":
+        if not (isinstance(val, list) and all(
+                isinstance(r, list) and len(r) == len(val[0]) for r in val)):
+            raise ConfigError(must + "be a list of equal-length lists")
+        return [_coerce(where, key, r, "floats") for r in val]
+    if kind in ("floats", "ints"):
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(must + "be a list")
+        out = []
+        for v in val:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(must + "hold numbers")
+            if kind == "ints" and not isinstance(v, int):
+                raise ConfigError(must + "hold integers")
+            out.append(_finite(where, key, v) if kind == "floats" else v)
+        return out
+    # json's true and false are bools, never numbers
+    if isinstance(val, bool) != (kind == "bool") or not isinstance(val, _TYPES[kind]):
+        raise ConfigError(must + f"be a {kind}")
+    return _finite(where, key, val) if kind == "float" else val
+
+
+def _finite(where, key, v):
+    # json reads NaN, Infinity and integers too large for a float
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: parameter '{key}' must be finite")
+    return v
+
+
+def _words(domain):
+    if isinstance(domain, _In):
+        return f"must be {domain}"
+    names = [f"'{c}'" for c in domain]
+    return "must be " + (" or ".join(names) if len(names) == 2
+                         else "one of " + ", ".join(names))
+
+
+def _read(where, record, table):
+    """Check one parameter record against its table; return it resolved."""
+    rest = dict(record)
+    resolved = {}
+    rows = list(table)
+    for name, kind, default, domain, *why in rows:  # a choice appends its rows
+        if name in rest:
+            val = rest.pop(name)
+        elif default is ...:
+            raise ConfigError(f"{where}: missing required parameter '{name}'")
         else:
             val = default
-        if val is not None and kind is not None:
-            val = self._coerce(key, val, kind)
-        if check is not None and val is not None and not check(val):
-            raise ConfigError(f"{self._command}: parameter '{key}' {why}")
-        self.resolved[key] = val
-        return val
+        if val is not None or default is not None:
+            val = _coerce(where, name, val, kind)
+            if isinstance(domain, list):
+                val = _read(f"{where}.{name}", val, domain)
+            elif domain is not None and not (
+                    domain(val) if callable(domain) else val in domain):
+                raise ConfigError(f"{where}: parameter '{name}' "
+                                  f"{why[0] if why else _words(domain)}")
+            if isinstance(domain, dict):
+                rows += domain[val]
+        resolved[name] = val
+    if rest:
+        names = ", ".join(repr(k) for k in sorted(rest))
+        raise ConfigError(f"{where}: unknown parameter(s) {names}")
+    return resolved
 
-    def _coerce(self, key, val, kind):
-        bad = ConfigError(f"{self._command}: parameter '{key}' must be a {kind}")
-        if kind == "float":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise bad
-            return self._finite(key, val)
-        if kind == "int":
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise bad
-            return val
-        if kind == "bool":
-            if not isinstance(val, bool):
-                raise bad
-            return val
-        if kind == "str":
-            if not isinstance(val, str):
-                raise bad
-            return val
-        if kind == "dict":
-            if not isinstance(val, dict):
-                raise bad
-            return dict(val)
-        if kind in ("floats", "ints"):
-            if not isinstance(val, (list, tuple)):
-                raise ConfigError(f"{self._command}: parameter '{key}' must be a list")
-            out = []
-            for v in val:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"{self._command}: parameter '{key}' must hold numbers")
-                if kind == "ints" and not isinstance(v, int):
-                    raise ConfigError(f"{self._command}: parameter '{key}' must hold integers")
-                out.append(self._finite(key, v) if kind == "floats" else v)
-            return out
-        raise AssertionError(kind)
 
-    def _finite(self, key, v):
-        # json reads NaN, Infinity and integers too large for a float
-        try:
-            v = float(v)
-        except OverflowError:
-            v = math.inf
-        if not math.isfinite(v):
-            raise ConfigError(f"{self._command}: parameter '{key}' must be finite")
-        return v
-
-    def finish(self):
-        if self._rec:
-            names = ", ".join(repr(k) for k in sorted(self._rec))
-            raise ConfigError(f"{self._command}: unknown parameter(s) {names}")
-        return self.resolved
+_POSITIVE = _In(0, ends="(]")
+_TOL_0 = ("tol", "float", 0.0, _In(0))
+_FLAT_DIMS = ("flat_dims", "int", 0, _In(0, 8))
+_FREQUENCIES = _List(_In(1), _POSITIVE)
+_OMEGAS = ("omegas", "floats", [1.0], _FREQUENCIES, "must list positive frequencies")
 
 
 def _leaf(obj):
@@ -223,20 +261,37 @@ def _leaf(obj):
 # index
 
 
-# one row per pair, held whole and streamed out: peak RSS was 63 MiB at 300
-# angles, 347 MiB at 1,100 and 1,054 MiB at 2,000, about 40 MiB plus 266 B
-# per pair
-_GRID_MAX = 2000
+_INDEX = [("task", "str", "grid", {
+    # one row per pair, held whole and streamed out: peak RSS was 63 MiB at
+    # 300 angles, 347 MiB at 1,100 and 1,054 MiB at 2,000, about 40 MiB plus
+    # 266 B per pair
+    "grid": [("theta_count", "int", 40, _In(2, 2000)),
+             ("theta_min", "float", -6.0, None),
+             ("theta_max", "float", 6.0, None),
+             _TOL_0],
+    "loop": [("kind", "str", "torus", {
+        "circle": [("windings", "ints", [1], _List(_In(1, 8)), "needs 1 to 8 entries"),
+                   _FLAT_DIMS, _TOL_0],
+        "torus": [("windings", "ints", ..., _List(_In(1, 8)), "needs 1 to 8 entries"),
+                  _FLAT_DIMS, _TOL_0],
+    })],
+    "identities": [("dims", "ints", [1, 2, 3], _List(_In(1), _In(1, 6)),
+                    "must list dimensions in [1, 6]"),
+                   ("trials", "int", 200, _In(1, 100_000)),
+                   _TOL_0],
+})]
+
+
+def _check_index(p):
+    if p["task"] == "grid" and not p["theta_max"] > p["theta_min"]:
+        raise ConfigError("index: parameter 'theta_max' must exceed theta_min")
+    if p["task"] == "loop" and p["kind"] == "circle" and p["windings"] != [1]:
+        raise ConfigError("index: a circle loop is a single positive turn; "
+                          "use kind='torus' for general windings")
 
 
 def _index_grid(p, seed):
-    count = p.take("theta_count", 40, "int", lambda v: 2 <= v <= _GRID_MAX,
-                   f"must be in [2, {_GRID_MAX}]")
-    lo = p.take("theta_min", -6.0, "float")
-    hi = p.take("theta_max", 6.0, "float", lambda v: v > lo,
-                "must exceed theta_min")
-    tol = p.take("tol", 0.0, "float", lambda v: v >= 0, "must be >= 0")
-    resolved = p.finish()
+    lo, hi, count, tol = p["theta_min"], p["theta_max"], p["theta_count"], p["tol"]
     rng = np.random.default_rng(seed)
     thetas = np.linspace(lo, hi, count)
     circle = CircleManifold(1.0)
@@ -253,45 +308,26 @@ def _index_grid(p, seed):
                          "index": m, "closed_form": closed, "match": bool(ok)})
     results = {"task": "grid", "rows": rows, "mismatches": mismatches,
                "all_match": mismatches == 0}
-    return resolved, results, (("theta", "theta_prime", "index", "closed_form",
-                                "match"), rows)
+    return p, results, (tuple(rows[0]), rows)
 
 
 def _index_loop(p, seed):
-    kind = p.take("kind", "torus", "str", lambda v: v in ("circle", "torus"),
-                  "must be 'circle' or 'torus'")
-    default = [1] if kind == "circle" else _REQUIRED
-    windings = p.take("windings", default, "ints",
-                      lambda v: 1 <= len(v) <= 8, "needs 1 to 8 entries")
-    flat_dims = p.take("flat_dims", 0, "int", lambda v: 0 <= v <= 8,
-                       "must be in [0, 8]")
-    tol = p.take("tol", 0.0, "float", lambda v: v >= 0, "must be >= 0")
-    resolved = p.finish()
-    if kind == "circle" and (len(windings) != 1 or windings[0] != 1):
-        raise ConfigError("index: a circle loop is a single positive turn; "
-                          "use kind='torus' for general windings")
+    kind, windings, flat_dims = p["kind"], p["windings"], p["flat_dims"]
     mu = np.asarray(windings, dtype=int)
     idx = int(maslov_loop_index_adaptive(
         lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2.0 * math.pi))
     closed = 2 * int(mu.sum())
     row = {"kind": kind, "windings": " ".join(str(v) for v in windings),
            "flat_dims": flat_dims, "loop_index": idx, "closed_form": closed,
-           "match": bool(abs(idx - closed) <= tol)}
+           "match": bool(abs(idx - closed) <= p["tol"])}
     results = {"task": "loop", "kind": kind, "windings": windings,
                "flat_dims": flat_dims, "loop_index": idx,
                "closed_form": closed, "match": row["match"]}
-    return resolved, results, (("kind", "windings", "flat_dims", "loop_index",
-                                "closed_form", "match"), [row])
+    return p, results, (tuple(row), [row])
 
 
 def _index_identities(p, seed):
-    dims = p.take("dims", [1, 2, 3], "ints",
-                  lambda v: v and all(1 <= n <= 6 for n in v),
-                  "must list dimensions in [1, 6]")
-    trials = p.take("trials", 200, "int", lambda v: 1 <= v <= 100_000,
-                    "must be in [1, 100000]")
-    tol = p.take("tol", 0.0, "float", lambda v: v >= 0, "must be >= 0")
-    resolved = p.finish()
+    dims, trials, tol = p["dims"], p["trials"], p["tol"]
     rng = np.random.default_rng(seed)
 
     def draw(n):
@@ -318,46 +354,41 @@ def _index_identities(p, seed):
     all_exact = all(r["cocycle_failures"] == r["self_index_failures"]
                     == r["deck_shift_failures"] == 0 for r in rows)
     results = {"task": "identities", "rows": rows, "all_exact": all_exact}
-    return resolved, results, (("n", "trials", "cocycle_failures",
-                                "self_index_failures", "deck_shift_failures"),
-                               rows)
+    return p, results, (tuple(rows[0]), rows)
 
 
 def run_index(params, seed):
-    p = _Params("index", params)
-    task = p.take("task", "grid", "str",
-                  lambda v: v in ("grid", "loop", "identities"),
-                  "must be one of 'grid', 'loop', 'identities'")
-    if task == "grid":
-        return _index_grid(p, seed)
-    if task == "loop":
-        return _index_loop(p, seed)
-    return _index_identities(p, seed)
+    p = _read("index", params, _INDEX)
+    _check_index(p)
+    run = {"grid": _index_grid, "loop": _index_loop, "identities": _index_identities}
+    return run[p["task"]](p, seed)
 
 
 # ---------------------------------------------------------------------------
 # capacity
 
 
-def run_capacity(params, seed):
-    p = _Params("capacity", params)
-    # radii in [1e-6, 1e6] and n <= 20 keep pi r^2 and the volume
-    # pi^n prod r^2 / n! normal floats
-    ball = p.take("ball", None, "dict")
-    radii = p.take("radii", None, "floats",
-                   lambda v: len(v) <= 20 and all(1e-6 <= r <= 1e6 for r in v),
-                   "must hold at most 20 positive radii in [1e-6, 1e6]")
-    tol = p.take("tol", 0.0, "float", lambda v: v >= 0, "must be >= 0")
-    resolved = p.finish()
-    if (radii is None) == (ball is None):
+# radii in [1e-6, 1e6] and n <= 20 keep pi r^2 and the volume
+# pi^n prod r^2 / n! normal floats
+_CAPACITY = [
+    ("ball", "dict", None, [("n", "int", ..., _In(1, 20)),
+                            ("R", "float", ..., _In(1e-6, 1e6))]),
+    ("radii", "floats", None, _List(_In(0, 20), _In(1e-6, 1e6)),
+     "must hold at most 20 positive radii in [1e-6, 1e6]"),
+    _TOL_0,
+]
+
+
+def _check_capacity(p):
+    if (p["radii"] is None) == (p["ball"] is None):
         raise ConfigError("capacity: give exactly one of 'radii' or 'ball'")
-    if ball is not None:
-        b = _Params("capacity.ball", ball)
-        bn = b.take("n", _REQUIRED, "int", lambda v: 1 <= v <= 20, "must be in [1, 20]")
-        bR = b.take("R", _REQUIRED, "float", lambda v: 1e-6 <= v <= 1e6,
-                    "must be in [1e-6, 1e6]")
-        resolved["ball"] = b.finish()
-        radii = [bR] * bn
+
+
+def run_capacity(params, seed):
+    resolved = _read("capacity", params, _CAPACITY)
+    _check_capacity(resolved)
+    ball, tol = resolved["ball"], resolved["tol"]
+    radii = resolved["radii"] if ball is None else [ball["R"]] * ball["n"]
     try:
         spec = EllipsoidSpec(tuple(radii))
     except ValueError as exc:
@@ -391,26 +422,28 @@ def run_capacity(params, seed):
 # nonsqueeze
 
 
+def _stages(v):
+    return len(v) == 2 and 1 <= v[0] <= v[1] <= 50
+
+
+_NONSQUEEZE = [
+    ("n", "int", 2, _In(1, 4)),
+    ("R", "float", 1.0, _In(1e-6, 1e6)),  # keeps pi R^2 and the cell area normal
+    ("maps", "int", 200, _In(0, 10_000)),
+    ("grid_res", "int", 512, _In(16, 4096)),
+    ("samples", "int", 1_000_000, _In(1000, 100_000_000)),
+    ("margin", "float", 0.05, _In(0, 1, "[)")),
+    ("controls", "bool", False, None),
+    ("calibration", "bool", True, None),
+    ("stages", "ints", [3, 7], _stages, "must be [min, max] with 1 <= min <= max <= 50"),
+]
+
+
 def run_nonsqueeze(params, seed):
-    p = _Params("nonsqueeze", params)
-    n = p.take("n", 2, "int", lambda v: 1 <= v <= 4, "must be in [1, 4]")
-    # keeps pi R^2 and the grid cell area normal floats
-    R = p.take("R", 1.0, "float", lambda v: 1e-6 <= v <= 1e6, "must be in [1e-6, 1e6]")
-    maps = p.take("maps", 200, "int", lambda v: 0 <= v <= 10_000,
-                  "must be in [0, 10000]")
-    grid_res = p.take("grid_res", 512, "int", lambda v: 16 <= v <= 4096,
-                      "must be in [16, 4096]")
-    samples = p.take("samples", 1_000_000, "int",
-                     lambda v: 1000 <= v <= 100_000_000,
-                     "must be in [1000, 1e8]")
-    margin = p.take("margin", 0.05, "float", lambda v: 0 <= v < 1,
-                    "must be in [0, 1)")
-    controls = p.take("controls", False, "bool")
-    calibration = p.take("calibration", True, "bool")
-    stages = p.take("stages", [3, 7], "ints",
-                    lambda v: len(v) == 2 and 1 <= v[0] <= v[1] <= 50,
-                    "must be [min, max] with 1 <= min <= max <= 50")
-    resolved = p.finish()
+    resolved = _read("nonsqueeze", params, _NONSQUEEZE)
+    n, R, maps, grid_res, samples, margin, controls, calibration, stages = (
+        resolved[k] for k in ("n", "R", "maps", "grid_res", "samples", "margin",
+                              "controls", "calibration", "stages"))
     reference = math.pi * R * R
     rows = []
     calib = []
@@ -454,28 +487,32 @@ def run_nonsqueeze(params, seed):
 # quantize
 
 
-def run_quantize(params, seed):
-    p = _Params("quantize", params)
-    hbar = p.take("hbar", _REQUIRED, "float", lambda v: v > 0, "must be > 0")
-    tol = p.take("tol", 1e-9, "float", lambda v: v > 0, "must be > 0")
-    r2 = p.take("radii_squared", None, "floats",
-                lambda v: v and all(x > 0 for x in v),
-                "must list positive numbers")
-    flat_dims = p.take("flat_dims", 0, "int", lambda v: 0 <= v <= 8,
-                       "must be in [0, 8]")
-    omegas = p.take("omegas", None, "floats",
-                    lambda v: v and all(x > 0 for x in v),
-                    "must list positive frequencies")
-    n_max = p.take("spectrum_n_max", None, "int", lambda v: 0 <= v <= 64,
-                   "must be in [0, 64]")
-    scan_divisions = p.take("scan_divisions", 100, "int",
-                            lambda v: 10 <= v <= 10_000,
-                            "must be in [10, 10000]")
-    contrast = p.take("contrast", False, "bool")
-    resolved = p.finish()
-    if r2 is None and omegas is None and n_max is None:
+_QUANTIZE = [
+    ("hbar", "float", ..., _POSITIVE),
+    ("tol", "float", 1e-9, _POSITIVE),
+    ("radii_squared", "floats", None, _FREQUENCIES, "must list positive numbers"),
+    _FLAT_DIMS,
+    ("omegas", "floats", None, _FREQUENCIES, "must list positive frequencies"),
+    ("spectrum_n_max", "int", None, _In(0, 64)),
+    ("scan_divisions", "int", 100, _In(10, 10_000)),
+    ("contrast", "bool", False, None),
+]
+
+
+def _check_quantize(p):
+    if p["radii_squared"] is None and p["omegas"] is None and p["spectrum_n_max"] is None:
         raise ConfigError("quantize: nothing to compute (give 'radii_squared',"
                           " 'omegas', or 'spectrum_n_max')")
+    if p["omegas"] and p["radii_squared"] and len(p["omegas"]) != len(p["radii_squared"]):
+        raise ConfigError("quantize: 'omegas' must match 'radii_squared' in length")
+
+
+def run_quantize(params, seed):
+    resolved = _read("quantize", params, _QUANTIZE)
+    _check_quantize(resolved)
+    hbar, tol, r2, flat_dims, omegas, n_max, scan_divisions, contrast = (
+        resolved[k] for k in ("hbar", "tol", "radii_squared", "flat_dims", "omegas",
+                              "spectrum_n_max", "scan_divisions", "contrast"))
 
     results = {"hbar": hbar}
     gen_rows = []
@@ -494,9 +531,6 @@ def run_quantize(params, seed):
         results["generators"] = gen_rows
         results["quantized"] = report.passed
         if omegas is not None:
-            if len(omegas) != len(r2):
-                raise ConfigError("quantize: 'omegas' must match "
-                                  "'radii_squared' in length")
             results["torus_energy"] = (
                 oscillator_levels(torus, omegas, hbar, tol=tol)
                 if report.passed else None)
@@ -519,76 +553,94 @@ def run_quantize(params, seed):
                 row["contrast_energy"] = e
         results["spectrum"] = spectrum
 
-    if gen_rows:
-        fields = list(gen_rows[0].keys())
-        table = (tuple(fields), gen_rows)
-    elif spectrum_rows:
-        fields = list(spectrum_rows[0].keys())
-        table = (tuple(fields), spectrum_rows)
-    else:
-        rows = [{"quantity": "ground_energy",
-                 "value": results["ground_energy"]}]
-        table = (("quantity", "value"), rows)
-    return resolved, results, table
+    rows = (gen_rows or spectrum_rows
+            or [{"quantity": "ground_energy", "value": results["ground_energy"]}])
+    return resolved, results, (tuple(rows[0]), rows)
 
 
 # ---------------------------------------------------------------------------
 # evolve
 
 
-def _make_hamiltonian(record):
-    q = _Params("evolve.hamiltonian", record)
-    kind = q.take("kind", _REQUIRED, "str",
-                  lambda v: v in ("harmonic", "free", "quadratic", "quartic"),
-                  "must be harmonic, free, quadratic, or quartic")
+def _square(v):
+    return bool(v) and len(v) % 2 == 0 and len(v[0]) == len(v)
+
+
+def _windows(v):
+    return all(len(w) == 2 and w[0] < w[1] for w in v)
+
+
+_EVOLVE = [
+    ("hamiltonian", "dict", ..., [("kind", "str", ..., {
+        "harmonic": [_OMEGAS],
+        "free": [("dim", "int", 1, _In(1, 8))],
+        "quadratic": [("matrix", "matrix", ..., _square, "must be a square 2n x 2n array")],
+        "quartic": [_OMEGAS, ("coupling", "float", 0.1, None)],
+    }, "must be harmonic, free, quadratic, or quartic")]),
+    ("state", "dict", ..., [
+        ("phi", "floats", [0.0], _List(_In(1, 16)), "needs 1 to 16 coefficients"),
+        ("amplitude", "str", "gaussian", ("gaussian", "constant")),
+        ("sigma", "float", 1.0, _POSITIVE),
+        ("x0", "float", 0.0, None),
+    ]),
+    ("hbar", "float", ..., _POSITIVE),
+    ("t_start", "float", 0.0, None),
+    ("t_end", "float", ..., None),
+    ("steps", "int", 1000, _In(1, 1_000_000)),
+    ("x_grid", "dict", None, [("min", "float", ..., None), ("max", "float", ..., None),
+                              ("count", "int", ..., None)]),
+    ("shadow", "bool", True, None),
+    ("oracle", "str", None, None),
+    ("morse_windows", "matrix", [], _windows,
+     "must list [start, end] pairs with start < end"),
+    ("index_points", "int", 9, _In(2, 1024)),
+    ("trajectory_samples", "int", 9, _In(2, 100_000)),
+    ("tol", "float", 1e-10, _POSITIVE),
+]
+
+
+def _check_evolve(p):
+    if not math.isfinite(p["t_end"] - p["t_start"]):
+        raise ConfigError("evolve: t_end - t_start must be finite")
+    if any(not math.isfinite(b - a) for a, b in p["morse_windows"]):
+        raise ConfigError("evolve: each 'morse_windows' length must be finite")
+    if p["oracle"] is not None and not p["shadow"]:
+        raise ConfigError("evolve: an oracle comparison needs the shadow "
+                          "(set shadow=true)")
+    grid = p["x_grid"]
+    if grid is None:
+        if p["shadow"]:
+            raise ConfigError("evolve: 'x_grid' is required for the shadow")
+    elif grid["count"] < 1:
+        raise ConfigError("evolve: empty grid (x_grid.count must be >= 1)")
+    elif grid["count"] > 1_000_000:
+        raise ConfigError("evolve: x_grid.count must be <= 1e6")
+    elif grid["count"] > 1 and not grid["max"] > grid["min"]:
+        raise ConfigError("evolve: x_grid.max must exceed x_grid.min")
+
+
+def _make_hamiltonian(h):
     try:
-        if kind == "harmonic":
-            omegas = q.take("omegas", [1.0], "floats",
-                            lambda v: v and all(w > 0 for w in v),
-                            "must list positive frequencies")
-            return harmonic_hamiltonian(omegas), q.finish()
-        if kind == "free":
-            dim = q.take("dim", 1, "int", lambda v: 1 <= v <= 8,
-                         "must be in [1, 8]")
-            M = np.zeros((2 * dim, 2 * dim))
-            M[dim:, dim:] = np.eye(dim)
-            return quadratic_hamiltonian(M), q.finish()
-        if kind == "quadratic":
-            matrix = q.take("matrix", _REQUIRED)
-            M = np.asarray(matrix, dtype=float)
-            if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
-                raise ConfigError("evolve.hamiltonian: 'matrix' must be a "
-                                  "square 2n x 2n array")
-            return quadratic_hamiltonian(M), q.finish()
-        omegas = q.take("omegas", [1.0], "floats",
-                        lambda v: v and all(w > 0 for w in v),
-                        "must list positive frequencies")
-        coupling = q.take("coupling", 0.1, "float")
-        return quartic_hamiltonian(omegas, coupling), q.finish()
+        if h["kind"] == "harmonic":
+            return harmonic_hamiltonian(h["omegas"])
+        if h["kind"] == "free":
+            return quadratic_hamiltonian(np.diag([0.0] * h["dim"] + [1.0] * h["dim"]))
+        if h["kind"] == "quadratic":
+            return quadratic_hamiltonian(np.asarray(h["matrix"], dtype=float))
+        return quartic_hamiltonian(h["omegas"], h["coupling"])
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"evolve.hamiltonian: {exc}") from exc
 
 
-def _make_state(record):
-    q = _Params("evolve.state", record)
-    coeffs = q.take("phi", [0.0], "floats",
-                    lambda v: 1 <= len(v) <= 16, "needs 1 to 16 coefficients")
-    amp = q.take("amplitude", "gaussian", "str",
-                 lambda v: v in ("gaussian", "constant"),
-                 "must be 'gaussian' or 'constant'")
-    sigma = q.take("sigma", 1.0, "float", lambda v: v > 0, "must be > 0")
-    x0 = q.take("x0", 0.0, "float")
-    resolved = q.finish()
-    phi = Polynomial(1, [(c, (k,)) for k, c in enumerate(coeffs)])
-    if amp == "gaussian":
-        def amplitude(th, s=sigma, c=x0):
+def _make_state(state):
+    phi = Polynomial(1, [(c, (k,)) for k, c in enumerate(state["phi"])])
+    if state["amplitude"] == "gaussian":
+        def amplitude(th, s=state["sigma"], c=state["x0"]):
             return float(np.exp(-((float(th[0]) - c) ** 2) / (2.0 * s * s)))
     else:
         def amplitude(th):
             return 1.0
-    return phi, amplitude, resolved
+    return phi, amplitude
 
 
 def _oracle_blocks(name, ham_resolved, state_resolved, tau):
@@ -644,69 +696,21 @@ def _oracle_reference(blocks, state_resolved, xs, hbar):
 
 
 def run_evolve(params, seed):
-    p = _Params("evolve", params)
-    ham_rec = p.take("hamiltonian", _REQUIRED, "dict")
-    state_rec = p.take("state", _REQUIRED, "dict")
-    hbar = p.take("hbar", _REQUIRED, "float", lambda v: v > 0, "must be > 0")
-    t_start = p.take("t_start", 0.0, "float")
-    t_end = p.take("t_end", _REQUIRED, "float")
-    steps = p.take("steps", 1000, "int", lambda v: 1 <= v <= 1_000_000,
-                   "must be in [1, 1e6]")
-    grid_rec = p.take("x_grid", None, "dict")
-    want_shadow = p.take("shadow", True, "bool")
-    oracle = p.take("oracle", None, "str")
-    wins = p.take("morse_windows", [])
-    index_points = p.take("index_points", 9, "int", lambda v: 2 <= v <= 1024,
-                          "must be in [2, 1024]")
-    traj_samples = p.take("trajectory_samples", 9, "int",
-                          lambda v: 2 <= v <= 100_000,
-                          "must be in [2, 100000]")
-    tol = p.take("tol", 1e-10, "float", lambda v: v > 0, "must be > 0")
-    resolved = p.finish()
-
-    bad_wins = ConfigError("evolve: 'morse_windows' must list [start, end] "
-                           "pairs with start < end")
-    if not isinstance(wins, list) or any(
-            not (isinstance(w, (list, tuple)) and len(w) == 2
-                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         for v in w)) for w in wins):
-        raise bad_wins
-    wins = [[p._finite("morse_windows", v) for v in w] for w in wins]
-    if any(not a < b for a, b in wins):
-        raise bad_wins
-    resolved["morse_windows"] = wins
-
-    H, ham_resolved = _make_hamiltonian(ham_rec)
-    resolved["hamiltonian"] = ham_resolved
+    resolved = _read("evolve", params, _EVOLVE)
+    _check_evolve(resolved)
+    (hbar, t_start, t_end, steps, want_shadow, oracle, wins, tol, ham_resolved,
+     state_resolved, grid) = (resolved[k] for k in (
+         "hbar", "t_start", "t_end", "steps", "shadow", "oracle", "morse_windows",
+         "tol", "hamiltonian", "state", "x_grid"))
+    H = _make_hamiltonian(ham_resolved)
     if H.n != 1:
         raise ConfigError("evolve: drives one-degree-of-freedom data; the "
                           "generator must act on (x, p) in the plane")
-    phi, amplitude, state_resolved = _make_state(state_rec)
-    resolved["state"] = state_resolved
+    phi, amplitude = _make_state(state_resolved)
     x0 = state_resolved["x0"]
-    if oracle is not None and not want_shadow:
-        raise ConfigError("evolve: an oracle comparison needs the shadow "
-                          "(set shadow=true)")
     blocks = (None if oracle is None
-              else _oracle_blocks(oracle, ham_resolved, state_resolved,
-                                  t_end - t_start))
-
-    xs = None
-    if want_shadow:
-        if grid_rec is None:
-            raise ConfigError("evolve: 'x_grid' is required for the shadow")
-        g = _Params("evolve.x_grid", grid_rec)
-        gmin = g.take("min", _REQUIRED, "float")
-        gmax = g.take("max", _REQUIRED, "float")
-        gcount = g.take("count", _REQUIRED, "int")
-        resolved["x_grid"] = g.finish()
-        if gcount < 1:
-            raise ConfigError("evolve: empty grid (x_grid.count must be >= 1)")
-        if gcount > 1_000_000:
-            raise ConfigError("evolve: x_grid.count must be <= 1e6")
-        if gcount > 1 and not gmax > gmin:
-            raise ConfigError("evolve: x_grid.max must exceed x_grid.min")
-        xs = np.linspace(gmin, gmax, gcount)
+              else _oracle_blocks(oracle, ham_resolved, state_resolved, t_end - t_start))
+    xs = np.linspace(grid["min"], grid["max"], grid["count"]) if want_shadow else None
 
     manifold = GradientGraphManifold(phi)
     psi = Waveform(manifold, amplitude, hbar)
@@ -719,7 +723,7 @@ def run_evolve(params, seed):
     else:  # the flow line that psi_t's phase at x0 reads, integrated once
         times, points, jacs, actions = psi_t.manifold.path([x0])
     pick = np.unique(np.round(np.linspace(0, len(times) - 1,
-                                          traj_samples)).astype(int))
+                                          resolved["trajectory_samples"])).astype(int))
     traj_rows = [{"t": float(times[k]), "x": float(points[k][0]),
                   "p": float(points[k][1]), "action": float(actions[k])}
                  for k in pick]
@@ -736,15 +740,14 @@ def run_evolve(params, seed):
 
     span = ((float(xs.min()), float(xs.max())) if xs is not None and len(xs) > 1
             else (x0 - 2.0, x0 + 2.0))
-    th_grid = np.linspace(span[0], span[1], index_points)
+    th_grid = np.linspace(span[0], span[1], resolved["index_points"])
     results["index_field"] = [
         {"theta": float(th),
          "index_start": int(psi.index(np.array([th]))),
          "index_end": int(psi_t.index(np.array([th])))}
         for th in th_grid]
 
-    rows = []
-    fields = ("theta", "index_start", "index_end")
+    rows = results["index_field"]
     if want_shadow:
         vv = van_vleck_propagate(phi, amplitude, H, t_start, t_end, xs, hbar,
                                  det_tol=tol)
@@ -752,7 +755,6 @@ def run_evolve(params, seed):
                              "values": [complex(v) for v in vv]}
         rows = [{"x": float(x), "re": float(v.real), "im": float(v.imag)}
                 for x, v in zip(xs, vv)]
-        fields = ("x", "re", "im")
         if oracle is not None:
             ref = _oracle_reference(blocks, state_resolved, xs, hbar)
             err = vv - ref
@@ -769,9 +771,6 @@ def run_evolve(params, seed):
                 row["oracle_re"] = float(rv.real)
                 row["oracle_im"] = float(rv.imag)
                 row["abs_error"] = float(ev)
-            fields = ("x", "re", "im", "oracle_re", "oracle_im", "abs_error")
-    else:
-        rows = results["index_field"]
 
     if wins:
         morse_rows = []
@@ -785,7 +784,7 @@ def run_evolve(params, seed):
                                    "note": str(exc)})
         results["morse"] = morse_rows
 
-    return resolved, results, (fields, rows)
+    return resolved, results, (tuple(rows[0]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -869,8 +868,8 @@ def _resolve_config(args):
         raise ConfigError("'params' must be a JSON object")
     if args.seed is not None:
         seed = args.seed
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("'seed' must be a non-negative integer")
     params = dict(params)
     if args.tol is not None:
         params["tol"] = args.tol

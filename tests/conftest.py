@@ -1,3 +1,7 @@
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as importing symwave does, before numpy
+
 import numpy as np
 import pytest
 

@@ -431,6 +431,8 @@ def test_blas_threads_default_to_one_unless_set(preset):
     ("evolve", {"t_end": 10**400}),  # a json integer no float holds
     ("quantize", {"hbar": 1.0, "omegas": [1.0, math.nan]}),
     ("evolve", {"t_end": 1.0, "morse_windows": [[0, 1e400]]}),  # json Infinity
+    ("evolve", {"t_end": 1.0, "hamiltonian": {"kind": "quadratic",
+                                              "matrix": [[math.inf, 0], [0, 1]]}}),
 ])
 def test_non_finite_numbers_are_config_errors(capsys, tmp_path, command, params):
     base = {"evolve": {"hamiltonian": {"kind": "harmonic"},
@@ -442,6 +444,81 @@ def test_non_finite_numbers_are_config_errors(capsys, tmp_path, command, params)
     assert rc == 2 and out == ""
     diag = diagnostic(err)
     assert diag["error"] == "config" and "must be finite" in diag["detail"]
+
+
+@pytest.mark.parametrize("matrix, detail", [
+    ([[{"x": 1}, 0], [0, 1]], "must hold numbers"),  # was a TypeError traceback
+    ([[True, 0], [0, 1]], "must hold numbers"),  # ran as 1.0
+    ([[1, 0], [0]], "must be a list of equal-length lists"),
+    ([1, 0], "must be a list of equal-length lists"),
+], ids=["dict", "bool", "ragged", "flat"])
+def test_malformed_matrix_is_a_config_error(capsys, tmp_path, matrix, detail):
+    params = {"hamiltonian": {"kind": "quadratic", "matrix": matrix},
+              "state": {"phi": [0.0, 0.0, 0.15]}, "hbar": 0.05, "t_end": 0.3, "shadow": False}
+    rc, out, err = invoke(capsys, ["evolve"], tmp_path, {"params": params})
+    assert rc == 2 and out == ""
+    assert diagnostic(err)["detail"] == f"evolve.hamiltonian: parameter 'matrix' {detail}"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["index", "--seed", "-1"], {"params": {"task": "grid", "theta_count": 2}}),
+    (["nonsqueeze", "--seed", "-5"], {"params": {"maps": 0, "calibration": False}}),
+    (["capacity"], {"seed": -1, "params": {"radii": [1.0]}}),
+])
+def test_negative_seed_is_a_config_error(capsys, tmp_path, argv, config):
+    # numpy's default_rng raised ValueError for it, a traceback with exit 1
+    rc, out, err = invoke(capsys, argv, tmp_path, config)
+    assert rc == 2 and out == ""
+    assert diagnostic(err)["detail"] == "'seed' must be a non-negative integer"
+
+
+@pytest.mark.parametrize("params, detail", [
+    ({"t_start": -1e308, "t_end": 1e308}, "evolve: t_end - t_start must be finite"),
+    ({"t_end": 1.0, "morse_windows": [[-1e308, 1e308]]},
+     "evolve: each 'morse_windows' length must be finite"),
+], ids=["t-span", "window"])
+def test_overflowing_spans_are_config_errors(tmp_path, params, detail):
+    # each span printed numpy overflow warnings and exited 3 with "last valid time nan"
+    config = tmp_path / "span.json"
+    config.write_text(json.dumps({"params": {
+        "hamiltonian": {"kind": "harmonic"}, "state": {"phi": [0.0, 0.0, 0.15]},
+        "hbar": 0.05, "shadow": False, **params}}))
+    src = str(Path(symwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "symwave.cli", "evolve", "--config", str(config)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "config", "exit_code": 2, "detail": detail}
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, params, detail", [
+    # these ran into a TypeError traceback, or turned a switch off
+    ("index", {"theta_count": None}, "index: parameter 'theta_count' must be a int"),
+    ("evolve", {"t_start": None}, "evolve: parameter 't_start' must be a float"),
+    ("evolve", {"shadow": None}, "evolve: parameter 'shadow' must be a bool"),
+    ("evolve", {"hamiltonian": None}, "evolve: parameter 'hamiltonian' must be a dict"),
+], ids=["theta_count", "t_start", "shadow", "hamiltonian"])
+def test_null_is_a_config_error_where_the_default_is_not_null(capsys, tmp_path, command,
+                                                              params, detail):
+    base = {"index": {}, "evolve": {"hamiltonian": {"kind": "harmonic"},
+                                    "state": {"phi": [0.0]}, "hbar": 0.05, "t_end": 0.3}}
+    rc, out, err = invoke(capsys, [command], tmp_path, {"params": {**base[command], **params}})
+    assert rc == 2 and out == ""
+    assert diagnostic(err)["detail"] == detail
+    # null stays the value of a parameter whose default is null
+    env = envelope(capsys, ["evolve"], tmp_path, {"params": {
+        **base["evolve"], "shadow": False, "x_grid": None, "oracle": None}})
+    assert env["config"]["params"]["x_grid"] is None
+
+
+def test_x_grid_is_checked_without_the_shadow(capsys, tmp_path):
+    params = {"hamiltonian": {"kind": "harmonic"}, "state": {"phi": [0.0]}, "hbar": 0.05,
+              "t_end": 0.3, "shadow": False, "x_grid": {"min": 1.0, "max": -1.0, "count": 3}}
+    rc, out, err = invoke(capsys, ["evolve"], tmp_path, {"params": params})
+    assert rc == 2 and out == ""
+    assert diagnostic(err)["detail"] == "evolve: x_grid.max must exceed x_grid.min"
 
 
 @pytest.mark.parametrize("params, rc", [
