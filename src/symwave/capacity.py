@@ -190,8 +190,12 @@ def random_symplectomorphism(n, rng, min_stages=3, max_stages=7):
 
 
 def apply_symplectomorphism(f, z):
-    """Apply the composite map to points of shape ``(..., 2n)``."""
-    z = np.array(z, dtype=float, copy=True)
+    """Apply the composite map to points of shape ``(..., 2n)``.
+
+    The points are copied C-ordered, so the image does not depend on the
+    layout of ``z`` down to the last bit.
+    """
+    z = np.array(z, dtype=float, order="C")
     n = f.n
     if z.shape[-1] != 2 * n:
         raise ValueError("points have wrong dimension")
@@ -250,15 +254,36 @@ class ShadowEstimate:
 _CHUNK = 262144  # points per sampled, mapped and counted block
 
 
-def _sample_ball(dim, R, center, samples, seed):
-    # per-chunk seeding keeps the stream mergeable and order-independent
+def _check_ball(R, grid_res, samples):
+    if grid_res < 2 or samples < 1 or R <= 0:
+        raise ValueError("bad grid/sample/radius parameters")
+
+
+def _sample_ball(n, R, samples, seed, center=None):
+    # the seeded ball as a (2n, samples) array, one contiguous row per
+    # coordinate; per-chunk seeding keeps the stream mergeable and
+    # order-independent
+    center = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
+    ball = np.empty((2 * n, samples))
     for idx, done in enumerate(range(0, samples, _CHUNK)):
         m = min(_CHUNK, samples - done)
         rng = np.random.default_rng((int(seed), idx))
-        g = rng.standard_normal((m, dim))
+        g = rng.standard_normal((m, 2 * n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = R * rng.random(m) ** (1.0 / dim)
-        yield center + g * radii[:, None]
+        radii = R * rng.random(m) ** (1.0 / (2 * n))
+        ball[:, done : done + m] = (center + g * radii[:, None]).T
+    return ball
+
+
+def _map_shadows(f, ball, planes, grid_res, seed):
+    # the shadows of f(ball) on planes; the ball is moved to its image in
+    # place, one chunk at a time
+    n = f.n
+    with np.errstate(over="ignore", invalid="ignore"):  # _shadow reports an overflow
+        if f.stages:
+            for s in range(0, ball.shape[1], _CHUNK):
+                ball[:, s : s + _CHUNK] = apply_symplectomorphism(f, ball[:, s : s + _CHUNK].T).T
+        return [_shadow(ball[i], ball[n + j], (i, j), grid_res, seed) for i, j in planes]
 
 
 def _bin_index(v, e):
@@ -281,8 +306,60 @@ def _grid_counts(x, y, grid_res, bbox):
     return counts.reshape(grid_res, grid_res)
 
 
+def _run_starts(mask, width):
+    # marks the first cell of each row run of True in a flat row-major mask
+    first = mask.copy()
+    first[1:] &= ~mask[:-1]
+    first[::width] = mask[::width]
+    return first
+
+
+def _fill_holes(occupied):
+    """``occupied`` plus every empty cell the outside cannot reach 4-connected.
+
+    Each row's runs of empty cells are the nodes of a graph; runs of adjacent
+    rows are joined once per maximal segment of columns empty in both, and
+    every run on the border is joined to one outside node.  Components come
+    from hooking each root to the larger root of an edge, then pointer
+    jumping, so a winding corridor of length L costs O(log L) passes over the
+    runs, not one sweep of the grid per turn.
+    """
+    h, w = occupied.shape
+    index = np.int32 if h * w < 2**31 else np.intp  # half the memory traffic of intp
+    empty = ~occupied.ravel()
+    first = _run_starts(empty, w)
+    last = _run_starts(empty[::-1], w)[::-1]  # a run's last cell starts it read backwards
+    run = np.cumsum(first, dtype=index)
+    run -= 1  # the run of each empty cell
+    seg = np.flatnonzero(_run_starts(empty[:-w] & empty[w:], w))  # empty here and below
+    rim = np.zeros((h, w), dtype=bool)
+    rim[[0, -1]] = rim[:, [0, -1]] = True
+    outside = int(run[-1]) + 1
+    border = run[rim.ravel() & empty]
+    u = np.concatenate([run[seg], border])
+    v = np.concatenate([run[seg + w], np.full(len(border), outside, dtype=index)])
+    root = np.arange(outside + 1, dtype=index)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.maximum.at(root, np.minimum(ru, rv), np.maximum(ru, rv))
+        while True:  # every pointer only grows, so this ends with roots
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    hole = root[:outside] != root[outside]
+    # +1 at each hole run's first cell, -1 past its last: the running sum marks it
+    marks = np.zeros(h * w + 1, dtype=np.int8)
+    marks[np.flatnonzero(first)[hole]] += 1
+    marks[np.flatnonzero(last)[hole] + 1] -= 1
+    return occupied | np.cumsum(marks[:-1], dtype=np.int8).view(bool).reshape(h, w)
+
+
 def _shadow(x, y, plane, grid_res, seed):
-    from scipy.ndimage import binary_fill_holes  # imported here: scipy costs ~0.45 s to load
     bbox = (x.min(), x.max(), y.min(), y.max())
     span = (bbox[1] - bbox[0], bbox[3] - bbox[2])
     # a finite box, with room for the Chao1 cells (at most grid_res^2 / 2 more)
@@ -297,7 +374,7 @@ def _shadow(x, y, plane, grid_res, seed):
         raise NumericalError(f"shadow on plane {plane} is too narrow to bin in floats")
     counts = _grid_counts(x, y, grid_res, bbox)
     occupied = counts > 0
-    filled = binary_fill_holes(occupied)
+    filled = _fill_holes(occupied)
     f1 = int((counts == 1).sum())
     f2 = int((counts == 2).sum())
     unseen = f1 * (f1 - 1) / (2.0 * (f2 + 1))
@@ -320,29 +397,18 @@ def shadow_areas(f, R, planes, grid_res=512, samples=1_000_000, seed=0, center=N
     """Shadows of one sampled ``f(ball of radius R)`` on each of ``planes``.
 
     ``planes`` is a sequence of planes in the form ``shadow_area`` takes.
-    The ball is sampled and mapped once, and every plane reads the same
-    image points, so the estimates are those of ``shadow_area`` with the
-    same ``seed``, one per plane, in order.
+    The ball is sampled once into a ``(2n, samples)`` array and mapped in
+    place, and every plane reads the same image points, so the estimates
+    are those of ``shadow_area`` with the same ``seed``, one per plane, in
+    order.
     """
     n = f.n
     planes = [(int(p[0]), int(p[1])) if isinstance(p, (tuple, list)) else (int(p),) * 2
               for p in planes]
     if not all(0 <= c < n for plane in planes for c in plane):
         raise ValueError("plane index out of range")
-    if grid_res < 2 or samples < 1 or R <= 0:
-        raise ValueError("bad grid/sample/radius parameters")
-    center = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
-
-    # keep only the image columns the planes read, one contiguous row each
-    cols = sorted({c for i, j in planes for c in (i, n + j)})
-    row = {c: k for k, c in enumerate(cols)}
-    img = np.empty((len(cols), samples))
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # _shadow reports an overflow
-        for block in _sample_ball(2 * n, R, center, samples, seed):
-            img[:, done : done + len(block)] = apply_symplectomorphism(f, block)[:, cols].T
-            done += len(block)
-        return [_shadow(img[row[i]], img[row[n + j]], (i, j), grid_res, seed) for i, j in planes]
+    _check_ball(R, grid_res, samples)
+    return _map_shadows(f, _sample_ball(n, R, samples, seed, center), planes, grid_res, seed)
 
 
 def shadow_area(f, R, plane, grid_res=512, samples=1_000_000, seed=0, center=None):
@@ -379,6 +445,7 @@ def nonsqueezing_experiment(
     controls=False,
     min_stages=3,
     max_stages=7,
+    calibration=False,
 ):
     """Shadow areas of transformed balls for a seeded family of maps.
 
@@ -388,17 +455,32 @@ def nonsqueezing_experiment(
     with ``controls=True`` the mixed planes ``(x_i, p_j), i != j`` of the
     same image are measured as well (reported, never asserted -- the bound
     genuinely fails there).  ``min_stages``/``max_stages`` bound the
-    composition length of each random map.
+    composition length of each random map.  With ``calibration=True`` the
+    result also holds ``calibration``: the conjugate-plane shadows of the
+    unmapped ball of seed ``seed``, read before map 0 moves that same
+    sampled ball, with their relative error against ``pi R^2``; ``n_maps``
+    may then be 0.
     """
+    _check_ball(R, grid_res, samples)
     reference = math.pi * R * R
+    conjugate = [(j, j) for j in range(n)]
     mixed = [(i, j) for i in range(n) for j in range(n) if i != j] if controls else []
+    ball, calib = None, []
+    if calibration:
+        ball = _sample_ball(n, R, samples, seed)
+        ident = identity_symplectomorphism(n)
+        calib = [{"plane": f"x{j + 1}p{j + 1}", "area": e.area,
+                  "corrected_area": e.corrected_area,
+                  "relative_error": abs(e.corrected_area - reference) / reference}
+                 for j, e in enumerate(_map_shadows(ident, ball, conjugate, grid_res, seed))]
     maps = []
     for k in range(n_maps):
         rng = np.random.default_rng((int(seed), 7919, k))
         f = random_symplectomorphism(n, rng, min_stages=min_stages, max_stages=max_stages)
-        ests = shadow_areas(
-            f, R, list(range(n)) + mixed, grid_res=grid_res, samples=samples, seed=seed + 31 * k
-        )
+        if ball is None:
+            ball = _sample_ball(n, R, samples, seed + 31 * k)
+        ests = _map_shadows(f, ball, conjugate + mixed, grid_res, seed + 31 * k)
+        ball = None  # freed before the next map samples its own
         planes = [
             {"plane": f"x{j + 1}p{j + 1}", "area": e.area, "corrected_area": e.corrected_area,
              "occupied_cells": e.occupied_cells, "grid_cells": e.grid_cells,
@@ -414,7 +496,7 @@ def nonsqueezing_experiment(
             ]
         maps.append(entry)
     conjugate_areas = [p["corrected_area"] for m in maps for p in m["planes"]]
-    return {
+    result = {
         "n": n,
         "radius": R,
         "reference_area": reference,
@@ -422,9 +504,12 @@ def nonsqueezing_experiment(
         "grid_res": grid_res,
         "samples": samples,
         "maps": maps,
-        "min_conjugate_area": min(conjugate_areas),
+        "min_conjugate_area": min(conjugate_areas, default=None),
         "all_pass": bool(all(p["pass"] for m in maps for p in m["planes"])),
     }
+    if calibration:
+        result["calibration"] = calib
+    return result
 
 
 def ground_energy(omegas, hbar):

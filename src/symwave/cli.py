@@ -29,10 +29,11 @@ the lists below give each range or choice set, and a test holds them to it.
 index
     ``task`` "grid"|"loop"|"identities", ``tol`` >= 0 (default 0: exact);
     grid: ``theta_count`` in [2, 2000], ``theta_min``, ``theta_max`` (min <
-    max); loop: ``kind`` "circle"|"torus", ``windings`` (1 to 8),
-    ``flat_dims`` in [0, 8]; identities: ``dims`` (each 1 to 6), ``trials``
-    in [1, 100000] -- the two-lift index against floor((theta - theta')/pi)
-    + 1, loop indices against 2 * sum(windings), and the index identities.
+    max, and a finite span); loop: ``kind`` "circle"|"torus", ``windings``
+    (1 to 8), ``flat_dims`` in [0, 8]; identities: ``dims`` (each 1 to 6),
+    ``trials`` in [1, 100000] -- the two-lift index against
+    floor((theta - theta')/pi) + 1, loop indices against 2 * sum(windings),
+    and the index identities.
 capacity
     ``radii`` (at most 20, each in [1e-6, 1e6]) or ``ball`` {``n`` in
     [1, 20], ``R`` in [1e-6, 1e6]}, ``tol`` >= 0 -- capacity and volume
@@ -44,8 +45,8 @@ nonsqueeze
     -- shadow areas of mapped balls against pi R^2 (1 - margin); map k's
     ball is sampled with seed + 31k, and a map that overflows it exits 3.
 quantize
-    ``hbar`` > 0 (required), ``tol`` > 0 (default 1e-9), and any of
-    ``radii_squared`` (+ ``flat_dims`` in [0, 8]), ``omegas``,
+    ``hbar`` in [1e-300, 1e300] (required), ``tol`` > 0 (default 1e-9), and
+    any of ``radii_squared`` (+ ``flat_dims`` in [0, 8]), ``omegas``,
     ``spectrum_n_max`` in [0, 64] (+ ``scan_divisions`` in [10, 10000]);
     ``contrast`` adds the index-free column -- minimum-area checks per
     generator, ground/torus energies and the radius-scan spectrum.
@@ -53,14 +54,14 @@ evolve
     ``hamiltonian`` {``kind`` "harmonic"|"free"|"quadratic"|"quartic";
     ``omegas`` (harmonic, quartic), ``dim`` in [1, 8] (free), ``matrix``
     2n x 2n (quadratic), ``coupling`` (quartic)}, ``state`` {``phi`` (1 to
-    16 coefficients), ``amplitude`` "gaussian"|"constant", ``sigma`` > 0,
-    ``x0``}, ``hbar`` > 0, ``t_start``, ``t_end``, ``steps`` in [1, 1e6],
-    ``x_grid`` {``min``, ``max``, ``count`` 1 to 1e6}, ``shadow``,
-    ``oracle`` "mehler" (harmonic) or "fresnel" (free), ``morse_windows``
-    [[a, b], ...], ``index_points`` in [2, 1024], ``trajectory_samples`` in
-    [2, 100000], ``tol`` > 0 (default 1e-10, the Newton guard) -- Gaussian
-    data transported on a gradient graph; the span t_end - t_start and each
-    window's length must be finite.
+    16 coefficients), ``amplitude`` "gaussian"|"constant", ``sigma`` in
+    [1e-100, 1e100], ``x0``}, ``hbar`` > 0, ``t_start``, ``t_end``,
+    ``steps`` in [1, 1e6], ``x_grid`` {``min``, ``max``, ``count`` 1 to
+    1e6}, ``shadow``, ``oracle`` "mehler" (harmonic) or "fresnel" (free),
+    ``morse_windows`` [[a, b], ...], ``index_points`` in [2, 1024],
+    ``trajectory_samples`` in [2, 100000], ``tol`` > 0 (default 1e-10, the
+    Newton guard) -- Gaussian data transported on a gradient graph; the span
+    t_end - t_start and each window's length must be finite.
 """
 
 import argparse
@@ -83,11 +84,9 @@ from .capacity import (
     ellipsoid_capacity,
     ellipsoid_volume,
     ground_energy,
-    identity_symplectomorphism,
     keller_maslov_check,
     nonsqueezing_experiment,
     oscillator_levels,
-    shadow_areas,
 )
 from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .flows import (
@@ -104,7 +103,12 @@ from .maslov import (
     maslov_loop_index_adaptive,
 )
 from .polynomials import Polynomial
-from .symplectic import _diagonal_torus_frame, form_matrix, random_lagrangian_frame
+from .symplectic import (
+    _diagonal_torus_frame,
+    form_matrix,
+    orthonormalize_frame,
+    random_lagrangian_frame,
+)
 from .waveforms import (
     CircleManifold,
     GradientGraphManifold,
@@ -144,7 +148,8 @@ class _In:
                 and (v < self.hi if self.ends[1] == ")" else v <= self.hi))
 
     def __str__(self):
-        lo, hi = (f"{v:g}".replace("e+0", "e").replace("e-0", "e-") for v in (self.lo, self.hi))
+        lo, hi = (f"{v:g}".replace("e+", "e").replace("e0", "e").replace("e-0", "e-")
+                  for v in (self.lo, self.hi))
         if self.hi == math.inf:
             return f"{'>' if self.ends[0] == '(' else '>='} {lo}"
         return f"in {self.ends[0]}{lo}, {hi}{self.ends[1]}"
@@ -285,6 +290,8 @@ _INDEX = [("task", "str", "grid", {
 def _check_index(p):
     if p["task"] == "grid" and not p["theta_max"] > p["theta_min"]:
         raise ConfigError("index: parameter 'theta_max' must exceed theta_min")
+    if p["task"] == "grid" and not math.isfinite(p["theta_max"] - p["theta_min"]):
+        raise ConfigError("index: theta_max - theta_min must be finite")
     if p["task"] == "loop" and p["kind"] == "circle" and p["windings"] != [1]:
         raise ConfigError("index: a circle loop is a single positive turn; "
                           "use kind='torus' for general windings")
@@ -331,7 +338,8 @@ def _index_identities(p, seed):
     rng = np.random.default_rng(seed)
 
     def draw(n):
-        f = random_lagrangian_frame(n, rng)
+        # orthonormal once, so every index below takes the frame as it is
+        f = orthonormalize_frame(random_lagrangian_frame(n, rng))
         return lift_from_frame(f, windings=int(rng.integers(-3, 4))), f
 
     rows = []
@@ -445,38 +453,26 @@ def run_nonsqueeze(params, seed):
         resolved[k] for k in ("n", "R", "maps", "grid_res", "samples", "margin",
                               "controls", "calibration", "stages"))
     reference = math.pi * R * R
-    rows = []
-    calib = []
-    if calibration:
-        ident = identity_symplectomorphism(n)
-        for j, est in enumerate(shadow_areas(ident, R, range(n), grid_res=grid_res,
-                                             samples=samples, seed=seed)):
-            entry = {"plane": f"x{j + 1}p{j + 1}", "area": est.area,
-                     "corrected_area": est.corrected_area,
-                     "relative_error": abs(est.corrected_area - reference)
-                     / reference}
-            calib.append(entry)
-            rows.append({"map": "identity", "plane": entry["plane"],
-                         "area": entry["area"],
-                         "corrected_area": entry["corrected_area"],
+    # the calibration reads map 0's ball before the map moves it
+    run = nonsqueezing_experiment(
+        n, R=R, n_maps=maps, grid_res=grid_res, samples=samples, seed=seed,
+        margin=margin, controls=controls, min_stages=stages[0], max_stages=stages[1],
+        calibration=calibration)
+    calib = run.pop("calibration", [])
+    experiment = run if maps else None
+    rows = [{"map": "identity", "plane": c["plane"], "area": c["area"],
+             "corrected_area": c["corrected_area"], "passed": None} for c in calib]
+    for rec in run["maps"]:
+        for pl in rec["planes"]:
+            rows.append({"map": rec["map"], "plane": pl["plane"],
+                         "area": pl["area"],
+                         "corrected_area": pl["corrected_area"],
+                         "passed": pl["pass"]})
+        for pl in rec.get("controls", ()):
+            rows.append({"map": rec["map"], "plane": pl["plane"],
+                         "area": pl["area"],
+                         "corrected_area": pl["corrected_area"],
                          "passed": None})
-    experiment = None
-    if maps:
-        experiment = nonsqueezing_experiment(
-            n, R=R, n_maps=maps, grid_res=grid_res, samples=samples,
-            seed=seed, margin=margin, controls=controls,
-            min_stages=stages[0], max_stages=stages[1])
-        for rec in experiment["maps"]:
-            for pl in rec["planes"]:
-                rows.append({"map": rec["map"], "plane": pl["plane"],
-                             "area": pl["area"],
-                             "corrected_area": pl["corrected_area"],
-                             "passed": pl["pass"]})
-            for pl in rec.get("controls", ()):
-                rows.append({"map": rec["map"], "plane": pl["plane"],
-                             "area": pl["area"],
-                             "corrected_area": pl["corrected_area"],
-                             "passed": None})
     results = {"reference_area": reference, "margin": margin,
                "calibration": calib, "experiment": experiment}
     return resolved, results, (("map", "plane", "area", "corrected_area",
@@ -488,7 +484,8 @@ def run_nonsqueeze(params, seed):
 
 
 _QUANTIZE = [
-    ("hbar", "float", ..., _POSITIVE),
+    # keeps the scanned radii r^2 in [hbar / 1e4, 130 hbar] normal floats
+    ("hbar", "float", ..., _In(1e-300, 1e300)),
     ("tol", "float", 1e-9, _POSITIVE),
     ("radii_squared", "floats", None, _FREQUENCIES, "must list positive numbers"),
     _FLAT_DIMS,
@@ -580,7 +577,8 @@ _EVOLVE = [
     ("state", "dict", ..., [
         ("phi", "floats", [0.0], _List(_In(1, 16)), "needs 1 to 16 coefficients"),
         ("amplitude", "str", "gaussian", ("gaussian", "constant")),
-        ("sigma", "float", 1.0, _POSITIVE),
+        # keeps 2 sigma^2 and hbar / sigma^2 (the oracle's) normal floats
+        ("sigma", "float", 1.0, _In(1e-100, 1e100)),
         ("x0", "float", 0.0, None),
     ]),
     ("hbar", "float", ..., _POSITIVE),

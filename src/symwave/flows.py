@@ -36,7 +36,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .polynomials import Polynomial
-from .symplectic import PhasePoint, form_matrix
+from .symplectic import PhasePoint, _expm, form_matrix
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
@@ -286,8 +286,7 @@ def _quadratic_step(matrix, n, dt):
     each step matrix is built once and shared; read-only, as every caller
     gets the same array.
     """
-    from scipy.linalg import expm  # imported here: scipy costs ~0.45 s to load
-    step = expm(dt * (_jmat(n) @ np.frombuffer(matrix).reshape(2 * n, 2 * n)))
+    step = _expm(dt * (_jmat(n) @ np.frombuffer(matrix).reshape(2 * n, 2 * n)))
     step.flags.writeable = False
     return step
 

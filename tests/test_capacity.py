@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.ndimage import binary_fill_holes
 
 from symwave import capacity
 from symwave.capacity import (
@@ -246,6 +249,66 @@ def test_grid_counts_equal_histogram2d(rng):
         got = capacity._grid_counts(a, b, res, bbox)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got.sum() == len(a)
+
+
+def _spiral(size, closed):
+    # one wall winding inwards with a one-cell corridor beside it; the
+    # corridor opens at (1, 0) on the border, or is one long hole when closed
+    wall = np.zeros((size, size), dtype=bool)
+    lo, hi = 0, size - 1
+    while hi - lo >= 2:
+        wall[lo, lo : hi + 1] = wall[lo : hi + 1, hi] = wall[hi, lo : hi + 1] = True
+        wall[lo + 2 : hi + 1, lo] = wall[lo + 2, lo : lo + 3] = True
+        lo, hi = lo + 2, hi - 2
+    wall[1, 0] = closed
+    return wall
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_fill_holes_equals_binary_fill_holes(h, w, density, seed):
+    occupied = np.random.default_rng(seed).random((h, w)) < density
+    assert np.array_equal(capacity._fill_holes(occupied), binary_fill_holes(occupied))
+
+
+def test_fill_holes_edge_cases():
+    plus = np.zeros((5, 5), dtype=bool)  # the centre meets the outside only diagonally
+    plus[[1, 2, 2, 3], [2, 1, 3, 2]] = True
+    island = np.zeros((7, 7), dtype=bool)  # an occupied cell inside a hole
+    island[1, 1:6] = island[5, 1:6] = island[1:6, 1] = island[1:6, 5] = island[3, 3] = True
+    rim = np.ones((4, 6), dtype=bool)  # a hole of two cells in a row
+    rim[1:3, 2] = False
+    masks = [np.zeros((6, 9), dtype=bool), np.ones((6, 9), dtype=bool),
+             np.array([[True, False, True, False, False, True]]),
+             np.array([[True, False, True, False, False, True]]).T,
+             np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool),
+             plus, island, rim, _spiral(1024, closed=False), _spiral(1024, closed=True)]
+    for occupied in masks:
+        assert np.array_equal(capacity._fill_holes(occupied), binary_fill_holes(occupied))
+    assert capacity._fill_holes(plus)[2, 2] and capacity._fill_holes(island).sum() == 25
+    assert capacity._fill_holes(_spiral(1024, closed=True)).all()
+
+
+def test_calibration_and_map_zero_read_one_sampled_ball(monkeypatch):
+    seeds = []
+    original = capacity._sample_ball
+
+    def counted(n, R, samples, seed, center=None):
+        seeds.append(seed)
+        return original(n, R, samples, seed, center)
+
+    monkeypatch.setattr(capacity, "_sample_ball", counted)
+    kw = {"samples": 5_000, "grid_res": 32, "seed": 3, "controls": True}
+    both = nonsqueezing_experiment(2, n_maps=2, calibration=True, **kw)
+    assert seeds == [3, 34]
+    alone = nonsqueezing_experiment(2, n_maps=2, **kw)
+    assert both.pop("calibration") and both == alone
+    ident = shadow_areas(identity_symplectomorphism(2), 1.0, [0, 1], grid_res=32,
+                         samples=5_000, seed=3)
+    only = nonsqueezing_experiment(2, n_maps=0, calibration=True, **kw)
+    assert only["maps"] == [] and only["min_conjugate_area"] is None
+    assert [c["corrected_area"] for c in only["calibration"]] == [
+        e.corrected_area for e in ident]
 
 
 def test_nonsqueezing_maps_one_ball_per_map(monkeypatch):

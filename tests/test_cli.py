@@ -391,18 +391,34 @@ def test_console_script_entry_point(tmp_path):
         math.pi, abs=0)
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy costs every command process ~0.45 s, so it loads on first use
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # no command path needs scipy: each one would pay ~0.4 s just to load it
+    configs = {
+        "nonsqueeze": {"n": 2, "maps": 1, "grid_res": 32, "samples": 5000, "controls": True},
+        "index": {"task": "identities", "dims": [1, 2], "trials": 2},
+        "evolve": {"hamiltonian": {"kind": "quadratic", "matrix": [[1.0, 0.2], [0.2, 1.0]]},
+                   "state": {"phi": [0.0, 0.0, 0.15]}, "hbar": 0.05, "t_end": 0.3,
+                   "steps": 30, "x_grid": {"min": -0.2, "max": 0.2, "count": 3},
+                   "morse_windows": [[0.0, 0.3]]},
+        "quantize": {"hbar": 0.5, "radii_squared": [0.5], "omegas": [1.0],
+                     "spectrum_n_max": 1, "scan_divisions": 10},
+    }
+    runs = []
+    for command, params in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({"params": params}))
+        runs.append([command, "--config", str(path), "--out", str(tmp_path / f"{command}.out")])
     src = str(Path(symwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = ("import sys, symwave.cli; "
+              f"print([symwave.cli.main(argv) for argv in {runs!r}]); "
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0]", "[]"]
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
@@ -472,25 +488,57 @@ def test_negative_seed_is_a_config_error(capsys, tmp_path, argv, config):
     assert diagnostic(err)["detail"] == "'seed' must be a non-negative integer"
 
 
-@pytest.mark.parametrize("params, detail", [
-    ({"t_start": -1e308, "t_end": 1e308}, "evolve: t_end - t_start must be finite"),
-    ({"t_end": 1.0, "morse_windows": [[-1e308, 1e308]]},
-     "evolve: each 'morse_windows' length must be finite"),
-], ids=["t-span", "window"])
-def test_overflowing_spans_are_config_errors(tmp_path, params, detail):
-    # each span printed numpy overflow warnings and exited 3 with "last valid time nan"
-    config = tmp_path / "span.json"
-    config.write_text(json.dumps({"params": {
-        "hamiltonian": {"kind": "harmonic"}, "state": {"phi": [0.0, 0.0, 0.15]},
-        "hbar": 0.05, "shadow": False, **params}}))
+_EVOLVE_BASE = {"hamiltonian": {"kind": "harmonic"}, "state": {"phi": [0.0, 0.0, 0.15]},
+                "hbar": 0.05, "shadow": False}
+
+
+def _config_error(tmp_path, command, params):
+    # the child's whole stderr, which must be one JSON line
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": params}))
     src = str(Path(symwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "symwave.cli", "evolve", "--config", str(config)],
+    proc = subprocess.run([sys.executable, "-m", "symwave.cli", command, "--config", str(config)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 2 and proc.stdout == ""
-    assert json.loads(proc.stderr) == {"error": "config", "exit_code": 2, "detail": detail}
     assert proc.stderr.count("\n") == 1
+    return json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize("command, params, detail", [
+    ("evolve", {**_EVOLVE_BASE, "t_start": -1e308, "t_end": 1e308},
+     "evolve: t_end - t_start must be finite"),
+    ("evolve", {**_EVOLVE_BASE, "t_end": 1.0, "morse_windows": [[-1e308, 1e308]]},
+     "evolve: each 'morse_windows' length must be finite"),
+    # np.linspace overflowed on the span: LinAlgError, exit 1
+    ("index", {"task": "grid", "theta_min": -1e308, "theta_max": 1e308},
+     "index: theta_max - theta_min must be finite"),
+], ids=["t-span", "window", "theta-span"])
+def test_overflowing_spans_are_config_errors(tmp_path, command, params, detail):
+    # each evolve span printed numpy overflow warnings and exited 3 with "last valid time nan"
+    assert _config_error(tmp_path, command, params) == {
+        "error": "config", "exit_code": 2, "detail": detail}
+
+
+@pytest.mark.parametrize("command, params", [
+    # 2 sigma^2 underflowed to 0: ZeroDivisionError, exit 1
+    ("evolve", {**_EVOLVE_BASE, "state": {"phi": [0.0, 0.0, 0.15], "sigma": 1e-200},
+                "t_end": 0.3, "shadow": True, "x_grid": {"min": -0.1, "max": 0.1, "count": 3}}),
+    # the oracle's sigma ** 2 overflowed: OverflowError, exit 1
+    ("evolve", {**_EVOLVE_BASE, "state": {"phi": [0.0, 0.0, 0.15], "sigma": 1e200},
+                "t_end": 0.3, "shadow": True, "oracle": "mehler",
+                "x_grid": {"min": -0.1, "max": 0.1, "count": 3}}),
+    # the scanned radii underflowed to 0: ValueError, exit 1
+    ("quantize", {"hbar": 5e-324, "spectrum_n_max": 1}),
+    # the scanned radii overflowed: ValueError on NaN, exit 1
+    ("quantize", {"hbar": 1e308, "spectrum_n_max": 1}),
+], ids=["tiny-sigma", "huge-sigma", "tiny-hbar", "huge-hbar"])
+def test_values_past_normal_float_arithmetic_are_config_errors(tmp_path, command, params):
+    detail = {"evolve": "evolve.state: parameter 'sigma' must be in [1e-100, 1e100]",
+              "quantize": "quantize: parameter 'hbar' must be in [1e-300, 1e300]"}[command]
+    assert _config_error(tmp_path, command, params) == {
+        "error": "config", "exit_code": 2, "detail": detail}
 
 
 @pytest.mark.parametrize("command, params, detail", [

@@ -114,7 +114,9 @@ CASES = [
     ("nonsqueeze.stages", "nonsqueeze", [50, 50], [2, 1],
      "nonsqueeze: parameter 'stages' must be [min, max] with 1 <= min <= max <= 50",
      [3, 7.0], "nonsqueeze: parameter 'stages' must hold integers"),
-    ("quantize.hbar", "quantize", TINY, 0.0, "quantize: parameter 'hbar' must be > 0",
+    # hbar 5e-324 once ran the radius scan on radii that underflow to 0
+    ("quantize.hbar", "quantize", 1e-300, TINY,
+     "quantize: parameter 'hbar' must be in [1e-300, 1e300]",
      "1", "quantize: parameter 'hbar' must be a float"),
     ("quantize.tol", "quantize", TINY, 0.0, "quantize: parameter 'tol' must be > 0",
      [1e-9], "quantize: parameter 'tol' must be a float"),
@@ -163,7 +165,9 @@ CASES = [
     ("evolve.state.amplitude", "evolve", "constant", "flat",
      "evolve.state: parameter 'amplitude' must be 'gaussian' or 'constant'",
      1, "evolve.state: parameter 'amplitude' must be a str"),
-    ("evolve.state.sigma", "evolve", TINY, 0.0, "evolve.state: parameter 'sigma' must be > 0",
+    # sigma 1e-200 once divided the Gaussian exponent by 2 sigma^2 = 0
+    ("evolve.state.sigma", "evolve", 1e-100, 1e-200,
+     "evolve.state: parameter 'sigma' must be in [1e-100, 1e100]",
      "1", "evolve.state: parameter 'sigma' must be a float"),
     ("evolve.state.x0", "evolve", 0.5, None, None,
      "0", "evolve.state: parameter 'x0' must be a float"),

@@ -14,7 +14,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from symwave import flows
 from symwave.cli import run_evolve
@@ -135,13 +134,13 @@ def test_flowed_manifold_keeps_one_flow_line():
 
 def test_quadratic_step_matrix_is_built_once_per_time_step(monkeypatch):
     calls = []
-    expm = scipy.linalg.expm
+    expm = flows._expm
 
     def counted(a):
         calls.append(a.copy())
         return expm(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(flows, "_expm", counted)
     flows._quadratic_step.cache_clear()
     H = harmonic_hamiltonian([1.3])
     for k in range(200):

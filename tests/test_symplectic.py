@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import theta_frame
 from symwave.symplectic import (
     LagrangianFrame,
+    _expm,
     PhasePoint,
     form_matrix,
     frame_from_souriau,
@@ -225,3 +227,17 @@ def test_frame_from_souriau_round_trip(rng):
     # eigenvalue at / near the cut and the reference planes
     for w in (np.eye(3, dtype=complex), -np.eye(3, dtype=complex), np.diag([-1.0 + 0j, 1.0, 1j])):
         assert np.allclose(souriau_w(frame_from_souriau(w)), w, atol=1e-9)
+
+
+def test_expm_matches_scipy_and_stays_symplectic(rng):
+    # Hamiltonian matrices K A, A symmetric, from inside the unscaled Pade
+    # range to norms that take several squarings
+    for k in range(300):
+        n = 1 + k % 3
+        A = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+        M = form_matrix(n) @ (A + A.T) * (0.01, 0.35, 1.0, 3.0)[k % 4]
+        E, want = _expm(M), scipy.linalg.expm(M)
+        assert np.max(np.abs(E - want)) <= 1e-12 * np.max(np.abs(want))
+        assert is_symplectic_matrix(E, tol=1e-9 * max(1.0, np.max(np.abs(E)) ** 2))
+    assert np.max(np.abs(_expm(np.zeros((2, 2))) - np.eye(2))) <= 2.3e-16
+    assert np.isnan(_expm(np.array([[0.0, np.inf], [-1.0, 0.0]]))).all()
