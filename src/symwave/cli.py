@@ -55,13 +55,13 @@ evolve
     ``omegas`` (harmonic, quartic), ``dim`` in [1, 8] (free), ``matrix``
     2n x 2n (quadratic), ``coupling`` (quartic)}, ``state`` {``phi`` (1 to
     16 coefficients), ``amplitude`` "gaussian"|"constant", ``sigma`` in
-    [1e-100, 1e100], ``x0``}, ``hbar`` > 0, ``t_start``, ``t_end``,
-    ``steps`` in [1, 1e6], ``x_grid`` {``min``, ``max``, ``count`` 1 to
-    1e6}, ``shadow``, ``oracle`` "mehler" (harmonic) or "fresnel" (free),
-    ``morse_windows`` [[a, b], ...], ``index_points`` in [2, 1024],
-    ``trajectory_samples`` in [2, 100000], ``tol`` > 0 (default 1e-10, the
-    Newton guard) -- Gaussian data transported on a gradient graph; the span
-    t_end - t_start and each window's length must be finite.
+    [1e-100, 1e100], ``x0``}, ``hbar`` in [1e-300, 1e300], ``t_start``,
+    ``t_end``, ``steps`` in [1, 1e6], ``x_grid`` {``min``, ``max``,
+    ``count`` 1 to 1e6}, ``shadow``, ``oracle`` "mehler" (harmonic) or
+    "fresnel" (free), ``morse_windows`` [[a, b], ...], ``index_points`` in
+    [2, 1024], ``trajectory_samples`` in [2, 100000], ``tol`` > 0 (default
+    1e-10, the Newton guard) -- Gaussian data transported on a gradient
+    graph; the span t_end - t_start and each window's length must be finite.
 """
 
 import argparse
@@ -300,7 +300,7 @@ def _check_index(p):
 def _index_grid(p, seed):
     lo, hi, count, tol = p["theta_min"], p["theta_max"], p["theta_count"], p["tol"]
     rng = np.random.default_rng(seed)
-    thetas = np.linspace(lo, hi, count)
+    thetas = np.linspace(lo, hi, count).tolist()
     circle = CircleManifold(1.0)
     lifts = [circle.cover_lift(th) for th in thetas]
     rows = []
@@ -311,7 +311,7 @@ def _index_grid(p, seed):
             closed = math.floor((th - tp) / math.pi) + 1
             ok = abs(m - closed) <= tol
             mismatches += not ok
-            rows.append({"theta": float(th), "theta_prime": float(tp),
+            rows.append({"theta": th, "theta_prime": tp,
                          "index": m, "closed_form": closed, "match": bool(ok)})
     results = {"task": "grid", "rows": rows, "mismatches": mismatches,
                "all_match": mismatches == 0}
@@ -581,7 +581,8 @@ _EVOLVE = [
         ("sigma", "float", 1.0, _In(1e-100, 1e100)),
         ("x0", "float", 0.0, None),
     ]),
-    ("hbar", "float", ..., _POSITIVE),
+    # quantize's range: 1 / hbar and the oracle's 0.5j / hbar stay finite
+    ("hbar", "float", ..., _In(1e-300, 1e300)),
     ("t_start", "float", 0.0, None),
     ("t_end", "float", ..., None),
     ("steps", "int", 1000, _In(1, 1_000_000)),

@@ -37,6 +37,7 @@ from .symplectic import (
     _orthonormal_lagrangian,
     _pair_spectrum,
     _signature_and_dims,
+    _spectrum,
     frame_from_souriau,
     souriau_w,
 )
@@ -187,13 +188,22 @@ def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
 
 
 def _log_trace(lam, branch_tol=1e-12):
-    # Tr Log over a spectrum given as a list of Python complexes
-    if any(abs(z) <= branch_tol for z in lam):
-        raise BranchCutError("singular matrix has no logarithm")
-    ang = [cmath.phase(z) for z in lam]
-    if any(math.pi - abs(t) <= branch_tol for t in ang):
+    # Tr Log over a spectrum of Python complexes, in one pass; a singular
+    # eigenvalue anywhere outranks one on the cut
+    re = im = 0.0
+    cut = False
+    for z in lam:
+        r = abs(z)
+        if r <= branch_tol:
+            raise BranchCutError("singular matrix has no logarithm")
+        t = cmath.phase(z)
+        if math.pi - abs(t) <= branch_tol:
+            cut = True
+        re += math.log(r)
+        im += t
+    if cut:
         raise BranchCutError("eigenvalue on the negative real axis")
-    return complex(sum(math.log(abs(z)) for z in lam), sum(ang))
+    return complex(re, im)
 
 
 def principal_log_trace(M, branch_tol=1e-12):
@@ -204,7 +214,7 @@ def principal_log_trace(M, branch_tol=1e-12):
     the closed negative real axis raise :class:`BranchCutError`.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return _log_trace(np.linalg.eigvals(M).tolist(), branch_tol)
+    return _log_trace(_spectrum(M), branch_tol)
 
 
 def _leray_log(a, b, lam, tol=_INT_TOL):
@@ -257,7 +267,7 @@ def _vertical_crossings(frames, turn=None):
     """
     m = []
     for end in _end_lifts(frames, turn):
-        lam = np.linalg.eigvals(end.w).tolist()  # the pair spectrum against w = I
+        lam = _spectrum(end.w)  # the pair spectrum against w = I
         if _band_dim(lam):
             raise ConjugatePointError(
                 "conjugate point at an end of the window: the plane meets {x = 0}")

@@ -215,11 +215,37 @@ def is_souriau_point(w, tol=DEFAULT_TOL):
     return bool(max(sym, uni) <= tol)
 
 
+def _unscaled(z):
+    # LAPACK's zgeev rescales a matrix whose largest entry lies outside about
+    # [6.7e-139, 1.5e138]; inside, the eigenvalue of a 1 x 1 matrix is its entry
+    return 1e-138 <= abs(z) <= 1e138
+
+
+def _spectrum(M):
+    """Eigenvalues of a square complex matrix as a list of Python complexes.
+
+    The package's one eigenvalue kernel.  A 1 x 1 matrix is read as its
+    entry, without LAPACK, whenever LAPACK would return that entry unscaled,
+    so the list is bitwise ``np.linalg.eigvals(M).tolist()`` either way; a
+    non-finite entry goes to LAPACK and raises its ``LinAlgError``.
+    """
+    if M.shape == (1, 1):
+        z = M.item()
+        if _unscaled(z):
+            return [z]
+    return np.linalg.eigvals(M).tolist()
+
+
 def _pair_spectrum(w, wp):
     # unimodular eigenvalues of w (w')^* as a list of Python complexes: its
     # readers reduce 1 to 6 numbers, where numpy's per-call cost dominates;
-    # 1 has multiplicity dim(l ^ l')
-    return np.linalg.eigvals(np.asarray(w) @ np.asarray(wp).conj().T).tolist()
+    # 1 has multiplicity dim(l ^ l').  For n = 1, +0 plus the product of the
+    # entries is the 1 x 1 matmul's entry bit for bit (its sum starts at +0).
+    w, wp = np.asarray(w), np.asarray(wp)
+    if w.shape == wp.shape == (1, 1):
+        z = 0j + w.item() * wp.item().conjugate()
+        return [z] if _unscaled(z) else _spectrum(np.array([[z]]))
+    return _spectrum(w @ wp.conj().T)
 
 
 def _band_dim(lam, tol=DEFAULT_TOL):

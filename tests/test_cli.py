@@ -541,6 +541,15 @@ def test_values_past_normal_float_arithmetic_are_config_errors(tmp_path, command
         "error": "config", "exit_code": 2, "detail": detail}
 
 
+def test_tiny_evolve_hbar_is_a_config_error(tmp_path):
+    # hbar 5e-324 exited 0 with NaN in shadow.values and the oracle's error
+    params = {**_EVOLVE_BASE, "hbar": 5e-324, "t_end": 0.3, "shadow": True,
+              "oracle": "mehler", "x_grid": {"min": -0.1, "max": 0.1, "count": 3}}
+    assert _config_error(tmp_path, "evolve", params) == {
+        "error": "config", "exit_code": 2,
+        "detail": "evolve: parameter 'hbar' must be in [1e-300, 1e300]"}
+
+
 @pytest.mark.parametrize("command, params, detail", [
     # these ran into a TypeError traceback, or turned a switch off
     ("index", {"theta_count": None}, "index: parameter 'theta_count' must be a int"),

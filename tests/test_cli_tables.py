@@ -171,7 +171,9 @@ CASES = [
      "1", "evolve.state: parameter 'sigma' must be a float"),
     ("evolve.state.x0", "evolve", 0.5, None, None,
      "0", "evolve.state: parameter 'x0' must be a float"),
-    ("evolve.hbar", "evolve", TINY, 0.0, "evolve: parameter 'hbar' must be > 0",
+    # hbar 5e-324 once ran to exit 0 with NaN phases
+    ("evolve.hbar", "evolve", 1e-300, TINY,
+     "evolve: parameter 'hbar' must be in [1e-300, 1e300]",
      "0.05", "evolve: parameter 'hbar' must be a float"),
     ("evolve.t_start", "evolve", 0.1, None, None,
      "0", "evolve: parameter 't_start' must be a float"),

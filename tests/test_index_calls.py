@@ -1,7 +1,8 @@
 """Eigendecompositions and orthonormalizations per index evaluation.
 
 Each pair of planes has its spectrum computed once, a transversal index
-decides transversality once, and ``inert`` orthonormalizes each frame once;
+decides transversality once (with no LAPACK call at all for n = 1, whose
+spectrum is one entry), and ``inert`` orthonormalizes each frame once;
 the auxiliary-plane path of ``leray_index`` orthonormalizes the caller's
 frames once for both of its evaluations.  A
 flowed cover lift reads one batched determinant over its sampled path, and
@@ -13,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from symwave import maslov
-from symwave.flows import quartic_hamiltonian
+from symwave.flows import harmonic_hamiltonian, quartic_hamiltonian
 from symwave.maslov import (
     inert,
     leray_index,
@@ -30,7 +31,7 @@ from symwave.symplectic import (
     random_lagrangian_frame,
     vertical_frame,
 )
-from symwave.waveforms import FlowedManifold, GradientGraphManifold
+from symwave.waveforms import FlowedManifold, GradientGraphManifold, morse_index
 
 
 def _count_calls(monkeypatch, names):
@@ -78,6 +79,23 @@ def test_transversal_index_decides_transversality_once(triple, linalg_calls, mon
     linalg_calls.update(eigvals=0, qr=0)
     leray_index(a, b)
     assert linalg_calls["eigvals"] == 1 and len(bands) == 1
+
+
+def test_line_index_reads_no_eigvals(linalg_calls):
+    # for n = 1 the pair spectrum is one product of entries
+    rng = np.random.default_rng(3)
+    fa, fb = random_lagrangian_frame(1, rng), random_lagrangian_frame(1, rng)
+    a, b = lift_from_frame(fa), lift_from_frame(fb)
+    linalg_calls.update(eigvals=0, qr=0)
+    assert maslov.leray_index_transversal(a, b) == leray_index(a, b, frames=(fa, fb))
+    assert linalg_calls == {"eigvals": 0, "qr": 0}
+
+
+def test_line_morse_window_reads_no_eigvals(linalg_calls):
+    # one focal point of the unit oscillator, at t = pi
+    H = harmonic_hamiltonian([1.0])
+    assert morse_index(H, [0.3], [0.4], 0.0, 4.0, steps=400) == 1
+    assert linalg_calls["eigvals"] == 0
 
 
 def test_inert_has_three_spectra_and_three_qr(triple, linalg_calls):

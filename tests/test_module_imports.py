@@ -1,6 +1,8 @@
 """Every module-level import in a ``symwave`` module is used there or listed in its ``__all__``.
 
 ``__init__.py`` is exempt: its re-exports are checked by ``test_public_api.py``.
+Every private definition is read somewhere, and ``np.linalg.eigvals`` is
+called in one kernel only, ``symplectic._spectrum``.
 """
 
 import ast
@@ -71,3 +73,25 @@ def test_every_private_definition_is_referenced():
                       for name, k in _private_definitions(tree)
                       if not any(r[0] == name and (r[1], r[2]) != (module, k) for r in refs))
     assert not dangling, f"private definitions nobody references: {dangling}"
+
+
+def _eigvals_sites(node, where=""):
+    # the enclosing definition of every read of linalg.eigvals, or import of eigvals
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        if isinstance(child, ast.Attribute) and child.attr == "eigvals":
+            owner = child.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                    or isinstance(owner, ast.Name) and owner.id == "linalg"):
+                yield where
+        elif isinstance(child, ast.ImportFrom) and any(a.name == "eigvals" for a in child.names):
+            yield where
+        yield from _eigvals_sites(child, inner)
+
+
+def test_eigvals_is_called_in_one_kernel():
+    sites = sorted(f"{p.name}:{site}" for p in sorted(SRC.glob("*.py"))
+                   for site in _eigvals_sites(ast.parse(p.read_text())))
+    assert sites == ["symplectic.py:_spectrum"]

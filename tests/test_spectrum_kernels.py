@@ -7,23 +7,32 @@ reductions these kernels replace.  Spectra are drawn with eigenvalues just
 inside and just outside the band around 1, and within and just past
 ``1e-12`` of the cut at -1 and of 0, where both must raise the same
 `BranchCutError`.
+
+``symplectic._spectrum`` is the one eigenvalue kernel; it reads a 1 x 1
+matrix as its entry, and ``_pair_spectrum`` a pair of 1 x 1 planes as the
+product of their entries.  Both must equal ``np.linalg.eigvals`` bit for
+bit, signed zeros included, and a non-finite entry must still raise its
+``LinAlgError``.
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symwave.errors import BranchCutError
-from symwave.maslov import _log_trace, principal_log_trace
+from symwave.maslov import LagrangianLift, _log_trace, leray_index, principal_log_trace
 from symwave.symplectic import (
     _band_dim,
     _pair_spectrum,
+    _spectrum,
     intersection_dim,
     transversal,
 )
+from symwave.waveforms import CircleManifold
 
 BAND = 1e-9
 CUT = 1e-12
@@ -117,3 +126,59 @@ def test_pair_decisions_read_one_list_spectrum(lam, seed):
     assert spec == oracle.tolist()
     assert intersection_dim(w, wp) == band_dim_oracle(oracle)
     assert transversal(w, wp) == (band_dim_oracle(oracle) == 0)
+
+
+def bits(z):
+    # a complex number down to the sign of each zero
+    return z.real.hex(), z.imag.hex()
+
+
+def same_bits(got, want):
+    return [bits(z) for z in got] == [bits(z) for z in want]
+
+
+def test_one_by_one_spectrum_is_eigvals_bitwise_on_the_index_grid():
+    # the lifts of the index grid: 150 angles on [-6, 6]
+    circle = CircleManifold(1.0)
+    lifts = [circle.cover_lift(th) for th in np.linspace(-6.0, 6.0, 150).tolist()]
+    for a in lifts:
+        for b in lifts:
+            M = a.w @ b.w.conj().T
+            want = np.linalg.eigvals(M).tolist()
+            assert same_bits(_spectrum(M), want)
+            assert same_bits(_pair_spectrum(a.w, b.w), want)
+
+
+@st.composite
+def entry(draw):
+    # an entry with a signed-zero imaginary part, a negative real, one at the
+    # band edge around 1, or a modulus past where LAPACK rescales the matrix
+    kind = draw(st.sampled_from(["signed-zero", "negative", "band", "free"]))
+    if kind == "signed-zero":
+        return complex(draw(st.floats(-4.0, 4.0)), draw(st.sampled_from([0.0, -0.0])))
+    if kind == "negative":
+        return complex(-draw(st.floats(1e-3, 1e3)), draw(st.floats(-1.0, 1.0)))
+    if kind == "band":  # |z - 1| = edge * 1e-9
+        phase = draw(st.floats(-math.pi, math.pi))
+        return 1.0 + draw(st.sampled_from(EDGE)) * BAND * cmath.rect(1.0, phase)
+    return cmath.rect(10.0 ** draw(st.floats(-150.0, 150.0)), draw(st.floats(-math.pi, math.pi)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(entry(), entry())
+def test_one_by_one_spectrum_is_eigvals_bitwise(z, zp):
+    M, Mp = np.array([[z]]), np.array([[zp]])
+    assert same_bits(_spectrum(M), np.linalg.eigvals(M).tolist())
+    want = np.linalg.eigvals(M @ Mp.conj().T).tolist()
+    assert same_bits(_pair_spectrum(M, Mp), want)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, 0.0), complex(1.0, -math.inf)])
+def test_non_finite_one_by_one_entry_raises_linalg_error(z):
+    bad, good = LagrangianLift([[z]], 0.0), LagrangianLift([[1j]], math.pi / 2)
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(np.linalg.LinAlgError):
+            leray_index(a, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        principal_log_trace([[z]])
