@@ -105,7 +105,7 @@ from .maslov import (
 from .polynomials import Polynomial
 from .symplectic import (
     _diagonal_torus_frame,
-    form_matrix,
+    _symplectic_defect,
     orthonormalize_frame,
     random_lagrangian_frame,
 )
@@ -726,12 +726,9 @@ def run_evolve(params, seed):
     traj_rows = [{"t": float(times[k]), "x": float(points[k][0]),
                   "p": float(points[k][1]), "action": float(actions[k])}
                  for k in pick]
-    K = form_matrix(1)
-    Jf = jacs[-1]
-    defect = float(np.max(np.abs(Jf.T @ K @ Jf - K)))
     results = {
         "trajectory": {"samples": traj_rows, "action": float(actions[-1]),
-                       "symplectic_defect": defect},
+                       "symplectic_defect": _symplectic_defect(jacs[-1])},
         "phase": {"theta": x0,
                   "start": float(psi.phase(np.array([x0]))),
                   "end": float(psi_t.phase(np.array([x0])))},

@@ -36,7 +36,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .polynomials import Polynomial
-from .symplectic import PhasePoint, _expm, form_matrix
+from .symplectic import PhasePoint, _expm, _symplectic_defect, form_matrix
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
@@ -476,10 +476,8 @@ def integrate(H, z0, t0, t1, steps):
     if t1 < t0:
         raise ValueError("integrate requires t1 >= t0 (use flow_map for backward flow)")
     times, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
-    K = form_matrix(H.n)
-    defect = float(np.max(np.abs(np.einsum("kji,jl,klm->kim", jacs, K, jacs) - K)))
     return Trajectory(times=times, points=pts, jacobians=jacs, action=act,
-                      symplectic_defect=defect)
+                      symplectic_defect=_symplectic_defect(jacs))
 
 
 def flow_map(H, z0, t0, t1, steps=1000):

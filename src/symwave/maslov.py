@@ -31,6 +31,10 @@ from .errors import (
     TransversalityError,
 )
 from .symplectic import (
+    _BRANCH_TOL,
+    _INT_TOL,
+    _SAME_TOL,
+    _UNWRAP_STEP,
     LagrangianFrame,
     _band_dim,
     _lagrangian_stack,
@@ -58,8 +62,6 @@ __all__ = [
     "maslov_loop_index_adaptive",
     "argument_index",
 ]
-
-_INT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,20 +120,29 @@ def _steps(arg):
     return np.mod(np.diff(2.0 * arg) + np.pi, 2 * np.pi) - np.pi
 
 
+def _too_coarse(d, what, first=False):
+    # the one unwrap decision over the steps d of a sampled angle: a step of
+    # _UNWRAP_STEP or more is ambiguous.  Either the first such step is
+    # reported, or the largest step is tested (a NaN step then passes them all)
+    a = np.abs(d)
+    if a.size:
+        k = int(np.argmax(a >= _UNWRAP_STEP if first else a))
+        if a[k] >= _UNWRAP_STEP:
+            raise RefinementError(
+                f"sampled path too coarse: {what} moved by {d[k]:+.6f} at step {k + 1}")
+
+
 def _lift_stack(F, arg, alpha0, tol):
     # lifts of a stack from alpha0 at its first sample, unwrapping arg det w
     if abs(np.exp(2j * arg[0]) - np.exp(1j * alpha0)) > tol:
         raise ValueError("alpha0 is not an argument of det w at the first sample")
     d = _steps(arg)
-    jump = np.flatnonzero(np.abs(d) >= np.pi - 1e-9)
-    if jump.size:
-        k = jump[0]
-        raise RefinementError(f"step {k + 1}: arg det w moved by {d[k]:+.6f}; refine the sampling")
+    _too_coarse(d, "arg det w", first=True)
     alphas = np.cumsum(np.concatenate(([float(alpha0)], d)))
     return [LagrangianLift(w, a) for w, a in zip(_souriau(F), alphas)]
 
 
-def lift_path(frames, alpha0, tol=1e-8):
+def lift_path(frames, alpha0, tol=_SAME_TOL):
     """Lift a discretely sampled path of planes starting from ``alpha0``.
 
     ``alpha0`` must be an admissible argument for the first sample.  Each
@@ -170,7 +181,7 @@ def lift_path_adaptive(
         times = np.insert(times, coarse + 1, mid)
         F = np.insert(F, coarse + 1, Fm, axis=0)
         arg = np.insert(arg, coarse + 1, _arg_det_u(Fm))
-    return times, _lift_stack(F, arg, alpha0, 1e-8)
+    return times, _lift_stack(F, arg, alpha0, _SAME_TOL)
 
 
 def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
@@ -179,7 +190,7 @@ def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
     ``frame`` must span the plane of ``lift`` and ``s_fn(t0)`` must fix it
     (typically ``s_fn(t0) = I``); the lifted path starts at ``lift.alpha``.
     """
-    if np.max(np.abs(souriau_w(frame) - lift.w)) > 1e-8:
+    if np.max(np.abs(souriau_w(frame) - lift.w)) > _SAME_TOL:
         raise ValueError("frame does not span the plane of the lift")
     _, lifts = lift_path_adaptive(
         lambda t: frame.transformed(s_fn(t)), t0, t1, lift.alpha, max_step=max_step
@@ -187,7 +198,7 @@ def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
     return lifts[-1]
 
 
-def _log_trace(lam, branch_tol=1e-12):
+def _log_trace(lam, branch_tol=_BRANCH_TOL):
     # Tr Log over a spectrum of Python complexes, in one pass; a singular
     # eigenvalue anywhere outranks one on the cut
     re = im = 0.0
@@ -206,7 +217,7 @@ def _log_trace(lam, branch_tol=1e-12):
     return complex(re, im)
 
 
-def principal_log_trace(M, branch_tol=1e-12):
+def principal_log_trace(M, branch_tol=_BRANCH_TOL):
     """Trace of the principal matrix logarithm via the spectrum.
 
     Each eigenvalue contributes ``log|lambda| + i arg(lambda)`` with the
@@ -217,13 +228,19 @@ def principal_log_trace(M, branch_tol=1e-12):
     return _log_trace(_spectrum(M), branch_tol)
 
 
+def _integer(v, what, tol):
+    # the one integrality decision, on a Python float or complex (no numpy:
+    # the index grid makes it once per pair)
+    if abs(v.imag) > tol or abs(v.real - round(v.real)) > tol:
+        raise IntegralityError(f"{what} {v} is not an integer")
+    return int(round(v.real))
+
+
 def _leray_log(a, b, lam, tol=_INT_TOL):
     # the logarithm formula on the spectrum lam of w_a w_b^*, which the caller
     # has found transversal; -w_a w_b^* has the spectrum -lam
     v = (a.alpha - b.alpha + 1j * _log_trace([-z for z in lam])) / (2 * math.pi) + a.n / 2
-    if abs(v.imag) > tol or abs(v.real - round(v.real)) > tol:
-        raise IntegralityError(f"Leray index landed at {v}, not an integer")
-    return int(round(v.real))
+    return _integer(v, "Leray index", tol)
 
 
 def leray_index_transversal(a, b, tol=_INT_TOL):
@@ -250,9 +267,7 @@ def _end_lifts(frames, turn=None):
         raise RefinementError(f"sampled path too coarse: a step may turn arg det u by {turn:.6f}")
     F = np.asarray(frames, dtype=float)
     half = np.unwrap(_arg_det_u(F))
-    move = float(np.max(np.abs(np.diff(half)), initial=0.0))
-    if move >= np.pi - 1e-9:
-        raise RefinementError(f"sampled path too coarse: arg det u moved by {move:.6f}")
+    _too_coarse(np.diff(half), "arg det u")
     w = _souriau(F[[0, -1]])
     return LagrangianLift(w[0], 2.0 * half[0]), LagrangianLift(w[1], 2.0 * half[-1])
 
@@ -334,12 +349,9 @@ def leray_index(a, b, frames=None, rng=None):
 
 
 def _loop_winding(lifts, tol):
-    if np.max(np.abs(lifts[0].w - lifts[-1].w)) > 1e-8:
+    if np.max(np.abs(lifts[0].w - lifts[-1].w)) > _SAME_TOL:
         raise ValueError("path of planes does not close up")
-    turns = (lifts[-1].alpha - lifts[0].alpha) / (2 * np.pi)
-    if abs(turns - round(turns)) > tol:
-        raise IntegralityError(f"loop winding {turns} is not an integer")
-    return int(round(turns))
+    return _integer((lifts[-1].alpha - lifts[0].alpha) / (2 * np.pi), "loop winding", tol)
 
 
 def maslov_loop_index(frames, tol=_INT_TOL):

@@ -13,6 +13,7 @@ Conventions used throughout the package:
   ``{p = 0}`` has ``w = -I``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,28 @@ __all__ = [
     "random_symmetric_unitary",
 ]
 
+# The numerical decisions of the index calculus, each written once: every
+# integer the package reports is read off floating-point data through these.
+# band: an eigenvalue within it of 1 counts towards dim(l ^ l'); also the
+# least rank and isotropy tolerance of a frame
 DEFAULT_TOL = 1e-9
+# integral: a Leray index or a loop winding within it of an integer
+_INT_TOL = 1e-6
+# same point: two Souriau images, or a loop's two ends, agree entrywise within it
+_SAME_TOL = 1e-8
+# unwrap step: a sampled step of arg det this large is ambiguous
+_UNWRAP_STEP = math.pi - 1e-9
+# branch cut: an eigenvalue within it of 0 or of the negative real axis has no log
+_BRANCH_TOL = 1e-12
+# rank: QR's diagonal floor, relative to its largest entry; the distance of
+# F^T F from I within which a frame is used as it is; the off-diagonal residue
+# of a real diagonalization
+_QR_TOL = 1e-12
+_ORTHONORMAL_TOL = 1e-13
+_DIAG_TOL = 1e-10
+# not a tolerance: LAPACK's zgeev rescales a matrix whose largest entry lies
+# outside about [6.7e-139, 1.5e138]; inside, a 1 x 1 matrix's eigenvalue is its entry
+_UNSCALED_MIN, _UNSCALED_MAX = 1e-138, 1e138
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +149,26 @@ def symplectic_form(z, zp):
     return float(z.p @ zp.x - zp.p @ z.x)
 
 
+@functools.lru_cache(maxsize=64)
+def _form(n):
+    # form_matrix(n), built once per n and read-only: every caller shares it
+    K = form_matrix(n)
+    K.flags.writeable = False
+    return K
+
+
+def _symplectic_defect(S):
+    """``max |S^T K S - K|`` over a ``2n x 2n`` matrix or a stack of them."""
+    K = _form(S.shape[-1] // 2)
+    return float(np.max(np.abs(np.swapaxes(S, -1, -2) @ K @ S - K)))
+
+
 def is_symplectic_matrix(S, tol=DEFAULT_TOL):
     """True iff ``S^T K S = K`` entrywise within ``tol``."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
         raise ValueError("a symplectic matrix must be square of even size")
-    K = form_matrix(S.shape[0] // 2)
-    return bool(np.max(np.abs(S.T @ K @ S - K)) <= tol)
+    return _symplectic_defect(S) <= tol
 
 
 def is_lagrangian_frame(frame, tol=DEFAULT_TOL):
@@ -165,7 +200,7 @@ def _lagrangian_stack(frames):
     return F
 
 
-def orthonormalize_frame(frame, tol=1e-12):
+def orthonormalize_frame(frame, tol=_QR_TOL):
     """Orthonormal frame with the same span (QR with positive diagonal)."""
     Q, R = np.linalg.qr(frame.stacked())
     d = np.diag(R)
@@ -177,9 +212,9 @@ def orthonormalize_frame(frame, tol=1e-12):
 
 
 def _orthonormal_lagrangian(frame, tol=DEFAULT_TOL):
-    tol = max(tol, 1e-9)
+    tol = max(tol, DEFAULT_TOL)
     F = frame.stacked()
-    if np.max(np.abs(F.T @ F - np.eye(frame.n))) <= 1e-13:
+    if np.max(np.abs(F.T @ F - np.eye(frame.n))) <= _ORTHONORMAL_TOL:
         # orthonormal, so of full rank, and QR would only flip column signs:
         # the frame is used as it is once its span is isotropic
         if np.max(np.abs(frame.X.T @ frame.P - frame.P.T @ frame.X)) <= tol:
@@ -216,9 +251,7 @@ def is_souriau_point(w, tol=DEFAULT_TOL):
 
 
 def _unscaled(z):
-    # LAPACK's zgeev rescales a matrix whose largest entry lies outside about
-    # [6.7e-139, 1.5e138]; inside, the eigenvalue of a 1 x 1 matrix is its entry
-    return 1e-138 <= abs(z) <= 1e138
+    return _UNSCALED_MIN <= abs(z) <= _UNSCALED_MAX
 
 
 def _spectrum(M):
@@ -268,6 +301,15 @@ def intersection_dim(w, wp, tol=DEFAULT_TOL):
     return _band_dim(_pair_spectrum(w, wp), tol)
 
 
+@functools.lru_cache(maxsize=64)
+def _cyclic_mask(n):
+    # 0/1 mask keeping the blocks Omega(l1, l2), Omega(l2, l3), Omega(l3, l1)
+    # of the cyclic form, built once per n and read-only
+    mask = np.kron([[0, 1, 0], [0, 0, 1], [1, 0, 0]], np.ones((n, n)))
+    mask.flags.writeable = False
+    return mask
+
+
 def _signature_and_dims(f1, f2, f3, tol=DEFAULT_TOL):
     # ker Q = (l1^l2) + (l2^l3) + (l3^l1): the d12 + d23 + d13 Gram eigenvalues
     # of smallest modulus are its zeros, the rest count by their sign
@@ -277,8 +319,7 @@ def _signature_and_dims(f1, f2, f3, tol=DEFAULT_TOL):
     (o1, w1), (o2, w2), (o3, w3) = (_orthonormal_souriau(f) for f in (f1, f2, f3))
     dims = tuple(_band_dim(_pair_spectrum(u, v), tol) for u, v in ((w1, w2), (w2, w3), (w1, w3)))
     F = np.hstack([o1.stacked(), o2.stacked(), o3.stacked()])
-    # keep the blocks Omega(l1, l2), Omega(l2, l3), Omega(l3, l1) of the cyclic form
-    B = F.T @ form_matrix(n) @ F * np.kron([[0, 1, 0], [0, 0, 1], [1, 0, 0]], np.ones((n, n)))
+    B = F.T @ _form(n) @ F * _cyclic_mask(n)
     lam = np.linalg.eigvalsh((B + B.T) / 2)
     live = lam[np.argsort(np.abs(lam))[sum(dims) :]]
     return int(np.sum(live > 0) - np.sum(live < 0)), dims
@@ -314,7 +355,7 @@ def _diagonal_torus_frame(ang, flat_dims):
     return LagrangianFrame(X, P)
 
 
-def _real_diagonalize_symmetric_unitary(w, tol=1e-10):
+def _real_diagonalize_symmetric_unitary(w):
     # A symmetric unitary splits as A + iB with A, B real symmetric and
     # commuting, hence is diagonalized by a real orthogonal basis.  A generic
     # real combination of A and B exposes that basis through eigh; retry with
@@ -326,7 +367,7 @@ def _real_diagonalize_symmetric_unitary(w, tol=1e-10):
         _, Q = np.linalg.eigh(np.cos(t) * A + np.sin(t) * B)
         D = Q.T @ w @ Q
         off = np.max(np.abs(D - np.diag(np.diag(D))))
-        if off <= tol:
+        if off <= _DIAG_TOL:
             return Q, np.diag(D)
     raise NumericalError("could not diagonalize symmetric unitary in a real basis")
 
@@ -339,12 +380,12 @@ def frame_from_souriau(w):
     satisfies ``u u^T = u^2 = w``; the frame is then ``X = -Im u, P = Re u``.
     """
     w = np.asarray(w, dtype=complex)
-    if not is_souriau_point(w, tol=1e-8):
+    if not is_souriau_point(w, tol=_SAME_TOL):
         raise ValueError("not a symmetric unitary matrix")
     Q, d = _real_diagonalize_symmetric_unitary(w)
     u = (Q * np.exp(0.5j * np.angle(d))) @ Q.T
     frame = LagrangianFrame(-u.imag, u.real)
-    if np.max(np.abs(souriau_w(frame) - w)) > 1e-8:
+    if np.max(np.abs(souriau_w(frame) - w)) > _SAME_TOL:
         raise NumericalError("frame reconstruction failed to round-trip")
     return frame
 

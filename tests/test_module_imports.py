@@ -2,7 +2,8 @@
 
 ``__init__.py`` is exempt: its re-exports are checked by ``test_public_api.py``.
 Every private definition is read somewhere, and ``np.linalg.eigvals`` is
-called in one kernel only, ``symplectic._spectrum``.
+called in one kernel only, ``symplectic._spectrum``.  The index modules write
+each small threshold once, in the decisions block of ``symplectic.py``.
 """
 
 import ast
@@ -95,3 +96,22 @@ def test_eigvals_is_called_in_one_kernel():
     sites = sorted(f"{p.name}:{site}" for p in sorted(SRC.glob("*.py"))
                    for site in _eigvals_sites(ast.parse(p.read_text())))
     assert sites == ["symplectic.py:_spectrum"]
+
+
+def _small_float_statements(tree):
+    # index of each top-level statement holding a float literal 0 < |x| < 1e-3
+    for k, stmt in enumerate(tree.body):
+        if any(isinstance(node, ast.Constant) and type(node.value) is float
+               and 0 < abs(node.value) < 1e-3 for node in ast.walk(stmt)):
+            yield k
+
+
+def test_index_thresholds_are_written_once_in_one_block():
+    # the one home of each numerical decision: consecutive module-level
+    # assignments in symplectic.py, and no small literal anywhere else
+    trees = {name: ast.parse((SRC / name).read_text()) for name in ("maslov.py", "symplectic.py")}
+    assert list(_small_float_statements(trees["maslov.py"])) == []
+    tree = trees["symplectic.py"]
+    block = list(_small_float_statements(tree))
+    assert block and block == list(range(block[0], block[-1] + 1))
+    assert all(isinstance(tree.body[k], ast.Assign) for k in block)

@@ -198,6 +198,23 @@ def test_waveform_validation():
     assert Waveform(man, lambda th: 0.0, hbar=1.0).value(0.3) == 0
 
 
+def test_values_are_the_values_at_each_parameter():
+    hbar = 0.5
+    circle = Waveform(quantized_circle(1, hbar), lambda th: (th - 0.5) ** 2, hbar)
+    thetas = [-2.0, 0.5, 1.3, 3.0]  # the amplitude vanishes at 0.5 only
+    vals = circle.values(thetas)
+    assert vals.dtype == complex and vals[1] == 0
+    assert np.array_equal(vals, [circle.value(th) for th in thetas])
+
+    graph = Waveform(GradientGraphManifold(Polynomial(1, [(0.3, (2,)), (0.1, (4,))])),
+                     lambda x: math.exp(-float(x[0]) ** 2), 0.1)
+    evolved = evolve(graph, harmonic_hamiltonian([1.0]), 0.0, 0.4, steps=40)
+    xs = [np.array([x]) for x in (-0.5, 0.0, 0.2, 0.9)]
+    vals = evolved.values(xs)
+    assert np.all(vals != 0)
+    assert np.array_equal(vals, [evolved.value(x) for x in xs])
+
+
 def test_deck_covariance_and_single_valuedness():
     hbar = 0.4
     psi = Waveform(quantized_circle(2, hbar), uniform_density, hbar)
