@@ -262,14 +262,81 @@ def _leaf(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+def _key(k):
+    # json's rule for a dict key: a str, or the text of a float, int, bool or None
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write_json(fh, obj):
+    """Write ``obj`` as ``json.dump(obj, fh, sort_keys=True, indent=2, default=_leaf)`` does.
+
+    With ``indent`` set, ``json.dump`` runs json's pure-Python encoder, one
+    chunk per token.  Here each non-empty container whose members are all
+    plain ``str``/``int``/``float``/``bool``/``None`` is one call of json's C
+    encoder, whose item separator carries the indent of the container's
+    depth; the walk writes the other containers itself and turns every other
+    leaf into json through `_leaf`.  The text is written container by
+    container, never held whole.
+    """
+    encoders = {}
+    write = fh.write
+
+    def walk(lead, o, depth):
+        # write lead, then o as json at this depth
+        if depth not in encoders:
+            pad = "\n" + "  " * (depth + 1)
+            # CPython's C encoder, which json.JSONEncoder.encode builds anew on
+            # every call: here once per depth.  A plain container holds no
+            # cycle to check
+            encode = json.encoder.c_make_encoder(
+                markers=None, default=_leaf, encoder=json.encoder.encode_basestring_ascii,
+                indent=None, key_separator=": ", item_separator="," + pad,
+                sort_keys=True, skipkeys=False, allow_nan=True)
+            encoders[depth] = encode, pad, pad[:-2]
+        encode, pad, end = encoders[depth]
+        if isinstance(o, dict):
+            items = o.values()
+        elif isinstance(o, (list, tuple)):
+            items = o
+        elif isinstance(o, (str, int, float)) or o is None:
+            write(lead + "".join(encode(o, 0)))
+            return
+        else:
+            walk(lead, _leaf(o), depth)
+            return
+        if _PLAIN.issuperset(map(type, items)):
+            text = "".join(encode(o, 0))
+            write(f"{lead}{text[0]}{pad}{text[1:-1]}{end}{text[-1]}" if o else lead + text)
+            return
+        if isinstance(o, dict):
+            head, close = lead + "{", "}"
+            members = ((f"{''.join(encode(_key(k), 0))}: ", v) for k, v in sorted(o.items()))
+        else:
+            head, close = lead + "[", "]"
+            members = (("", v) for v in o)
+        for key, value in members:
+            walk(head + pad + key, value, depth + 1)
+            head = ","
+        write(end + close)
+
+    walk("", obj, 0)
+
+
 # ---------------------------------------------------------------------------
 # index
 
 
 _INDEX = [("task", "str", "grid", {
-    # one row per pair, held whole and streamed out: peak RSS was 63 MiB at
-    # 300 angles, 347 MiB at 1,100 and 1,054 MiB at 2,000, about 40 MiB plus
-    # 266 B per pair
+    # one row per pair, held whole and streamed out: peak RSS was 57 MiB at
+    # 300 angles, 273 MiB at 1,100 and 809 MiB at 2,000, about 40 MiB plus
+    # 200 B per pair
     "grid": [("theta_count", "int", 40, _In(2, 2000)),
              ("theta_min", "float", -6.0, None),
              ("theta_max", "float", 6.0, None),
@@ -302,12 +369,14 @@ def _index_grid(p, seed):
     rng = np.random.default_rng(seed)
     thetas = np.linspace(lo, hi, count).tolist()
     circle = CircleManifold(1.0)
-    lifts = [circle.cover_lift(th) for th in thetas]
+    # each angle's tangent frame rides along, so a coincident pair does not
+    # rebuild its frames from w
+    points = [(th, circle.cover_lift(th), circle.tangent_frame(th)) for th in thetas]
     rows = []
     mismatches = 0
-    for th, a in zip(thetas, lifts):
-        for tp, b in zip(thetas, lifts):
-            m = int(leray_index(a, b, rng=rng))
+    for th, a, fa in points:
+        for tp, b, fb in points:
+            m = int(leray_index(a, b, frames=(fa, fb), rng=rng))
             closed = math.floor((th - tp) / math.pi) + 1
             ok = abs(m - closed) <= tol
             mismatches += not ok
@@ -926,7 +995,7 @@ def main(argv=None):
         if cfg["output"]["format"] == "csv":
             _render_csv(fh, envelope, table)
         else:
-            json.dump(envelope, fh, sort_keys=True, indent=2, default=_leaf)
+            _write_json(fh, envelope)
             fh.write("\n")
     return 0
 

@@ -73,8 +73,11 @@ class LagrangianLift:
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.w, dtype=complex))
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, not {alpha}")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self):

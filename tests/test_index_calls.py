@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from symwave import maslov
+from symwave import cli, maslov
 from symwave.flows import harmonic_hamiltonian, quartic_hamiltonian
 from symwave.maslov import (
     inert,
@@ -190,3 +190,13 @@ def test_sampled_lifts_reject_a_non_lagrangian_frame():
 
             with pytest.raises(ValueError, match="not a Lagrangian frame"):
                 lift_path_adaptive(frame_fn, 0.0, 1.0, 0.0)
+
+
+def test_index_grid_builds_no_frame_from_w(monkeypatch):
+    # the grid passes each angle's tangent frame, so its 4 coincident pairs
+    # rebuild no frame from w (two per pair without frames=)
+    calls = []
+    original = maslov.frame_from_souriau
+    monkeypatch.setattr(maslov, "frame_from_souriau", lambda w: calls.append(w) or original(w))
+    _, results, _ = cli.run_index({"task": "grid", "theta_count": 4}, 0)
+    assert len(calls) == 0 and results["all_match"]

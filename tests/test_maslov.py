@@ -77,6 +77,16 @@ def test_lift_validity_and_deck():
     assert b.det_defect() < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_lift_rejects_a_non_finite_alpha(alpha):
+    # the index of such a lift used to fail in round(): ValueError for NaN,
+    # OverflowError for an infinity
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        LagrangianLift(np.eye(1), alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        leray_index(LagrangianLift(np.eye(1), alpha), LagrangianLift(-np.eye(1), np.pi))
+
+
 def test_principal_log_scalar_and_branch():
     assert np.isclose(principal_log_trace([[1j]]), 1j * np.pi / 2)
     assert np.isclose(principal_log_trace([[np.exp(0.3j)]]), 0.3j)

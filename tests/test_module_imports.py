@@ -3,7 +3,9 @@
 ``__init__.py`` is exempt: its re-exports are checked by ``test_public_api.py``.
 Every private definition is read somewhere, and ``np.linalg.eigvals`` is
 called in one kernel only, ``symplectic._spectrum``.  The index modules write
-each small threshold once, in the decisions block of ``symplectic.py``.
+each small threshold once, in the decisions block of ``symplectic.py``.  No
+module calls ``json.dump``, and json's encoder is built in one place, the
+envelope writer ``cli._write_json``.
 """
 
 import ast
@@ -96,6 +98,36 @@ def test_eigvals_is_called_in_one_kernel():
     sites = sorted(f"{p.name}:{site}" for p in sorted(SRC.glob("*.py"))
                    for site in _eigvals_sites(ast.parse(p.read_text())))
     assert sites == ["symplectic.py:_spectrum"]
+
+
+def _encoder_sites(node, where=""):
+    # (enclosing definition, name) of every read of json's encoder machinery,
+    # and of every json.dump call or json call with an indent
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        if isinstance(child, ast.Attribute) and child.attr in ("JSONEncoder", "c_make_encoder"):
+            yield where, child.attr
+        elif isinstance(child, ast.Name) and child.id in ("JSONEncoder", "c_make_encoder"):
+            yield where, child.id
+        elif isinstance(child, ast.ImportFrom) and child.module in ("json", "json.encoder"):
+            yield where, "import"
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"):
+            if child.func.attr == "dump":
+                yield where, "json.dump"
+            if any(k.arg == "indent" for k in child.keywords):
+                yield where, "indent"
+        yield from _encoder_sites(child, inner)
+
+
+def test_envelopes_are_written_by_one_writer():
+    # json.dump with indent runs json's pure-Python encoder; the envelope
+    # goes through cli._write_json, the one place that builds an encoder
+    sites = sorted({(p.name, *site) for p in sorted(SRC.glob("*.py"))
+                    for site in _encoder_sites(ast.parse(p.read_text()))})
+    assert sites == [("cli.py", "_write_json.walk", "c_make_encoder")]
 
 
 def _small_float_statements(tree):
