@@ -9,10 +9,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 from .symplectic import (  # noqa: F401
-    PhasePoint,
     LagrangianFrame,
     form_matrix,
-    symplectic_form,
     is_symplectic_matrix,
     is_lagrangian_frame,
     orthonormalize_frame,
@@ -35,7 +33,6 @@ from .maslov import (  # noqa: F401
     leray_index,
     maslov_loop_index,
     maslov_loop_index_adaptive,
-    argument_index,
 )
 from .capacity import (  # noqa: F401
     EllipsoidSpec,
@@ -54,12 +51,9 @@ from .flows import (  # noqa: F401
     quadratic_hamiltonian,
     harmonic_hamiltonian,
     quartic_hamiltonian,
-    magnetic_hamiltonian,
     integrate,
     flow_path,
     flow_map,
-    action_integral,
-    phase_transport,
 )
 from .waveforms import (  # noqa: F401
     CircleManifold,
@@ -70,7 +64,6 @@ from .waveforms import (  # noqa: F401
     Shadow,
     circle_phase,
     cover_phase,
-    circle_argument_index,
     argument_index_on_manifold,
     sqrt_de_rham,
     is_quantized,

@@ -38,7 +38,6 @@ __all__ = [
     "shadow_areas",
     "nonsqueezing_experiment",
     "ground_energy",
-    "minimal_orbit_action",
     "loop_action",
     "basis_loop_index",
     "keller_maslov_check",
@@ -518,13 +517,6 @@ def ground_energy(omegas, hbar):
     if np.any(omegas <= 0) or hbar <= 0:
         raise ValueError("frequencies and hbar must be positive")
     return float(hbar * omegas.sum() / 2)
-
-
-def minimal_orbit_action(hbar):
-    """Smallest positive action of a closed orbit: ``pi hbar`` (half a quantum)."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    return math.pi * hbar
 
 
 def loop_action(torus, mu):

@@ -12,17 +12,14 @@ read-only; the quartic family, whose degrees of freedom are uncoupled, uses
 a fixed-step fourth-order splitting (Yoshida's triple of leapfrogs) run on
 Python floats one degree of freedom at a time, each carrying its exact 2x2
 Jacobian block, with powers as products so that its bits do not depend on
-numpy's SIMD ``pow``; the magnetic family (and reparameterized wrappers)
-fall back to the implicit midpoint rule, whose Cayley-form tangent update is
-exactly symplectic.  Jacobians are never finite-differenced from nearby
+numpy's SIMD ``pow``.  Jacobians are never finite-differenced from nearby
 trajectories: determinant signals near caustics need the variational
-solution.  Each family (quadratic, harmonic included; quartic; magnetic;
-reparam) is one table entry: value, gradient, Hessian, integrator, action.
+solution.  Each family (quadratic, harmonic included; quartic) is one table
+entry: value, gradient, integrator, action.
 
 `flow_path` is the one path function: it integrates, scans the path once for
-overflow, then sums the action and scans that too.  `integrate`, `flow_map`,
-`action_integral` and `phase_transport` are views of its samples and fail as
-it fails.
+overflow, then sums the action and scans that too.  `integrate` and
+`flow_map` are views of its samples and fail as it fails.
 """
 
 from __future__ import annotations
@@ -32,11 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .errors import ConjugatePointError, DivergenceError, NumericalError
-from .polynomials import Polynomial
-from .symplectic import PhasePoint, _expm, _symplectic_defect, form_matrix
+from .symplectic import _expm, _symplectic_defect, form_matrix
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
@@ -57,14 +52,10 @@ class HamiltonianSpec:
 
     kind: str
     n: int
-    time_dependent: bool = False
     matrix: np.ndarray | None = None  # quadratic: H = 1/2 z^T M z
     omegas: np.ndarray | None = None
     masses: np.ndarray | None = None
     coupling: float = 0.0  # quartic family
-    potentials: tuple = ()  # magnetic: (A_1 .. A_n, U) polynomials
-    base: "HamiltonianSpec | None" = None  # reparameterized wrapper
-    g_coeffs: np.ndarray | None = None  # g(E) = sum_k c_k E^k
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
@@ -76,6 +67,8 @@ def quadratic_hamiltonian(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise ValueError("quadratic form must be a 2n x 2n matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("quadratic form must be finite")
     if not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
         raise ValueError("quadratic form must be symmetric")
     return HamiltonianSpec(kind="quadratic", n=M.shape[0] // 2, matrix=0.5 * (M + M.T))
@@ -88,6 +81,8 @@ def harmonic_hamiltonian(omegas, masses=None):
     masses = np.ones(n) if masses is None else np.atleast_1d(np.asarray(masses, dtype=float))
     if masses.shape != omegas.shape:
         raise ValueError("masses must match the number of frequencies")
+    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(masses))):
+        raise ValueError("frequencies and masses must be finite")
     if np.any(omegas <= 0) or np.any(masses <= 0):
         raise ValueError("frequencies and masses must be positive")
     matrix = np.diag(np.concatenate([masses * omegas**2, 1.0 / masses]))
@@ -97,6 +92,8 @@ def harmonic_hamiltonian(omegas, masses=None):
 def quartic_hamiltonian(omegas, coupling, masses=None):
     """Anharmonic oscillator: harmonic part plus ``coupling * sum_j x_j^4``."""
     spec = harmonic_hamiltonian(omegas, masses)
+    if not np.isfinite(coupling):
+        raise ValueError("quartic coupling must be finite")
     if coupling < 0:
         raise ValueError("quartic coupling must be nonnegative")
     return HamiltonianSpec(
@@ -105,64 +102,27 @@ def quartic_hamiltonian(omegas, coupling, masses=None):
     )
 
 
-def magnetic_hamiltonian(A, U, mass=1.0):
-    """H = sum_j (p_j - A_j(x))^2 / (2 m) + U(x) with polynomial A_j, U."""
-    A = tuple(A)
-    n = len(A)
-    if n == 0:
-        raise ValueError("need at least one vector-potential component")
-    for comp in A + (U,):
-        if not isinstance(comp, Polynomial) or comp.n != n:
-            raise ValueError("A components and U must be polynomials in the n positions")
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    return HamiltonianSpec(
-        kind="magnetic", n=n, potentials=A + (U,),
-        masses=np.full(n, float(mass)),
-    )
-
-
-def reparameterized_hamiltonian(H, g_coeffs):
-    """K = g(H) for a polynomial g; K generates the same orbits, rescaled in time.
-
-    A linear ``g`` applied to a quadratic-family Hamiltonian stays quadratic
-    and keeps the exact integrator; anything else integrates via the implicit
-    midpoint rule.
-    """
-    g = np.atleast_1d(np.asarray(g_coeffs, dtype=float))
-    if g.size < 2 or np.all(g[1:] == 0):
-        raise ValueError("reparameterization must actually depend on H")
-    if np.all(g[2:] == 0) and H.matrix is not None:  # rescale the quadratic form
-        return quadratic_hamiltonian(g[1] * H.matrix)
-    return HamiltonianSpec(kind="reparam", n=H.n, base=H, g_coeffs=g)
-
-
-def hamiltonian_value(H, z, t=0.0):
+def hamiltonian_value(H, z):
     """Evaluate H at phase points ``z`` (vectorized over leading axes)."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != 2 * H.n:
         raise ValueError("phase-space dimension mismatch")
-    return _family(H).value(H, z, t)
+    return _family(H).value(H, z)
 
 
-def hamiltonian_gradient(H, z, t=0.0):
+def hamiltonian_gradient(H, z):
     """Full phase-space gradient (dH/dx, dH/dp), vectorized like the value."""
-    return _family(H).gradient(H, np.asarray(z, dtype=float), t)
+    return _family(H).gradient(H, np.asarray(z, dtype=float))
 
 
-def hamiltonian_hessian(H, z, t=0.0):
-    """Phase-space Hessian at a single point."""
-    return _family(H).hessian(H, np.asarray(z, dtype=float), t)
-
-
-def vector_field(H, z, t=0.0):
+def vector_field(H, z):
     """Hamiltonian vector field J grad H."""
-    g = hamiltonian_gradient(H, z, t)
+    g = hamiltonian_gradient(H, z)
     n = H.n
     return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
 
 
-def _quartic_value(H, z, t):
+def _quartic_value(H, z):
     x, p = z[..., :H.n], z[..., H.n:]
     return (
         0.5 * np.einsum("...j,j->...", p**2, 1.0 / H.masses)
@@ -171,71 +131,11 @@ def _quartic_value(H, z, t):
     )
 
 
-def _quartic_gradient(H, z, t):
+def _quartic_gradient(H, z):
     x, p = z[..., :H.n], z[..., H.n:]
     gx = H.masses * H.omegas**2 * x + 4.0 * H.coupling * x**3
     gp = p / H.masses
     return np.concatenate([gx, gp], axis=-1)
-
-
-def _quartic_hessian(H, z, t):
-    x = z[:H.n]
-    return np.diag(np.concatenate([H.masses * H.omegas**2 + 12.0 * H.coupling * x**2,
-                                   1.0 / H.masses]))
-
-
-def _magnetic_terms(H, z):
-    # (A, U, m, x, p - A(x)): the kinetic momentum, computed once per evaluation
-    *A, U = H.potentials
-    x, p = z[..., :H.n], z[..., H.n:]
-    return A, U, H.masses[0], x, p - np.stack([a.value(x) for a in A], axis=-1)
-
-
-def _magnetic_value(H, z, t):
-    _, U, m, x, shifted = _magnetic_terms(H, z)
-    return 0.5 * (shifted**2).sum(axis=-1) / m + U.value(x)
-
-
-def _magnetic_gradient(H, z, t):
-    A, U, m, x, shifted = _magnetic_terms(H, z)
-    gp = shifted / m
-    gx = U.grad(x)
-    for j, a in enumerate(A):
-        gx = gx - shifted[..., j, None] * a.grad(x) / m
-    return np.concatenate([gx, gp], axis=-1)
-
-
-def _magnetic_hessian(H, z, t):
-    A, U, m, x, shifted = _magnetic_terms(H, z)
-    n = H.n
-    G = np.stack([a.grad(x) for a in A], axis=1)  # G[i, j] = dA_j/dx_i
-    hess = np.zeros((2 * n, 2 * n))
-    hess[n:, n:] = np.eye(n) / m
-    hess[:n, n:] = -G / m
-    hess[n:, :n] = -G.T / m
-    hxx = U.hess(x) + (G @ G.T) / m
-    for j, a in enumerate(A):
-        hxx -= shifted[j] * a.hess(x) / m
-    hess[:n, :n] = hxx
-    return hess
-
-
-def _g_derivative(g_coeffs, e, order=1):
-    # d^order g / dE^order at the energy e
-    return _poly.polyval(e, _poly.polyder(g_coeffs, order))
-
-
-def _reparam_gradient(H, z, t):
-    g1 = _g_derivative(H.g_coeffs, hamiltonian_value(H.base, z, t))
-    return g1[..., None] * hamiltonian_gradient(H.base, z, t)
-
-
-def _reparam_hessian(H, z, t):
-    e = float(hamiltonian_value(H.base, z, t))
-    g1 = _g_derivative(H.g_coeffs, e)
-    g2 = _g_derivative(H.g_coeffs, e, 2)
-    grad = hamiltonian_gradient(H.base, z, t)
-    return g2 * np.outer(grad, grad) + g1 * hamiltonian_hessian(H.base, z, t)
 
 
 @dataclass(frozen=True)
@@ -259,13 +159,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def point(self, k):
-        return PhasePoint.from_vector(self.points[k])
-
-    def endpoint(self):
-        return self.point(len(self.times) - 1)
-
 
 def _check_path_finite(times, pts, what="flow left the finite phase space"):
     # the sample before the first non-finite one is the last valid one
@@ -349,43 +242,9 @@ def _integrate_quartic(H, times, pts, jacs):
         jacs[1:, [j, j, n + j, n + j], [j, n + j, j, n + j]] = block[:, 2:]
 
 
-def _integrate_midpoint(H, times, pts, jacs, newton_tol=1e-13, max_iter=60):
-    J = _jmat(H.n)
-    eye = np.eye(2 * H.n)
-    dt = times[1] - times[0]
-    z = pts[0].copy()
-    jac = eye.copy()
-    scale0 = max(1.0, float(np.max(np.abs(z))))
-    for k in range(1, len(times)):
-        tm = 0.5 * (times[k - 1] + times[k])
-        z_new = z + dt * vector_field(H, z, tm)  # explicit predictor
-        for _ in range(max_iter):
-            if not np.all(np.isfinite(z_new)):
-                raise DivergenceError("flow left the finite phase space",
-                                      last_time=float(times[k - 1]))
-            mid = 0.5 * (z + z_new)
-            resid = z_new - z - dt * vector_field(H, mid, tm)
-            step_mat = eye - 0.5 * dt * J @ hamiltonian_hessian(H, mid, tm)
-            delta = np.linalg.solve(step_mat, resid)
-            z_new = z_new - delta
-            if np.max(np.abs(delta)) <= newton_tol * max(1.0, np.max(np.abs(z_new))):
-                break
-        else:
-            if np.max(np.abs(z)) > 1e6 * scale0:
-                # the state ran away faster than the step size can track
-                raise DivergenceError("flow blew up beyond the resolvable range",
-                                      last_time=float(times[k - 1]))
-            raise NumericalError("implicit midpoint step failed to converge")
-        mid = 0.5 * (z + z_new)
-        m_h = J @ hamiltonian_hessian(H, mid, tm)
-        jac = np.linalg.solve(eye - 0.5 * dt * m_h, (eye + 0.5 * dt * m_h) @ jac)
-        z = z_new
-        pts[k], jacs[k] = z, jac
-
-
 def _trapezoid_action(H, times, pts):
     n = H.n
-    xdot = vector_field(H, pts, 0.0)[:, :n]
+    xdot = vector_field(H, pts)[:, :n]
     lagrangian = np.einsum("kj,kj->k", pts[:, n:], xdot) - hamiltonian_value(H, pts)
     return np.concatenate([[0.0], np.cumsum(
         0.5 * (lagrangian[1:] + lagrangian[:-1]) * np.diff(times)
@@ -393,26 +252,19 @@ def _trapezoid_action(H, times, pts):
 
 
 class _Family(NamedTuple):
-    value: Callable  # (H, z, t) -> H(z), vectorized over leading axes
-    gradient: Callable  # (H, z, t) -> (dH/dx, dH/dp), vectorized likewise
-    hessian: Callable  # (H, z, t) -> Hessian at one point
+    value: Callable  # (H, z) -> H(z), vectorized over leading axes
+    gradient: Callable  # (H, z) -> (dH/dx, dH/dp), vectorized likewise
     integrator: Callable  # (H, times, points, jacobians) -> None, fills the path
     action: Callable  # (H, times, points) -> accumulated action per sample
 
 
 _FAMILIES = {
     "quadratic": _Family(
-        lambda H, z, t: 0.5 * np.einsum("...i,ij,...j->...", z, H.matrix, z),
-        lambda H, z, t: z @ H.matrix.T,
-        lambda H, z, t: H.matrix.copy(),
+        lambda H, z: 0.5 * np.einsum("...i,ij,...j->...", z, H.matrix, z),
+        lambda H, z: z @ H.matrix.T,
         _integrate_quadratic, _quadratic_action),
-    "quartic": _Family(_quartic_value, _quartic_gradient, _quartic_hessian,
-                       _integrate_quartic, _trapezoid_action),
-    "magnetic": _Family(_magnetic_value, _magnetic_gradient, _magnetic_hessian,
-                        _integrate_midpoint, _trapezoid_action),
-    "reparam": _Family(
-        lambda H, z, t: _poly.polyval(hamiltonian_value(H.base, z, t), H.g_coeffs),
-        _reparam_gradient, _reparam_hessian, _integrate_midpoint, _trapezoid_action),
+    "quartic": _Family(_quartic_value, _quartic_gradient, _integrate_quartic,
+                       _trapezoid_action),
 }
 
 
@@ -437,8 +289,6 @@ def _integrate_raw(H, z0, t0, t1, steps):
 
 
 def _as_state(z, n):
-    if isinstance(z, PhasePoint):
-        z = z.as_vector()
     z = np.asarray(z, dtype=float)
     if z.shape != (2 * n,):
         raise ValueError("state must be a 2n phase-space vector")
@@ -451,11 +301,14 @@ def flow_path(H, z0, t0, t1, steps=1000):
     ``steps + 1`` samples as in `Trajectory`; ``t1 < t0`` integrates backward,
     ``t1 == t0`` returns the single-sample path.  Leaving the finite phase
     space raises `DivergenceError` with the last finite sample's time, and
-    so does an accumulated action that overflows on a finite path.
+    so does an accumulated action that overflows on a finite path.  ``steps``
+    must be an integer >= 1, even for the single-sample path.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
     z0 = _as_state(z0, H.n)
     if t1 != t0:
-        return _integrate_raw(H, z0, t0, t1, max(1, int(steps)))
+        return _integrate_raw(H, z0, t0, t1, steps)
     # nothing to integrate: the one sample is the start, checked here
     if not np.all(np.isfinite(z0)):
         raise DivergenceError("flow left the finite phase space", last_time=float(t0))
@@ -471,8 +324,6 @@ def integrate(H, z0, t0, t1, steps):
     length-one trajectory at ``z0``.  For backward flow maps use
     `flow_map`, which has no monotone-time requirement.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if t1 < t0:
         raise ValueError("integrate requires t1 >= t0 (use flow_map for backward flow)")
     times, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
@@ -484,12 +335,6 @@ def flow_map(H, z0, t0, t1, steps=1000):
     """Endpoint, Jacobian and action of the flow map f_{t1,t0}: `flow_path`'s last sample."""
     _, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
     return pts[-1], jacs[-1], float(act[-1])
-
-
-def energy_drift(H, traj):
-    """Max |H(z(t)) - H(z(0))| along a trajectory (autonomous H)."""
-    e = hamiltonian_value(H, traj.points)
-    return float(np.max(np.abs(e - e[0])))
 
 
 def chapman_kolmogorov_residual(H, z0, t, t_mid, t_start, steps=1000):
@@ -509,23 +354,10 @@ def quadratic_action_shortcut(z_start, z_end):
     (``z . grad H = 2H`` for a quadratic form), which cancels the ``H dt``
     term entirely.
     """
-    z0 = np.asarray(z_start if not isinstance(z_start, PhasePoint) else z_start.as_vector(), dtype=float)
-    z1 = np.asarray(z_end if not isinstance(z_end, PhasePoint) else z_end.as_vector(), dtype=float)
+    z0 = np.asarray(z_start, dtype=float)
+    z1 = np.asarray(z_end, dtype=float)
     n = z0.size // 2
     return 0.5 * (z1[n:] @ z1[:n] - z0[n:] @ z0[:n])
-
-
-def action_integral(H, x_start, p_start, t_start, t_end, steps=2000):
-    """Accumulated ``integral(p dx - H dt)`` from ``(x', p')``; returns (S, endpoint)."""
-    z0 = np.concatenate([np.atleast_1d(np.asarray(x_start, dtype=float)),
-                         np.atleast_1d(np.asarray(p_start, dtype=float))])
-    _, pts, _, act = flow_path(H, z0, t_start, t_end, steps)
-    return float(act[-1]), PhasePoint.from_vector(pts[-1])
-
-
-def phase_transport(phi0, H, z_start, t_start, t_end, steps=2000):
-    """Transport a phase value along the flow: ``phi0 + integral(p dx - H dt)``."""
-    return float(phi0) + float(flow_path(H, z_start, t_start, t_end, steps)[3][-1])
 
 
 def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid, detail=False):
@@ -706,26 +538,3 @@ def generating_function_check(H, t_start, t_end, sample_count=20, rng=None,
         and report["grad_x_start_error"] <= 1e-5
     )
     return report
-
-
-def shared_level_set_orbit_check(H, g_coeffs, z0, period, steps=4000):
-    """Distance between the orbits of H and of K = g(H) through ``z0``.
-
-    Both flows are confined to the level set of H through ``z0``; K
-    traverses it at speed ``g'(E)``.  The K-trajectory is sampled over the
-    matched window ``period / g'(E)`` so samples pair up point-by-point,
-    and the largest paired distance (an upper bound for the Hausdorff
-    distance of the orbit sets) is returned.
-    """
-    z0 = _as_state(z0, H.n)
-    g = np.atleast_1d(np.asarray(g_coeffs, dtype=float))
-    if g.size >= 2 and g[1] == 1.0 and np.all(g[2:] == 0):
-        return 0.0  # shifted identity: literally the same flow
-    e0 = float(hamiltonian_value(H, z0))
-    g1 = float(_g_derivative(g, e0))
-    if g1 <= 0:
-        raise ValueError("reparameterization must be increasing near the orbit energy")
-    K = reparameterized_hamiltonian(H, g)
-    base = integrate(H, z0, 0.0, period, steps)
-    other = integrate(K, z0, 0.0, period / g1, steps)
-    return float(np.max(np.linalg.norm(base.points - other.points, axis=1)))

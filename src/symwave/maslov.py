@@ -60,7 +60,6 @@ __all__ = [
     "leray_index",
     "maslov_loop_index",
     "maslov_loop_index_adaptive",
-    "argument_index",
 ]
 
 
@@ -82,10 +81,6 @@ class LagrangianLift:
     @property
     def n(self):
         return self.w.shape[0]
-
-    def det_defect(self):
-        """How far ``det w`` is from ``e^{i alpha}`` (0 for a valid lift)."""
-        return float(abs(np.linalg.det(self.w) - np.exp(1j * self.alpha)))
 
 
 def lift_from_frame(frame, windings=0):
@@ -373,8 +368,3 @@ def maslov_loop_index_adaptive(frame_fn, t0, t1, tol=_INT_TOL):
     """Adaptive-refinement variant of :func:`maslov_loop_index`."""
     _, lifts = lift_path_adaptive(frame_fn, t0, t1, lift_from_frame(frame_fn(t0)).alpha)
     return _loop_winding(lifts, tol)
-
-
-def argument_index(tangent_lifts, base, frames=None, rng=None):
-    """Leray index of the endpoint of a lifted tangent path against a base lift."""
-    return leray_index(tangent_lifts[-1], base, frames=frames, rng=rng)

@@ -1,8 +1,9 @@
 """Small multivariate polynomials with exact gradients and Hessians.
 
-Used for shear-stage potentials and magnetic/scalar potentials.  Terms are
-(coefficient, exponent-tuple) pairs; evaluation is vectorized over leading
-axes so a stage can process millions of sample points in one call.
+Used for the shear-stage potentials of random symplectomorphisms and the
+graph phases of ``evolve``.  Terms are (coefficient, exponent-tuple) pairs;
+evaluation is vectorized over leading axes so a stage can process millions
+of sample points in one call.
 """
 
 from itertools import combinations_with_replacement
@@ -62,9 +63,6 @@ class Polynomial:
 
     def hess(self, x):
         return self._evaluate(x, 2)
-
-    def __repr__(self):
-        return f"Polynomial(n={self.n}, terms={self.terms})"
 
 
 def random_polynomial(n, rng, degree=4, min_degree=2, coeff_range=0.5):

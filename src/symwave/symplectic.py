@@ -22,10 +22,8 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "PhasePoint",
     "LagrangianFrame",
     "form_matrix",
-    "symplectic_form",
     "is_symplectic_matrix",
     "is_lagrangian_frame",
     "orthonormalize_frame",
@@ -67,40 +65,6 @@ _UNSCALED_MIN, _UNSCALED_MAX = 1e-138, 1e138
 
 
 @dataclass(frozen=True, eq=False)
-class PhasePoint:
-    """A point ``z = (x, p)`` of the standard phase space R^{2n}."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if x.ndim != 1 or p.ndim != 1 or x.shape != p.shape or x.size == 0:
-            raise ValueError("x and p must be 1-d arrays of equal positive length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise ValueError("phase-space coordinates must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self):
-        return self.x.size
-
-    def as_vector(self):
-        """Return the stacked ``[x; p]`` vector."""
-        return np.concatenate([self.x, self.p])
-
-    @classmethod
-    def from_vector(cls, z):
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 1 or z.size % 2:
-            raise ValueError("phase-space vector must have even length")
-        n = z.size // 2
-        return cls(z[:n], z[n:])
-
-
-@dataclass(frozen=True, eq=False)
 class LagrangianFrame:
     """A basis ``[X; P]`` of a Lagrangian plane (columns span the plane)."""
 
@@ -136,17 +100,6 @@ def form_matrix(n):
     K[:n, n:] = -np.eye(n)
     K[n:, :n] = np.eye(n)
     return K
-
-
-def symplectic_form(z, zp):
-    """Evaluate ``Omega(z, z') = p . x' - p' . x``.
-
-    Antisymmetric and bilinear; ``Omega(e_xj, e_pj) = -1`` in the
-    convention used here.
-    """
-    if z.n != zp.n:
-        raise ValueError("phase points live in different dimensions")
-    return float(z.p @ zp.x - zp.p @ z.x)
 
 
 @functools.lru_cache(maxsize=64)

@@ -48,7 +48,6 @@ from .maslov import (
 )
 from .symplectic import (
     LagrangianFrame,
-    PhasePoint,
     _diagonal_torus_frame,
     frame_from_souriau,
     horizontal_frame,
@@ -67,7 +66,6 @@ __all__ = [
     "circle_phase",
     "cover_phase",
     "phase_defect",
-    "circle_argument_index",
     "argument_index_on_manifold",
     "sqrt_de_rham",
     "horizontal_base",
@@ -108,11 +106,6 @@ def circle_phase(theta, r):
     theta = np.asarray(theta, dtype=float)
     value = 0.5 * r * r * (np.sin(theta) * np.cos(theta) - theta)
     return float(value) if value.ndim == 0 else value
-
-
-def circle_argument_index(theta):
-    """Argument index ``floor(theta / pi) + 1`` of the circle's tangent lift."""
-    return int(math.floor(float(theta) / math.pi)) + 1
 
 
 def _coerce_param(theta, dim):
@@ -268,7 +261,7 @@ def _step_turn(H, times):
     Along the linearized flow ``arg det u`` of a plane turns at the rate
     ``tr(Q^T H'' Q)``, ``Q`` an orthonormal frame of the plane, so by at most
     ``n ||H''||_2 |dt|`` per step.  ``H''`` is the constant ``M`` of the
-    quadratic family; the other families certify nothing (None).
+    quadratic family; the quartic family certifies nothing (None).
     """
     if H.matrix is None or len(times) < 2:
         return None
@@ -386,8 +379,7 @@ def cover_phase(path, manifold, tol=1e-6):
     (zero for circles and tori, ``Phi(0)`` for gradient graphs).  Points
     farther than ``tol`` from the manifold raise ``ValueError``.
     """
-    rows = [z.as_vector() if isinstance(z, PhasePoint) else z for z in path]
-    pts = np.asarray(rows, dtype=float)
+    pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2 * manifold.n:
         raise ValueError("path must be a sequence of 2n phase-space vectors")
     worst = max(manifold.offset(z) for z in pts)
@@ -438,7 +430,7 @@ def argument_index_on_manifold(zcheck, base, rng=None):
     Transports the tangent-plane lift along a parameter path from the
     manifold reference (path independence within the homotopy class makes
     the choice immaterial), then evaluates the Leray index.  On the circle
-    with the vertical base this reproduces `circle_argument_index`.
+    with the vertical base this is ``floor(theta / pi) + 1``.
     """
     manifold = zcheck.manifold
     lift = _lifted_parameter_path(manifold, zcheck.theta)[-1]
@@ -774,9 +766,8 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
     Leray-index change of the flowed momentum fibre ``[0; I]`` against
     ``{x = 0}`` over the ``steps`` samples after ``t_start`` of one
     integrated trajectory (variational Jacobians, no finite differences).
-    This assumes a definite ``d^2 H / dp^2``, as every harmonic, free,
-    quartic and magnetic generator has; otherwise it is the net crossing
-    number.  A conjugate endpoint raises `ConjugatePointError`; a quadratic
+    This assumes a definite ``d^2 H / dp^2``, as every harmonic, free and
+    quartic generator has; otherwise it is the net crossing number.  A conjugate endpoint raises `ConjugatePointError`; a quadratic
     generator whose step may turn the fibre by pi or more (``n ||M||_2 dt``)
     raises `RefinementError`, as the count could alias.
     """

@@ -22,7 +22,6 @@ from symwave.capacity import (
     identity_symplectomorphism,
     keller_maslov_check,
     loop_action,
-    minimal_orbit_action,
     nonsqueezing_experiment,
     oscillator_levels,
     random_symplectomorphism,
@@ -328,10 +327,6 @@ def test_nonsqueezing_maps_one_ball_per_map(monkeypatch):
 def test_ground_energy_and_minimal_action():
     assert np.isclose(ground_energy([1.0, 2.0, 3.0], 1.0), 3.0)
     assert np.isclose(ground_energy([2.0], 0.5), 0.5)
-    assert np.isclose(minimal_orbit_action(1.0), math.pi)
-    # half of Planck's constant h = 2 pi hbar
-    hbar = 0.7
-    assert np.isclose(minimal_orbit_action(hbar), 2 * math.pi * hbar / 2)
     with pytest.raises(ValueError):
         ground_energy([1.0, -1.0], 1.0)
 

@@ -33,7 +33,6 @@ from symwave.waveforms import (
     chart_cocycle,
     chart_index,
     chart_shadow_value,
-    circle_argument_index,
     circle_phase,
     cover_phase,
     deck_covariance_check,
@@ -117,10 +116,16 @@ def test_cover_phase_circle_and_loops():
 
 
 def test_circle_argument_index_examples():
-    assert circle_argument_index(math.pi / 2) == 1
-    assert circle_argument_index(-math.pi / 4) == 0
+    # the circle's tangent lift against the vertical base: one unit per half
+    # turn, and the deck loop adds its index 2
+    man = CircleManifold(1.0)
+    base = vertical_lift(1)
+    assert argument_index_on_manifold(CoverPoint(man, math.pi / 2), base) == 1
+    assert argument_index_on_manifold(CoverPoint(man, -math.pi / 4), base) == 0
     for th in np.linspace(-5, 5, 23):
-        assert circle_argument_index(th + 2 * math.pi) == circle_argument_index(th) + 2
+        m0 = argument_index_on_manifold(CoverPoint(man, th), base)
+        m1 = argument_index_on_manifold(CoverPoint(man, man.deck(th, (1,))), base)
+        assert m1 == m0 + 2
 
 
 def test_argument_index_machinery_matches_closed_form():
@@ -128,7 +133,7 @@ def test_argument_index_machinery_matches_closed_form():
     base = vertical_lift(1)
     for th in list(np.linspace(-4.7, 7.3, 25)) + [0.0, math.pi, -math.pi, 2 * math.pi]:
         m = argument_index_on_manifold(CoverPoint(man, th), base)
-        assert m == circle_argument_index(th)
+        assert m == math.floor(th / math.pi) + 1
 
 
 def test_torus_loop_raises_index_by_four():
