@@ -96,18 +96,21 @@ from .flows import (
     quartic_hamiltonian,
 )
 from .maslov import (
+    _inerts,
+    _leray_log,
+    _lifts,
     deck_act,
-    inert,
     leray_index,
-    lift_from_frame,
     maslov_loop_index_adaptive,
 )
 from .polynomials import Polynomial
 from .symplectic import (
+    LagrangianFrame,
     _diagonal_torus_frame,
+    _exp_symmetric,
     _symplectic_defect,
-    orthonormalize_frame,
-    random_lagrangian_frame,
+    _triples,
+    vertical_frame,
 )
 from .waveforms import (
     CircleManifold,
@@ -333,6 +336,7 @@ def _write_json(fh, obj):
 # index
 
 
+_IDENTITY_BLOCK = 64
 _INDEX = [("task", "str", "grid", {
     # one row per pair, held whole and streamed out: peak RSS was 57 MiB at
     # 300 angles, 273 MiB at 1,100 and 809 MiB at 2,000, about 40 MiB plus
@@ -347,6 +351,8 @@ _INDEX = [("task", "str", "grid", {
         "torus": [("windings", "ints", ..., _List(_In(1, 8)), "needs 1 to 8 entries"),
                   _FLAT_DIMS, _TOL_0],
     })],
+    # checked in blocks of _IDENTITY_BLOCK triples, one batched call per step
+    # for each: peak RSS about 43 MiB at n = 6 however many the trials
     "identities": [("dims", "ints", [1, 2, 3], _List(_In(1), _In(1, 6)),
                     "must list dimensions in [1, 6]"),
                    ("trials", "int", 200, _In(1, 100_000)),
@@ -402,29 +408,46 @@ def _index_loop(p, seed):
     return p, results, (tuple(row), [row])
 
 
+def _identity_failures(n, trials, rng, tol):
+    # cocycle, self-index and deck-shift failures of a block of triples
+    # (a, b, c), drawn in the order of one triple at a time
+    A, windings, shifts = [], [], []
+    for _ in range(trials):
+        for _ in range(3):
+            A.append(rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n)))
+            windings.append(int(rng.integers(-3, 4)))
+        shifts.append(rng.integers(-4, 5, size=2).tolist())
+    # frames, lifts, pair spectra and inertia indices: one batched call each
+    F = _exp_symmetric(np.array(A)) @ vertical_frame(n).stacked()
+    F, W, lams, dims, sig = _triples(F.reshape(trials, 3, 2 * n, n))
+    lifts, inerts = _lifts(W, windings), _inerts(dims, sig, n)
+
+    def index(a, b, i, j, pair=None):
+        # a transversal pair reads the block's spectrum, the others leray_index
+        if pair is not None and dims[pair] == 0:
+            return _leray_log(a, b, lams[pair])
+        return leray_index(a, b, frames=[LagrangianFrame(F[m, :n], F[m, n:]) for m in (i, j)])
+
+    cocycle = self_index = deck_shift = 0
+    for i, (k, kp) in zip(range(0, 3 * trials, 3), shifts):
+        a, b, c = lifts[i : i + 3]
+        mab = index(a, b, i, i + 1, i)
+        lhs = mab - index(a, c, i, i + 2, i + 2) + index(b, c, i + 1, i + 2, i + 1)
+        cocycle += abs(lhs - inerts[i // 3]) > tol
+        self_index += abs(index(a, a, i, i) - n) > tol
+        shifted = index(deck_act(k, a), deck_act(kp, b), i, i + 1, i)
+        deck_shift += abs(shifted - (mab + k - kp)) > tol
+    return cocycle, self_index, deck_shift
+
+
 def _index_identities(p, seed):
     dims, trials, tol = p["dims"], p["trials"], p["tol"]
     rng = np.random.default_rng(seed)
-
-    def draw(n):
-        # orthonormal once, so every index below takes the frame as it is
-        f = orthonormalize_frame(random_lagrangian_frame(n, rng))
-        return lift_from_frame(f, windings=int(rng.integers(-3, 4))), f
-
     rows = []
     for n in dims:
-        cocycle = self_index = deck_shift = 0
-        for _ in range(trials):
-            (a, fa), (b, fb), (c, fc) = draw(n), draw(n), draw(n)
-            mab = leray_index(a, b, frames=(fa, fb))
-            lhs = (mab - leray_index(a, c, frames=(fa, fc))
-                   + leray_index(b, c, frames=(fb, fc)))
-            cocycle += abs(lhs - inert(fa, fb, fc)) > tol
-            self_index += abs(leray_index(a, a, frames=(fa, fa)) - n) > tol
-            k, kp = (int(v) for v in rng.integers(-4, 5, size=2))
-            shifted = leray_index(deck_act(k, a), deck_act(kp, b),
-                                  frames=(fa, fb))
-            deck_shift += abs(shifted - (mab + k - kp)) > tol
+        blocks = [_identity_failures(n, min(_IDENTITY_BLOCK, left), rng, tol)
+                  for left in range(trials, 0, -_IDENTITY_BLOCK)]
+        cocycle, self_index, deck_shift = map(sum, zip(*blocks))
         rows.append({"n": n, "trials": trials, "cocycle_failures": cocycle,
                      "self_index_failures": self_index,
                      "deck_shift_failures": deck_shift})

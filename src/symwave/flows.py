@@ -81,11 +81,12 @@ def harmonic_hamiltonian(omegas, masses=None):
     masses = np.ones(n) if masses is None else np.atleast_1d(np.asarray(masses, dtype=float))
     if masses.shape != omegas.shape:
         raise ValueError("masses must match the number of frequencies")
-    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(masses))):
-        raise ValueError("frequencies and masses must be finite")
     if np.any(omegas <= 0) or np.any(masses <= 0):
         raise ValueError("frequencies and masses must be positive")
-    matrix = np.diag(np.concatenate([masses * omegas**2, 1.0 / masses]))
+    with np.errstate(over="ignore"):
+        matrix = np.diag(np.concatenate([masses * omegas**2, 1.0 / masses]))
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("frequencies and masses must be finite, and so must m omega^2 and 1/m")
     return HamiltonianSpec(kind="quadratic", n=n, matrix=matrix, omegas=omegas, masses=masses)
 
 
@@ -295,6 +296,11 @@ def _as_state(z, n):
     return z
 
 
+def _check_steps(steps):
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
+
+
 def flow_path(H, z0, t0, t1, steps=1000):
     """Sampled path of the flow map: ``(times, points, jacobians, action)``.
 
@@ -304,8 +310,7 @@ def flow_path(H, z0, t0, t1, steps=1000):
     so does an accumulated action that overflows on a finite path.  ``steps``
     must be an integer >= 1, even for the single-sample path.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be an integer >= 1, not {steps!r}")
+    _check_steps(steps)
     z0 = _as_state(z0, H.n)
     if t1 != t0:
         return _integrate_raw(H, z0, t0, t1, steps)

@@ -38,10 +38,10 @@ from .symplectic import (
     LagrangianFrame,
     _band_dim,
     _lagrangian_stack,
-    _orthonormal_lagrangian,
+    _orthonormal_frames,
     _pair_spectrum,
-    _signature_and_dims,
     _spectrum,
+    _triples,
     frame_from_souriau,
     souriau_w,
 )
@@ -83,11 +83,15 @@ class LagrangianLift:
         return self.w.shape[0]
 
 
+def _lifts(W, windings):
+    # lifts of a (K, n, n) stack of Souriau images, alpha = principal arg det w + 2 pi k
+    alphas = np.angle(np.linalg.det(W)) + 2 * np.pi * np.asarray(windings)
+    return [LagrangianLift(w, a) for w, a in zip(W, alphas.tolist())]
+
+
 def lift_from_frame(frame, windings=0):
     """Lift of a plane with ``alpha`` = principal ``arg det w`` + ``2 pi k``."""
-    w = souriau_w(frame)
-    alpha = float(np.angle(np.linalg.det(w))) + 2 * np.pi * windings
-    return LagrangianLift(w, alpha)
+    return _lifts(souriau_w(frame)[None], [windings])[0]
 
 
 def vertical_lift(n, windings=0):
@@ -295,11 +299,15 @@ def inert(f1, f2, f3):
     ``signature = n + dim23 - dim13 + dim12  (mod 2)``, which holds by
     construction of the signature's nullity, makes it an integer.
     """
-    sig, (d12, d23, d13) = _signature_and_dims(f1, f2, f3)
-    total = sig + f1.n + d23 - d13 + d12
-    if total % 2:
+    return _inerts(*_triples(np.stack([f.stacked() for f in (f1, f2, f3)])[None])[3:], f1.n)[0]
+
+
+def _inerts(dims, sig, n):
+    # inert of each triple from its signature and pair band counts (d12, d23, d13)
+    total = sig + n + np.reshape(dims, (-1, 3)) @ [1, 1, -1]
+    if np.any(total % 2):
         raise IntegralityError("signature parity identity failed")
-    return total // 2
+    return (total // 2).tolist()
 
 
 def _random_aux_plane(n, rng):
@@ -338,7 +346,8 @@ def leray_index(a, b, frames=None, rng=None):
     if _band_dim(lam) == 0:
         return _leray_log(a, b, lam)
     frames = frames or (frame_from_souriau(a.w), frame_from_souriau(b.w))
-    frame_a, frame_b = (_orthonormal_lagrangian(f) for f in frames)
+    F = _orthonormal_frames(np.array([f.stacked() for f in frames]))
+    frame_a, frame_b = (LagrangianFrame(f[: a.n], f[a.n :]) for f in F)
     rng = np.random.default_rng(813970) if rng is None else rng
     m1, m2 = (_leray_via_auxiliary(a, b, frame_a, frame_b, rng) for _ in range(2))
     if m1 != m2:

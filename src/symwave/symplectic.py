@@ -85,7 +85,7 @@ class LagrangianFrame:
 
     def stacked(self):
         """Return the ``2n x n`` matrix ``[X; P]``."""
-        return np.vstack([self.X, self.P])
+        return np.concatenate((self.X, self.P))
 
     def transformed(self, S):
         """Frame of the image plane under the linear map ``S`` (2n x 2n)."""
@@ -153,34 +153,44 @@ def _lagrangian_stack(frames):
     return F
 
 
+def _qr_frames(F, tol=_QR_TOL):
+    # orthonormal frames of a (K, 2n, n) stack: QR, positive diagonal, floored
+    Q, R = np.linalg.qr(F)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.min(abs(d), 1) <= tol * np.maximum(1.0, np.max(abs(d), 1)))
+    if bad.size:
+        raise ValueError(f"frame is rank deficient at sample {bad[0]}")
+    return Q * np.sign(d)[:, None, :]
+
+
 def orthonormalize_frame(frame, tol=_QR_TOL):
     """Orthonormal frame with the same span (QR with positive diagonal)."""
-    Q, R = np.linalg.qr(frame.stacked())
-    d = np.diag(R)
-    if np.min(np.abs(d)) <= tol * max(1.0, np.max(np.abs(d))):
-        raise ValueError("frame is rank deficient")
-    Q = Q * np.sign(d)
-    n = frame.n
-    return LagrangianFrame(Q[:n], Q[n:])
+    F = _qr_frames(frame.stacked()[None], tol)[0]
+    return LagrangianFrame(F[: frame.n], F[frame.n :])
 
 
-def _orthonormal_lagrangian(frame, tol=DEFAULT_TOL):
-    tol = max(tol, DEFAULT_TOL)
-    F = frame.stacked()
-    if np.max(np.abs(F.T @ F - np.eye(frame.n))) <= _ORTHONORMAL_TOL:
-        # orthonormal, so of full rank, and QR would only flip column signs:
-        # the frame is used as it is once its span is isotropic
-        if np.max(np.abs(frame.X.T @ frame.P - frame.P.T @ frame.X)) <= tol:
-            return frame
-    elif is_lagrangian_frame(frame, tol=tol):
-        return orthonormalize_frame(frame)
-    raise ValueError("not a Lagrangian frame (rank or isotropy failure)")
+def _orthonormal_frames(F, tol=DEFAULT_TOL):
+    # a (K, 2n, n) stack of Lagrangian frames made orthonormal, F itself if it
+    # is: a frame with F^T F = I is used as it is once its span is isotropic
+    # (QR would flip column signs), the others pass the rank and isotropy test
+    tol, n = max(tol, DEFAULT_TOL), F.shape[-1]
+    Ft = np.swapaxes(F, 1, 2)
+    XtP = Ft[:, :, :n] @ F[:, n:]
+    on = np.abs(Ft @ F - np.eye(n)).max(axis=(1, 2)) <= _ORTHONORMAL_TOL
+    bad = on & (np.abs(XtP - np.swapaxes(XtP, 1, 2)).max(axis=(1, 2)) > tol)
+    if not on.all():
+        bad[~on] = _non_lagrangian(F[~on], tol)
+    if bad.any():
+        raise ValueError(f"not a Lagrangian frame (rank or isotropy failure) at sample {bad.argmax()}")
+    return F if on.all() else np.where(on[:, None, None], F, _qr_frames(F))
 
 
-def _orthonormal_souriau(frame, tol=DEFAULT_TOL):
-    on = _orthonormal_lagrangian(frame, tol)
-    u = on.P - 1j * on.X
-    return on, u @ u.T
+def _orthonormal_souriau(F, tol=DEFAULT_TOL):
+    # a (K, 2n, n) stack made orthonormal, and each plane's w = u u^T, u = P - iX
+    F = _orthonormal_frames(F, tol)
+    n = F.shape[-1]
+    u = F[:, n:] - 1j * F[:, :n]
+    return F, u @ np.swapaxes(u, 1, 2)
 
 
 def souriau_w(frame, tol=DEFAULT_TOL):
@@ -190,7 +200,7 @@ def souriau_w(frame, tol=DEFAULT_TOL):
     symmetric unitary that labels the plane uniquely: it depends on the span
     only, not on the chosen basis.
     """
-    return _orthonormal_souriau(frame, tol)[1]
+    return _orthonormal_souriau(frame.stacked()[None], tol)[1][0]
 
 
 def is_souriau_point(w, tol=DEFAULT_TOL):
@@ -208,13 +218,16 @@ def _unscaled(z):
 
 
 def _spectrum(M):
-    """Eigenvalues of a square complex matrix as a list of Python complexes.
+    """Eigenvalues of a square complex matrix as a list of Python complexes,
+    or of each matrix of a ``(K, n, n)`` stack as a list of such lists.
 
-    The package's one eigenvalue kernel.  A 1 x 1 matrix is read as its
-    entry, without LAPACK, whenever LAPACK would return that entry unscaled,
-    so the list is bitwise ``np.linalg.eigvals(M).tolist()`` either way; a
-    non-finite entry goes to LAPACK and raises its ``LinAlgError``.
+    The package's one eigenvalue kernel, one LAPACK call per stack.  A 1 x 1
+    matrix is read as its entry, without LAPACK, whenever LAPACK would return
+    that entry unscaled, so a list is bitwise ``np.linalg.eigvals(M).tolist()``
+    either way; a non-finite entry goes to LAPACK and raises its ``LinAlgError``.
     """
+    if M.ndim == 3 and M.shape[1:] == (1, 1):
+        return [_spectrum(m) for m in M]
     if M.shape == (1, 1):
         z = M.item()
         if _unscaled(z):
@@ -263,19 +276,21 @@ def _cyclic_mask(n):
     return mask
 
 
-def _signature_and_dims(f1, f2, f3, tol=DEFAULT_TOL):
-    # ker Q = (l1^l2) + (l2^l3) + (l3^l1): the d12 + d23 + d13 Gram eigenvalues
-    # of smallest modulus are its zeros, the rest count by their sign
-    n = f1.n
-    if f2.n != n or f3.n != n:
-        raise ValueError("frames live in different dimensions")
-    (o1, w1), (o2, w2), (o3, w3) = (_orthonormal_souriau(f) for f in (f1, f2, f3))
-    dims = tuple(_band_dim(_pair_spectrum(u, v), tol) for u, v in ((w1, w2), (w2, w3), (w1, w3)))
-    F = np.hstack([o1.stacked(), o2.stacked(), o3.stacked()])
-    B = F.T @ _form(n) @ F * _cyclic_mask(n)
-    lam = np.linalg.eigvalsh((B + B.T) / 2)
-    live = lam[np.argsort(np.abs(lam))[sum(dims) :]]
-    return int(np.sum(live > 0) - np.sum(live < 0)), dims
+def _triples(F, tol=DEFAULT_TOL):
+    # a (K, 3, 2n, n) stack of triples made orthonormal, their Souriau images
+    # (both flat), the spectra and band counts of the pairs (1, 2), (2, 3),
+    # (1, 3) of each, and the signature of Q, whose kernel (l1^l2) + (l2^l3) +
+    # (l3^l1) takes that many Gram eigenvalues of least modulus off the count
+    K, _, m, n = F.shape
+    F, W = _orthonormal_souriau(F.reshape(3 * K, m, n))
+    V = W.reshape(K, 3, n, n)
+    lams = _spectrum((V[:, [0, 1, 0]] @ np.swapaxes(V[:, [1, 2, 2]].conj(), 2, 3)).reshape(W.shape))
+    dims = [_band_dim(lam, tol) for lam in lams]
+    G = F.reshape(K, 3, m, n).transpose(0, 2, 1, 3).reshape(K, m, 3 * n)
+    B = np.swapaxes(G, 1, 2) @ _form(n) @ G * _cyclic_mask(n)
+    lam = np.linalg.eigvalsh((B + np.swapaxes(B, 1, 2)) / 2)
+    zero = np.argsort(np.argsort(np.abs(lam))) < np.reshape(dims, (K, 3)).sum(1)[:, None]
+    return F, W, lams, dims, np.sum(np.where(zero, 0.0, np.sign(lam)), axis=1).astype(int)
 
 
 def signature(f1, f2, f3, tol=DEFAULT_TOL):
@@ -288,7 +303,7 @@ def signature(f1, f2, f3, tol=DEFAULT_TOL):
     symplectic transformation.  The nullity of ``Q``, the sum of the pairwise
     intersection dimensions, is decided as in :func:`intersection_dim`.
     """
-    return _signature_and_dims(f1, f2, f3, tol)[0]
+    return int(_triples(np.stack([f.stacked() for f in (f1, f2, f3)])[None], tol)[4][0])
 
 
 def vertical_frame(n):
@@ -352,15 +367,18 @@ _THETA13 = 5.371920351148152
 
 
 def _expm(A):
-    """Matrix exponential: the [13/13] Pade approximant with scaling and squaring."""
+    """Matrix exponential: the [13/13] Pade approximant with scaling and squaring,
+    of one matrix or of each of a ``(K, m, m)`` stack; NaN for a non-finite one."""
     A = np.asarray(A, dtype=float)
-    norm = np.linalg.norm(A, 1)
-    if not math.isfinite(norm):
-        return np.full(A.shape, math.nan)  # the flows' finiteness scans report it
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    A = A / 2.0**s
+    if A.ndim == 2:
+        return _expm(A[None])[0]
+    norm = np.linalg.norm(A, 1, axis=(1, 2))
+    ok = np.isfinite(norm)
+    s = np.array([math.ceil(math.log2(v / _THETA13)) if v > _THETA13 else 0
+                  for v in np.where(ok, norm, 0.0).tolist()])
+    A = np.where(ok[:, None, None], A, 0.0) / np.ldexp(1.0, s)[:, None, None]
     b = _PADE13
-    eye = np.eye(len(A))
+    eye = np.eye(A.shape[-1])
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
@@ -368,9 +386,16 @@ def _expm(A):
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
     V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
+    for k in range(s.max()):
+        sq = np.flatnonzero(s > k)
+        E[sq] = E[sq] @ E[sq]
+    E[~ok] = math.nan
     return E
+
+
+def _exp_symmetric(A):
+    # expm(K (A + A^T) / 2), symplectic, of a 2n x 2n matrix or of each of a stack
+    return _expm(_form(A.shape[-1] // 2) @ ((A + np.swapaxes(A, -1, -2)) / 2))
 
 
 def random_symplectic(n, rng, scale=1.0):
@@ -379,9 +404,7 @@ def random_symplectic(n, rng, scale=1.0):
     Entries of ``A`` are uniform in ``[-scale, scale]``; ``K A`` lies in the
     symplectic Lie algebra, so the exponential is exactly symplectic.
     """
-    A = rng.uniform(-scale, scale, size=(2 * n, 2 * n))
-    A = (A + A.T) / 2
-    return _expm(form_matrix(n) @ A)
+    return _exp_symmetric(rng.uniform(-scale, scale, size=(2 * n, 2 * n)))
 
 
 def random_lagrangian_frame(n, rng, scale=1.0):

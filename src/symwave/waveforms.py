@@ -36,7 +36,7 @@ import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
 from .errors import ConjugatePointError, NumericalError, RefinementError
-from .flows import _position_block, _shoot, flow_map, flow_path
+from .flows import _check_steps, _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
     _end_lifts,
@@ -285,8 +285,7 @@ class FlowedManifold:
     def __init__(self, base, hamiltonian, t_start, t_end, steps=1000):
         if hamiltonian.n != base.n:
             raise ValueError("Hamiltonian and manifold dimensions disagree")
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_steps(steps)
         self.base = base
         self.hamiltonian = hamiltonian
         self.t_start = float(t_start)

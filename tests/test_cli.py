@@ -66,12 +66,11 @@ def test_index_grid_size_past_its_memory_bound_is_a_config_error(capsys, tmp_pat
     assert diag["error"] == "config" and "[2, 2000]" in diag["detail"]
 
 
-def test_index_grid_streams_its_output_in_bounded_memory(tmp_path):
-    # 300 angles peaked at 180 MiB while the output was copied and joined in
-    # memory before writing; streamed, about 63 MiB
-    config = tmp_path / "grid.json"
-    config.write_text(json.dumps({"params": {"task": "grid", "theta_count": 300}}))
-    out = tmp_path / "grid.out.json"
+def _index_peak_mib(tmp_path, params):
+    # (peak RSS in MiB, results) of one `symwave index` process
+    config = tmp_path / "index.json"
+    config.write_text(json.dumps({"params": params}))
+    out = tmp_path / "index.out.json"
     src = str(Path(symwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     # Linux starts a child's peak RSS at its parent's RSS at the fork, so a
@@ -87,8 +86,27 @@ def test_index_grid_streams_its_output_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     code, peak_kib = (int(v) for v in proc.stdout.split())
     assert code == 0, proc.stderr
-    assert peak_kib / 1024 < 120
-    assert json.loads(out.read_text())["results"]["all_match"]
+    return peak_kib / 1024, json.loads(out.read_text())["results"]
+
+
+def test_index_grid_streams_its_output_in_bounded_memory(tmp_path):
+    # 300 angles peaked at 180 MiB while the output was copied and joined in
+    # memory before writing; streamed, about 63 MiB
+    peak, results = _index_peak_mib(tmp_path, {"task": "grid", "theta_count": 300})
+    assert peak < 120
+    assert results["all_match"]
+
+
+def test_index_identities_memory_does_not_grow_with_trials(tmp_path):
+    # the triples are checked in blocks of cli._IDENTITY_BLOCK, so ten blocks
+    # peak where one does (about 43 MiB at n = 6)
+    peaks = []
+    for blocks in (1, 10):
+        params = {"task": "identities", "dims": [6], "trials": blocks * cli._IDENTITY_BLOCK}
+        peak, results = _index_peak_mib(tmp_path, params)
+        assert results["all_exact"]
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_index_loop_circle_and_torus(capsys, tmp_path):
@@ -519,6 +537,19 @@ def test_overflowing_spans_are_config_errors(tmp_path, command, params, detail):
     # each evolve span printed numpy overflow warnings and exited 3 with "last valid time nan"
     assert _config_error(tmp_path, command, params) == {
         "error": "config", "exit_code": 2, "detail": detail}
+
+
+@pytest.mark.parametrize("hamiltonian", [
+    {"kind": "harmonic", "omegas": [1e200]},
+    {"kind": "quartic", "omegas": [1e200], "coupling": 0.1},
+], ids=["harmonic", "quartic"])
+def test_overflowing_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
+    # omega^2 overflowed: overflow warnings, then exit 3 with "last valid time 0"
+    params = {**_EVOLVE_BASE, "hamiltonian": hamiltonian, "t_end": 1.0}
+    assert _config_error(tmp_path, "evolve", params) == {
+        "error": "config", "exit_code": 2,
+        "detail": "evolve.hamiltonian: frequencies and masses must be finite, "
+                  "and so must m omega^2 and 1/m"}
 
 
 @pytest.mark.parametrize("command, params", [

@@ -43,7 +43,7 @@ from symwave.symplectic import (
     LagrangianFrame,
     _cyclic_mask,
     _form,
-    _orthonormal_lagrangian,
+    _orthonormal_frames,
     _real_diagonalize_symmetric_unitary,
     _symplectic_defect,
     _unscaled,
@@ -199,10 +199,10 @@ def test_orthonormal_frames_are_used_as_they_are_up_to_the_tolerance():
     # the columns (1, 0; 0, 0) and (d, 1; 0, 0): F^T F - I is d off the diagonal
     def frame(d):
         return LagrangianFrame([[1.0, d], [0.0, 1.0]], np.zeros((2, 2)))
-    f = frame(_ORTHONORMAL_TOL)
-    assert _orthonormal_lagrangian(f) is f
-    g = frame(past(_ORTHONORMAL_TOL))
-    assert _orthonormal_lagrangian(g) is not g
+    f = frame(_ORTHONORMAL_TOL).stacked()[None]
+    assert _orthonormal_frames(f) is f
+    g = frame(past(_ORTHONORMAL_TOL)).stacked()[None]
+    assert _orthonormal_frames(g) is not g
 
 
 def test_isotropy_is_decided_at_the_default_tolerance_however_small_the_request():

@@ -1,5 +1,7 @@
 """Flow integration, variational transport, and action diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from symwave.flows import (
 )
 from symwave.flows import _YOSHIDA_W0, _YOSHIDA_W1, _trapezoid_action
 from symwave.symplectic import is_symplectic_matrix
-from symwave.waveforms import morse_index
+from symwave.waveforms import CircleManifold, FlowedManifold, morse_index
 
 
 def harmonic_action_closed_form(x, x_start, tau):
@@ -109,6 +111,15 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError, match="must be finite"):
             bad()
+    # finite parameters whose matrix entries m omega^2 or 1/m overflow are
+    # refused too, with no overflow warning
+    for omegas, masses in (([1e200], None), ([1.0], [1e-320]), ([1e154], [1e300])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="so must m omega\\^2 and 1/m"):
+                harmonic_hamiltonian(omegas, masses)
+            with pytest.raises(ValueError, match="so must m omega\\^2 and 1/m"):
+                quartic_hamiltonian(omegas, 0.1, masses)
     H = harmonic_hamiltonian([1.0, 2.0], masses=[1.0, 0.5])
     assert H.kind == "quadratic"
     assert np.array_equal(H.matrix, np.diag([1.0, 2.0, 1.0, 2.0]))
@@ -254,6 +265,9 @@ def test_views_diverge_like_flow_path(H, z0, t1, steps, last_time):
     }
     if t1 > 0:
         views["morse_index"] = lambda: morse_index(H, z0[:1], z0[1:], 0.0, t1, steps)
+    if last_time is None:
+        # a flowed manifold refuses the step count when it is built
+        views["FlowedManifold"] = lambda: FlowedManifold(CircleManifold(1.0), H, 0.0, t1, steps)
     for name, view in views.items():
         if last_time is None:
             with pytest.raises(ValueError, match="steps must be an integer >= 1"):

@@ -2,9 +2,11 @@
 
 Each pair of planes has its spectrum computed once, a transversal index
 decides transversality once (with no LAPACK call at all for n = 1, whose
-spectrum is one entry), and ``inert`` orthonormalizes each frame once;
-the auxiliary-plane path of ``leray_index`` orthonormalizes the caller's
-frames once for both of its evaluations.  A
+spectrum is one entry), and ``inert`` orthonormalizes its three frames with
+one QR and reads their three pair spectra with one eigvals; the
+auxiliary-plane path of ``leray_index`` orthonormalizes the caller's frames
+once for both of its evaluations.  The ``index`` identities task makes one
+call of each per block of triples, whatever the number of trials.  A
 flowed cover lift reads one batched determinant over its sampled path, and
 a sampled lift one per batch of new samples.  These counts pin that down.
 """
@@ -98,9 +100,11 @@ def test_line_morse_window_reads_no_eigvals(linalg_calls):
     assert linalg_calls["eigvals"] == 0
 
 
-def test_inert_has_three_spectra_and_three_qr(triple, linalg_calls):
+def test_inert_has_one_spectrum_stack_and_one_qr(triple, linalg_calls):
+    # the three frames are not orthonormal: one stacked QR makes them so, and
+    # one stacked eigvals reads the spectra of the three pairs
     inert(*triple)
-    assert linalg_calls == {"eigvals": 3, "qr": 3}
+    assert linalg_calls == {"eigvals": 1, "qr": 1}
 
 
 def test_self_index_call_counts(triple, linalg_calls):
@@ -200,3 +204,27 @@ def test_index_grid_builds_no_frame_from_w(monkeypatch):
     monkeypatch.setattr(maslov, "frame_from_souriau", lambda w: calls.append(w) or original(w))
     _, results, _ = cli.run_index({"task": "grid", "theta_count": 4}, 0)
     assert len(calls) == 0 and results["all_match"]
+
+
+def test_identities_calls_per_block_do_not_grow_with_trials(monkeypatch):
+    # outside leray_index's non-transversal path (every self-index goes there),
+    # a block of triples makes one solve (the exponentials), one QR (the
+    # frames), one eigvals (the pair spectra) and one eigvalsh (the inertia
+    # indices), however many trials it holds
+    calls = _count_calls(monkeypatch, ("eigvals", "qr", "eigvalsh", "solve"))
+    original = cli.leray_index
+
+    def uncounted(*args, **kwargs):
+        before = dict(calls)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            calls.update(before)
+
+    monkeypatch.setattr(cli, "leray_index", uncounted)
+    block = cli._IDENTITY_BLOCK
+    for trials, blocks in ((1, 1), (5, 1), (block, 1), (2 * block + 1, 3)):
+        calls.update(dict.fromkeys(calls, 0))
+        _, results, _ = cli.run_index({"task": "identities", "dims": [2], "trials": trials}, 3)
+        assert results["all_exact"]
+        assert calls == dict.fromkeys(calls, blocks), trials
