@@ -51,7 +51,6 @@ from .flows import (  # noqa: F401
     quadratic_hamiltonian,
     harmonic_hamiltonian,
     quartic_hamiltonian,
-    integrate,
     flow_path,
     flow_map,
 )

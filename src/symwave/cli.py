@@ -808,11 +808,10 @@ def run_evolve(params, seed):
     psi_t = evolve(psi, H, t_start, t_end, steps=steps)
 
     z0 = manifold.point([x0])
-    if psi_t is psi:  # t_end == t_start: the single-sample path at x0
-        times, points, jacs, actions = flow_path(H, z0, t_start, t_end,
-                                                 steps=steps)
-    else:  # the flow line that psi_t's phase at x0 reads, integrated once
-        times, points, jacs, actions = psi_t.manifold.path([x0])
+    # the flow line that psi_t's phase at x0 reads, integrated once; at
+    # t_end == t_start psi_t is psi, and the path is the one sample at x0
+    times, points, jacs, actions, _ = (flow_path(H, z0, t_start, t_end, steps=steps)
+                                       if psi_t is psi else psi_t.manifold.path([x0]))
     pick = np.unique(np.round(np.linspace(0, len(times) - 1,
                                           resolved["trajectory_samples"])).astype(int))
     traj_rows = [{"t": float(times[k]), "x": float(points[k][0]),

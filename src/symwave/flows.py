@@ -1,37 +1,44 @@
 """Hamiltonian flows with variational transport and action bookkeeping.
 
-State vectors are ordered ``z = (x, p)``.  Hamilton's equations read
-``dx/dt = dH/dp``, ``dp/dt = -dH/dx``, i.e. ``dz/dt = J grad H`` with
-``J = [[0, I], [-I, 0]]``.  Alongside each trajectory the module transports
-the Jacobian of the flow map (the solution of the variational equations) and
-the Poincare-Cartan action ``integral(p dx - H dt)``.
+States are ``z = (x, p)`` and ``dz/dt = J grad H``, ``J = [[0, I], [-I, 0]]``.
+Each trajectory carries the Jacobian of its flow map, solved from the
+variational equations (determinant signals near caustics need it, not finite
+differences), and the Poincare-Cartan action ``integral(p dx - H dt)``.
 
-Integrator policy: quadratic Hamiltonians use the exact matrix exponential
-of the linearized system, built once per (matrix, time step) and shared
-read-only; the quartic family, whose degrees of freedom are uncoupled, uses
-a fixed-step fourth-order splitting (Yoshida's triple of leapfrogs) run on
-Python floats one degree of freedom at a time, each carrying its exact 2x2
-Jacobian block, with powers as products so that its bits do not depend on
-numpy's SIMD ``pow``.  Jacobians are never finite-differenced from nearby
-trajectories: determinant signals near caustics need the variational
-solution.  Each family (quadratic, harmonic included; quartic) is one table
-entry: value, gradient, integrator, action.
+Each family is one table entry: value, gradient, integrator, action, whether
+one step is exact, and its turn rate.  Quadratic Hamiltonians (harmonic
+included) step by the exact matrix exponential, built once per (matrix, time
+step) and shared read-only.  The quartic family, whose degrees of freedom are
+uncoupled, steps by Yoshida's triple of leapfrogs on Python floats, one
+degree of freedom at a time with its exact 2x2 Jacobian block, and powers as
+products so that its bits do not depend on numpy's SIMD ``pow``.  Each
+integrator bounds how far each step can turn ``arg det(P - iX)`` of any
+flowed plane ``[X; P]``: by at most ``n ||S||_2`` along ``exp(s J S)`` (the
+crossing form), summed over the step's generators.  The caustic kernel
+`maslov._end_lifts` refuses a bound of pi or more, where an index could alias.
 
-`flow_path` is the one path function: it integrates, scans the path once for
-overflow, then sums the action and scans that too.  `integrate` and
-`flow_map` are views of its samples and fail as it fails.
+`flow_path` is the one path function: it integrates, scans the path and then
+its action for overflow, and returns one `Trajectory`; `flow_map` is its last
+sample and fails as it fails.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConjugatePointError, DivergenceError, NumericalError
-from .symplectic import _expm, _symplectic_defect, form_matrix
+from .symplectic import _expm, form_matrix
+
+__all__ = [
+    "HamiltonianSpec", "Trajectory", "quadratic_hamiltonian", "harmonic_hamiltonian",
+    "quartic_hamiltonian", "hamiltonian_value", "hamiltonian_gradient", "vector_field",
+    "flow_path", "flow_map", "chapman_kolmogorov_residual", "quadratic_action_shortcut",
+    "hamilton_jacobi_residual", "two_point_action", "generating_function_check",
+]
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
@@ -139,27 +146,22 @@ def _quartic_gradient(H, z):
     return np.concatenate([gx, gp], axis=-1)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An integrated flow segment.
+class Trajectory(NamedTuple):
+    """A sampled flow path, as `flow_path` returns it.
 
     ``points[k]`` is the state at ``times[k]``; ``jacobians[k]`` solves the
     variational equations from ``times[0]`` to ``times[k]``; ``action[k]``
     accumulates ``integral(p dx - H dt)`` along the discrete path.
+    ``turns[k]`` bounds how far the step from ``times[k]`` to ``times[k + 1]``
+    can turn ``arg det(P - iX)`` of any flowed plane ``[X; P]``.
     """
 
     times: np.ndarray
     points: np.ndarray
     jacobians: np.ndarray
     action: np.ndarray
-    symplectic_defect: float = field(default=0.0, compare=False)
+    turns: np.ndarray
 
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-
-    def __len__(self):
-        return len(self.times)
 
 def _check_path_finite(times, pts, what="flow left the finite phase space"):
     # the sample before the first non-finite one is the last valid one
@@ -170,7 +172,8 @@ def _check_path_finite(times, pts, what="flow left the finite phase space"):
 
 
 # Each integrator fills points[1:] and jacobians[1:] from the start sample at
-# two or more equally spaced times, and leaves overflow to the path scan.
+# two or more equally spaced times, and leaves overflow to the path scan; it
+# fills turns[k] with its bound on how far step k + 1 turns arg det(P - iX).
 
 @functools.lru_cache(maxsize=256)
 def _quadratic_step(matrix, n, dt):
@@ -178,15 +181,27 @@ def _quadratic_step(matrix, n, dt):
 
     Shooting solves and grids repeat few (M, dt) pairs over many flows, so
     each step matrix is built once and shared; read-only, as every caller
-    gets the same array.
+    gets the same array.  An overflowing exponential raises `NumericalError`.
     """
-    step = _expm(dt * (_jmat(n) @ np.frombuffer(matrix).reshape(2 * n, 2 * n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _expm(dt * (_jmat(n) @ np.frombuffer(matrix).reshape(2 * n, 2 * n)))
+    if not np.all(np.isfinite(step)):
+        raise NumericalError(f"the quadratic step exponential expm(dt J M) overflowed "
+                             f"at dt = {dt:.9g}; M is too stiff for this step")
     step.flags.writeable = False
     return step
 
 
-def _integrate_quadratic(H, times, pts, jacs):
-    step = _quadratic_step(H.matrix.tobytes(), H.n, float(times[1] - times[0]))
+@functools.lru_cache(maxsize=256)
+def _quadratic_rate(matrix, n):
+    # n ||M||_2 of M's bytes: along exp(t J M), arg det u turns at tr(Q^T M Q), Q orthonormal
+    return n * float(np.linalg.norm(np.frombuffer(matrix).reshape(2 * n, 2 * n), 2))
+
+
+def _integrate_quadratic(H, times, pts, jacs, turns):
+    matrix = H.matrix.tobytes()
+    step = _quadratic_step(matrix, H.n, float(times[1] - times[0]))
+    turns[:] = _quadratic_rate(matrix, H.n) * np.abs(np.diff(times))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(times)):
             jacs[k] = step @ jacs[k - 1]
@@ -202,7 +217,7 @@ def _quadratic_action(H, times, pts):
     )
 
 
-def _integrate_quartic(H, times, pts, jacs):
+def _integrate_quartic(H, times, pts, jacs, turns):
     # Yoshida's triple of kick-drift-kick leapfrogs per step, one uncoupled
     # degree of freedom at a time on Python floats (numpy's per-call cost on
     # length-n arrays was nearly all of a step), with its exact 2x2 Jacobian
@@ -210,21 +225,28 @@ def _integrate_quartic(H, times, pts, jacs):
     # the half-kick after a drift and the one before the next.  Powers are
     # products: float ``**`` raises on overflow, and numpy's array pow rounds
     # unlike ``x * x * x``.  Overflow runs on as inf/nan to the path scan.
+    # A kick's generator has norm |c| = |h/2| V''(x), a drift's |h|/m; the
+    # degrees of freedom may step one after another, so n times the largest
+    # of their per-step sums bounds the step's turn of arg det u.
     n = H.n
     dt = float(times[1] - times[0])
     hs = [w * dt for w in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)]
     g4, g12 = 4.0 * H.coupling, 12.0 * H.coupling
     jacs[1:] = 0.0
+    turns[:] = 0.0
     for j, (m, w2) in enumerate(zip(H.masses.tolist(), (H.masses * H.omegas**2).tolist())):
         subs = [(h, 0.5 * h, h / m) for h in hs]
+        drifts = sum(abs(h_over_m) for _, _, h_over_m in subs)
         x, p = float(pts[0, j]), float(pts[0, n + j])
         xx, xp, px, pp = 1.0, 0.0, 0.0, 1.0  # dx/dx0, dx/dp0, dp/dx0, dp/dp0
         v_grad = w2 * x + g4 * (x * x * x)
         v_hess = w2 + g12 * (x * x)
         rows = []
         for _ in range(len(times) - 1):
+            turn = drifts
             for h, half_h, h_over_m in subs:
                 c = half_h * v_hess
+                turn += abs(c)
                 p -= half_h * v_grad
                 px -= c * xx
                 pp -= c * xp
@@ -234,13 +256,16 @@ def _integrate_quartic(H, times, pts, jacs):
                 v_grad = w2 * x + g4 * (x * x * x)
                 v_hess = w2 + g12 * (x * x)
                 c = half_h * v_hess
+                turn += abs(c)
                 p -= half_h * v_grad
                 px -= c * xx
                 pp -= c * xp
-            rows.append((x, p, xx, xp, px, pp))
+            rows.append((x, p, xx, xp, px, pp, turn))
         block = np.array(rows)
         pts[1:, [j, n + j]] = block[:, :2]
-        jacs[1:, [j, j, n + j, n + j], [j, n + j, j, n + j]] = block[:, 2:]
+        jacs[1:, [j, j, n + j, n + j], [j, n + j, j, n + j]] = block[:, 2:6]
+        np.maximum(turns, block[:, 6], out=turns)
+    turns *= n
 
 
 def _trapezoid_action(H, times, pts):
@@ -255,17 +280,20 @@ def _trapezoid_action(H, times, pts):
 class _Family(NamedTuple):
     value: Callable  # (H, z) -> H(z), vectorized over leading axes
     gradient: Callable  # (H, z) -> (dH/dx, dH/dp), vectorized likewise
-    integrator: Callable  # (H, times, points, jacobians) -> None, fills the path
+    integrator: Callable  # (H, times, points, jacobians, turns) -> None, fills the path
     action: Callable  # (H, times, points) -> accumulated action per sample
+    exact: bool  # one integrator step is the exact flow map, at any dt
+    rate: Callable | None  # (H) -> n sup ||H''||_2, for a Hessian bounded over phase space
 
 
 _FAMILIES = {
     "quadratic": _Family(
         lambda H, z: 0.5 * np.einsum("...i,ij,...j->...", z, H.matrix, z),
         lambda H, z: z @ H.matrix.T,
-        _integrate_quadratic, _quadratic_action),
+        _integrate_quadratic, _quadratic_action, True,
+        lambda H: _quadratic_rate(H.matrix.tobytes(), H.n)),
     "quartic": _Family(_quartic_value, _quartic_gradient, _integrate_quartic,
-                       _trapezoid_action),
+                       _trapezoid_action, False, None),
 }
 
 
@@ -280,13 +308,14 @@ def _integrate_raw(H, z0, t0, t1, steps):
     times = np.linspace(t0, t1, steps + 1)
     pts = np.empty((steps + 1, 2 * H.n))
     jacs = np.empty((steps + 1, 2 * H.n, 2 * H.n))
+    turns = np.empty(steps)
     pts[0], jacs[0] = z0, np.eye(2 * H.n)
-    family.integrator(H, times, pts, jacs)
+    family.integrator(H, times, pts, jacs, turns)
     _check_path_finite(times, pts)
     with np.errstate(over="ignore", invalid="ignore"):
         action = family.action(H, times, pts)
     _check_path_finite(times, action[:, None], "flow action left the finite range")
-    return times, pts, jacs, action
+    return Trajectory(times, pts, jacs, action, turns)
 
 
 def _as_state(z, n):
@@ -302,13 +331,12 @@ def _check_steps(steps):
 
 
 def flow_path(H, z0, t0, t1, steps=1000):
-    """Sampled path of the flow map: ``(times, points, jacobians, action)``.
+    """Sampled path of the flow map, a `Trajectory` of ``steps + 1`` samples.
 
-    ``steps + 1`` samples as in `Trajectory`; ``t1 < t0`` integrates backward,
-    ``t1 == t0`` returns the single-sample path.  Leaving the finite phase
-    space raises `DivergenceError` with the last finite sample's time, and
-    so does an accumulated action that overflows on a finite path.  ``steps``
-    must be an integer >= 1, even for the single-sample path.
+    ``t1 < t0`` integrates backward, ``t1 == t0`` returns the single-sample
+    path, with no step to bound.  Leaving the finite phase space raises
+    `DivergenceError` with the last finite sample's time, as does an action
+    that overflows on a finite path.  ``steps`` must be an integer >= 1, even then.
     """
     _check_steps(steps)
     z0 = _as_state(z0, H.n)
@@ -317,29 +345,14 @@ def flow_path(H, z0, t0, t1, steps=1000):
     # nothing to integrate: the one sample is the start, checked here
     if not np.all(np.isfinite(z0)):
         raise DivergenceError("flow left the finite phase space", last_time=float(t0))
-    return (np.array([float(t0)]), z0[None, :].copy(),
-            np.eye(2 * H.n)[None], np.zeros(1))
-
-
-def integrate(H, z0, t0, t1, steps):
-    """Integrate Hamilton's equations from ``t0`` to ``t1``.
-
-    Returns a `Trajectory` with states, flow Jacobians and accumulated
-    action at ``steps + 1`` equally spaced times.  ``t1 == t0`` yields the
-    length-one trajectory at ``z0``.  For backward flow maps use
-    `flow_map`, which has no monotone-time requirement.
-    """
-    if t1 < t0:
-        raise ValueError("integrate requires t1 >= t0 (use flow_map for backward flow)")
-    times, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
-    return Trajectory(times=times, points=pts, jacobians=jacs, action=act,
-                      symplectic_defect=_symplectic_defect(jacs))
+    return Trajectory(np.array([float(t0)]), z0[None, :].copy(),
+                      np.eye(2 * H.n)[None], np.zeros(1), np.zeros(0))
 
 
 def flow_map(H, z0, t0, t1, steps=1000):
     """Endpoint, Jacobian and action of the flow map f_{t1,t0}: `flow_path`'s last sample."""
-    _, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
-    return pts[-1], jacs[-1], float(act[-1])
+    path = flow_path(H, z0, t0, t1, steps)
+    return path.points[-1], path.jacobians[-1], float(path.action[-1])
 
 
 def chapman_kolmogorov_residual(H, z0, t, t_mid, t_start, steps=1000):
@@ -414,11 +427,11 @@ def _shoot(H, source, target, theta0, t0, t1, steps, tol, max_iter, det_tol):
     ``source(theta)`` returns the start point and 2n x n tangent frame
     ``[X; P]``; the Newton matrix is their `_position_block`.  Each flow is
     integrated once (an accepted trial's path is the next evaluation), and a
-    diverging trial is a rejected step.  Quadratic generators take one exact
-    step.  Returns ``(theta, path, frame)``.
+    diverging trial is a rejected step.  A family whose one step is exact
+    takes one step.  Returns ``(theta, path, frame)``, ``path`` a `Trajectory`.
     """
     n = H.n
-    steps = 1 if H.matrix is not None else steps
+    steps = 1 if _family(H).exact else steps
 
     def evaluate(theta):
         z0, frame = source(theta)
@@ -428,11 +441,11 @@ def _shoot(H, source, target, theta0, t0, t1, steps, tol, max_iter, det_tol):
     path, frame = evaluate(theta)
     scale = tol * max(1.0, float(np.max(np.abs(target))))
     for _ in range(max_iter):
-        resid = path[1][-1, :n] - target
+        resid = path.points[-1, :n] - target
         err = float(np.max(np.abs(resid)))
         if err <= scale:
             return theta, path, frame
-        D = _position_block(path[2][-1], frame)
+        D = _position_block(path.jacobians[-1], frame)
         if abs(np.linalg.det(D)) < det_tol:
             raise ConjugatePointError("the source's x-projection is singular along the "
                                       "Newton path (a conjugate point at the end time)")
@@ -445,7 +458,7 @@ def _shoot(H, source, target, theta0, t0, t1, steps, tol, max_iter, det_tol):
             except DivergenceError:
                 pass  # a trial flung off the bounded flow is a rejected step
             else:
-                if float(np.max(np.abs(trial_path[1][-1, :n] - target))) < err:
+                if float(np.max(np.abs(trial_path.points[-1, :n] - target))) < err:
                     theta, path, frame = trial, trial_path, trial_frame
                     break
             lam /= 2
@@ -484,14 +497,14 @@ def two_point_action(H, x_start, x_end, t_start, t_end, steps=800,
 
     fibre = np.vstack([np.zeros((n, n)), np.eye(n)])
     p0 = np.asarray(p_guess, dtype=float) if p_guess is not None else (x1 - x0) / tau
-    p0, (_, pts, jacs, act), _ = _shoot(
+    p0, path, _ = _shoot(
         H, lambda p: (np.concatenate([x0, p]), fibre), x1, p0, t_start, t_end, steps,
         tol, max_iter, 1e-12)
-    det_b = np.linalg.det(jacs[-1, :n, n:])
+    det_b = np.linalg.det(path.jacobians[-1, :n, n:])
     if abs(det_b) < 1e-10:
         raise ConjugatePointError("dx/dp' is singular at this time separation")
-    return {"action": float(act[-1]), "p_start": p0, "p_end": pts[-1, n:],
-            "det_block": float(det_b), "endpoint": pts[-1]}
+    return {"action": float(path.action[-1]), "p_start": p0, "p_end": path.points[-1, n:],
+            "det_block": float(det_b), "endpoint": path.points[-1]}
 
 
 def generating_function_check(H, t_start, t_end, sample_count=20, rng=None,

@@ -255,18 +255,19 @@ def leray_index_transversal(a, b, tol=_INT_TOL):
     return _leray_log(a, b, lam, tol)
 
 
-def _end_lifts(frames, turn=None):
+def _end_lifts(frames, turns):
     """Lifts of the two ends of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
 
     ``w = u (F^T F)^-1 u^T`` with ``u = P - iX``, so one batched ``det u``
-    lifts every sample; a step moving ``arg det u`` by pi or more is too
-    coarse to unwrap and raises `RefinementError`.  ``turn`` is the caller's
-    bound on how far one step of the path can turn ``arg det u`` (for a flow,
-    ``n |dt| sup ||H''||_2``); a bound of pi or more raises `RefinementError`
-    too, since a full turn inside one step would read as no turn at all.
+    lifts every sample.  ``turns[k]`` bounds how far step ``k + 1`` can turn
+    ``arg det u`` (`flows.Trajectory.turns`).  A bound that reaches pi raises
+    `RefinementError`, since a full turn inside the step would read as none;
+    so does a sampled step moving ``arg det u`` by pi or more.
     """
-    if turn is not None and turn >= np.pi:
-        raise RefinementError(f"sampled path too coarse: a step may turn arg det u by {turn:.6f}")
+    far = np.flatnonzero(~(np.asarray(turns) < _UNWRAP_STEP))  # NaN certifies nothing
+    if far.size:
+        raise RefinementError(f"sampled path too coarse: step {far[0] + 1} may turn "
+                              f"arg det u by {turns[far[0]]:.6g}")
     F = np.asarray(frames, dtype=float)
     half = np.unwrap(_arg_det_u(F))
     _too_coarse(np.diff(half), "arg det u")
@@ -274,16 +275,16 @@ def _end_lifts(frames, turn=None):
     return LagrangianLift(w[0], 2.0 * half[0]), LagrangianLift(w[1], 2.0 * half[-1])
 
 
-def _vertical_crossings(frames, turn=None):
+def _vertical_crossings(frames, turns):
     """Net caustic count of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
 
     The absolute Leray-index change of the `_end_lifts` against ``{x = 0}``:
-    crossings with multiplicity, opposite signs cancelling.  A step moving
-    ``arg det u`` by pi or more, or whose ``turn`` bound is pi or more,
+    crossings with multiplicity, opposite signs cancelling.  A step whose
+    bound in ``turns`` reaches pi, or that moves ``arg det u`` by pi or more,
     raises `RefinementError`, an end on ``{x = 0}`` `ConjugatePointError`.
     """
     m = []
-    for end in _end_lifts(frames, turn):
+    for end in _end_lifts(frames, turns):
         lam = _spectrum(end.w)  # the pair spectrum against w = I
         if _band_dim(lam):
             raise ConjugatePointError(

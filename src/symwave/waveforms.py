@@ -36,7 +36,7 @@ import numpy as np
 
 from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
 from .errors import ConjugatePointError, NumericalError, RefinementError
-from .flows import _check_steps, _position_block, _shoot, flow_map, flow_path
+from .flows import _check_steps, _family, _position_block, _shoot, flow_map, flow_path
 from .maslov import (
     LagrangianLift,
     _end_lifts,
@@ -255,19 +255,6 @@ class GradientGraphManifold:
         return 0
 
 
-def _step_turn(H, times):
-    """Certified bound on how far one step of a sampled flow turns ``arg det u``, or None.
-
-    Along the linearized flow ``arg det u`` of a plane turns at the rate
-    ``tr(Q^T H'' Q)``, ``Q`` an orthonormal frame of the plane, so by at most
-    ``n ||H''||_2 |dt|`` per step.  ``H''`` is the constant ``M`` of the
-    quadratic family; the quartic family certifies nothing (None).
-    """
-    if H.matrix is None or len(times) < 2:
-        return None
-    return H.n * float(np.linalg.norm(H.matrix, 2)) * float(np.max(np.abs(np.diff(times))))
-
-
 class FlowedManifold:
     """The image of a base manifold under a Hamiltonian flow ``f_{t, t'}``.
 
@@ -305,7 +292,7 @@ class FlowedManifold:
         return self.base.reference()
 
     def path(self, theta):
-        """The flow line ``(times, points, jacobians, action)``; the last one is kept, read-only."""
+        """The flow line, a `flows.Trajectory`; the last one is kept, read-only."""
         th = _coerce_param(theta, self.param_dim)
         key = th.tobytes()
         if self._line[0] != key:
@@ -317,26 +304,25 @@ class FlowedManifold:
         return self._line[1]
 
     def point(self, theta):
-        return self.path(theta)[1][-1].copy()
+        return self.path(theta).points[-1].copy()
 
     def jacobian(self, theta):
-        return self.path(theta)[2][-1].copy()
+        return self.path(theta).jacobians[-1].copy()
 
     def action(self, theta):
         """Accumulated ``integral(p dx - H dt)`` along the flow line from the base point."""
-        return float(self.path(theta)[3][-1])
+        return float(self.path(theta).action[-1])
 
     def tangent_frame(self, theta):
-        return self.base.tangent_frame(theta).transformed(self.path(theta)[2][-1])
+        return self.base.tangent_frame(theta).transformed(self.path(theta).jacobians[-1])
 
     def phase(self, theta):
         return self.base.phase(theta) + self.action(theta)
 
     def cover_lift(self, theta):
         """The base lift carried along the sampled Jacobians of the flow line."""
-        times, _, jacs, _ = self.path(theta)
-        start, end = _end_lifts(jacs @ self.base.tangent_frame(theta).stacked(),
-                                _step_turn(self.hamiltonian, times))
+        path, frame = self.path(theta), self.base.tangent_frame(theta).stacked()
+        start, end = _end_lifts(path.jacobians @ frame, path.turns)
         return LagrangianLift(end.w, self.base.cover_lift(theta).alpha + end.alpha - start.alpha)
 
     def offset(self, z):
@@ -684,7 +670,7 @@ def chart_shadow_value(psi, theta, chart):
     return np.exp(1j * float(psi.phase(th)) / psi.hbar) * _ipow(m) * math.sqrt(a) * conv
 
 
-_SCAN_MAX = 1_000_000  # steps of a quadratic window's conjugate scan, as many as a flow in `evolve`
+_SCAN_MAX = 1_000_000  # steps of an exact window's conjugate scan, as many as a flow in `evolve`
 
 
 def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
@@ -698,15 +684,17 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         exp(i (phi(x') + S) / hbar) * amplitude(x') * |det dx/dx'|^{-1/2},
 
     with ``S`` the flow-line action and ``dx/dx' = A + B Hess(phi)(x')`` from
-    the variational Jacobian blocks.  Quadratic generators take one exact
-    step per flow (the formula is exact for them with constant amplitude).
-    A diverging trial is a rejected step.  A caustic at or inside the window
-    (`maslov._vertical_crossings` of the flowed source plane) raises
-    `ConjugatePointError`: the multi-branch sum applies there instead;
-    ``det_tol`` only guards the Newton matrix.  A quadratic window is scanned
-    once for all positions in max(64, ceil(2 n ||M||_2 T / pi)) exact steps,
-    so no step turns the plane by more than pi/2; a scan past `_SCAN_MAX`
-    steps raises `RefinementError`.  A grid position with no
+    the variational Jacobian blocks.  A generator whose one step is exact
+    takes one step per flow (the formula is then exact with constant
+    amplitude).  A diverging trial is a rejected step.  A caustic at or
+    inside the window (`maslov._vertical_crossings` of the flowed source
+    plane) raises `ConjugatePointError`: the multi-branch sum applies there
+    instead; ``det_tol`` only guards the Newton matrix.  Such a window is
+    scanned once for all positions in max(64, ceil(2 rate T / pi)) exact
+    steps, ``rate`` the family's ``n sup ||H''||_2``, so no step turns the
+    plane by more than pi/2; a scan past `_SCAN_MAX` steps raises
+    `RefinementError`.  Otherwise each source's path is scanned, and refused
+    as too coarse if a step's turn bound reaches pi.  A grid position with no
     source point, such as one past a fold of the flowed graph, raises
     `NumericalError` ("no source point found") once a Newton step stalls
     through a few halvings.  ``phi`` must expose value/grad/hess.
@@ -726,16 +714,13 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         return np.array([np.exp(1j * float(phi.value(x)) / hbar) * float(amplitude(x))
                          for x in grid], dtype=complex)
 
-    quadratic = H.matrix is not None  # the quadratic family
-    turn = None
-    if quadratic:  # one state-independent exact time scan, no step turning past pi/2
-        need = 2 * n * float(np.linalg.norm(H.matrix, 2)) * abs(t_end - t_start) / math.pi
+    family = _family(H)
+    if family.exact:  # one state-independent exact time scan, no step turning past pi/2
+        need = 2 * family.rate(H) * abs(t_end - t_start) / math.pi
         if not need <= _SCAN_MAX:  # nor a span that overflows
             raise RefinementError(f"window too long to scan for conjugate points in "
                                   f"{_SCAN_MAX} steps")
-        scan_times, _, scan_jacs, _ = flow_path(H, np.zeros(2 * n), t_start, t_end,
-                                                steps=max(64, math.ceil(need)))
-        turn = _step_turn(H, scan_times)
+        scan = flow_path(H, np.zeros(2 * n), t_start, t_end, steps=max(64, math.ceil(need)))
 
     def graph(xp):
         return (np.concatenate([xp, np.asarray(phi.grad(xp), dtype=float)]),
@@ -746,14 +731,14 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         # warm start from the previous source shifted by the grid step; the
         # converged path feeds the scan and the action
         xp = x.copy() if k == 0 else xp + (x - grid[k - 1])
-        xp, (_, _, jacs, action), frame = _shoot(
+        xp, path, frame = _shoot(
             H, graph, x, xp, t_start, t_end, steps, newton_tol, max_iter, det_tol)
-        window = scan_jacs if quadratic else jacs
-        if _vertical_crossings(window @ frame, turn):
+        window = scan if family.exact else path
+        if _vertical_crossings(window.jacobians @ frame, window.turns):
             raise ConjugatePointError(
                 "conjugate point inside the window; use the multi-branch shadow sum")
-        det = np.linalg.det(_position_block(window, frame))[-1]
-        out[k] = (np.exp(1j * (float(phi.value(xp)) + float(action[-1])) / hbar)
+        det = np.linalg.det(_position_block(window.jacobians, frame))[-1]
+        out[k] = (np.exp(1j * (float(phi.value(xp)) + float(path.action[-1])) / hbar)
                   * float(amplitude(xp)) * abs(det) ** -0.5)
     return out
 
@@ -765,10 +750,11 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
     Leray-index change of the flowed momentum fibre ``[0; I]`` against
     ``{x = 0}`` over the ``steps`` samples after ``t_start`` of one
     integrated trajectory (variational Jacobians, no finite differences).
-    This assumes a definite ``d^2 H / dp^2``, as every harmonic, free and
-    quartic generator has; otherwise it is the net crossing number.  A conjugate endpoint raises `ConjugatePointError`; a quadratic
-    generator whose step may turn the fibre by pi or more (``n ||M||_2 dt``)
-    raises `RefinementError`, as the count could alias.
+    This assumes a definite ``d^2 H / dp^2``, as every generator the
+    commands build has; otherwise it is the net crossing number.  A
+    conjugate endpoint raises `ConjugatePointError`, and a step whose turn
+    bound (`flows.Trajectory.turns`) reaches pi raises `RefinementError`, as
+    the count could alias.
     """
     n = H.n
     z0 = np.concatenate([np.atleast_1d(np.asarray(x_start, dtype=float)),
@@ -777,9 +763,10 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
         raise ValueError("x_start and p_start must each have length n")
     if t_end <= t_start:
         raise ValueError("need t_end > t_start")
-    times, _, jacs, _ = flow_path(H, z0, t_start, t_end, steps)
-    # the fibre starts on the vertical plane itself: count from the next sample
-    return _vertical_crossings(jacs[1:, :, n:], _step_turn(H, times))
+    path = flow_path(H, z0, t_start, t_end, steps)
+    # the fibre starts on the vertical plane: count from the next sample, but
+    # certify every step, or a focal point inside the first would go uncounted
+    return _vertical_crossings(path.jacobians[1:, :, n:], path.turns)
 
 
 def _ladder_residual(r2, hbar, density_only):

@@ -33,9 +33,9 @@ from symwave.capacity import (
 from symwave.errors import ConjugatePointError
 from symwave.flows import (
     chapman_kolmogorov_residual,
+    flow_path,
     hamilton_jacobi_residual,
     harmonic_hamiltonian,
-    integrate,
     quadratic_action_shortcut,
     quadratic_hamiltonian,
     quartic_hamiltonian,
@@ -54,6 +54,7 @@ from symwave.maslov import (
 from symwave.polynomials import Polynomial
 from symwave.symplectic import (
     LagrangianFrame,
+    _symplectic_defect,
     form_matrix,
     random_lagrangian_frame,
     random_symmetric_unitary,
@@ -282,12 +283,12 @@ def test_criterion_08_flow_quality():
 
     H2 = harmonic_hamiltonian([1.0, 0.5])
     z0 = rng.uniform(-1.0, 1.0, size=4)
-    quad_defect = integrate(H2, z0, 0.0, 2.3, steps=500).symplectic_defect
+    quad_defect = _symplectic_defect(flow_path(H2, z0, 0.0, 2.3, steps=500).jacobians)
     assert quad_defect <= 1e-8
 
     H4 = quartic_hamiltonian([1.0, 0.7], 0.08)
     z4 = rng.uniform(-0.8, 0.8, size=4)
-    quartic_defect = integrate(H4, z4, 0.0, 1.5, steps=10_000).symplectic_defect
+    quartic_defect = _symplectic_defect(flow_path(H4, z4, 0.0, 1.5, steps=10_000).jacobians)
     assert quartic_defect <= 1e-6
 
     ck_quad = chapman_kolmogorov_residual(H2, z0, 2.0, 0.7, 0.0, steps=1000)
@@ -301,7 +302,7 @@ def test_criterion_08_flow_quality():
     for _ in range(50):
         z = rng.uniform(-1.0, 1.0, size=4)
         tau = float(rng.uniform(0.2, 2.5))
-        traj = integrate(H2, z, 0.0, tau, steps=400)
+        traj = flow_path(H2, z, 0.0, tau, steps=400)
         shortcut_worst = max(shortcut_worst,
                              abs(traj.action[-1] - quadratic_action_shortcut(z, traj.points[-1])))
     assert shortcut_worst <= 1e-8

@@ -510,8 +510,8 @@ _EVOLVE_BASE = {"hamiltonian": {"kind": "harmonic"}, "state": {"phi": [0.0, 0.0,
                 "hbar": 0.05, "shadow": False}
 
 
-def _config_error(tmp_path, command, params):
-    # the child's whole stderr, which must be one JSON line
+def _child_error(tmp_path, command, params, code):
+    # the child's whole stderr, which must be one JSON line: no warning, no traceback
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"params": params}))
     src = str(Path(symwave.__file__).resolve().parents[1])
@@ -519,9 +519,13 @@ def _config_error(tmp_path, command, params):
     proc = subprocess.run([sys.executable, "-m", "symwave.cli", command, "--config", str(config)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.returncode == code and proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     return json.loads(proc.stderr)
+
+
+def _config_error(tmp_path, command, params):
+    return _child_error(tmp_path, command, params, 2)
 
 
 @pytest.mark.parametrize("command, params, detail", [
@@ -550,6 +554,27 @@ def test_overflowing_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
         "error": "config", "exit_code": 2,
         "detail": "evolve.hamiltonian: frequencies and masses must be finite, "
                   "and so must m omega^2 and 1/m"}
+
+
+@pytest.mark.parametrize("entry", [1e150, 1e200])
+def test_overflowing_quadratic_step_exponential_is_named(tmp_path, entry):
+    # squaring expm(dt J M) overflowed: two RuntimeWarnings, then exit 3 with
+    # "flow left the finite phase space; last valid time 0"
+    params = {**_EVOLVE_BASE, "t_end": 1.0,
+              "hamiltonian": {"kind": "quadratic", "matrix": [[entry, 0.0], [0.0, 1.0]]}}
+    diag = _child_error(tmp_path, "evolve", params, 3)
+    assert diag["error"] == "numerical"
+    assert diag["detail"].startswith(
+        "the quadratic step exponential expm(dt J M) overflowed at dt = 0.001")
+
+
+def test_too_coarse_quartic_evolve_is_a_numerical_error(tmp_path):
+    # one step over [0, 20] exited 0 with index_end 0 at theta = -2, 0 and 2,
+    # where 4,000 steps give -10, -6 and -10
+    params = {**_EVOLVE_BASE, "hamiltonian": {"kind": "quartic"}, "t_end": 20.0, "steps": 1}
+    diag = _child_error(tmp_path, "evolve", params, 3)
+    assert diag["error"] == "numerical"
+    assert diag["detail"].startswith("sampled path too coarse: step 1 may turn arg det u by")
 
 
 @pytest.mark.parametrize("command, params", [

@@ -19,7 +19,6 @@ from symwave.flows import (
     hamiltonian_gradient,
     hamiltonian_value,
     harmonic_hamiltonian,
-    integrate,
     quadratic_action_shortcut,
     quadratic_hamiltonian,
     quartic_hamiltonian,
@@ -28,7 +27,11 @@ from symwave.flows import (
     vector_field,
 )
 from symwave.flows import _YOSHIDA_W0, _YOSHIDA_W1, _trapezoid_action
-from symwave.symplectic import is_symplectic_matrix
+from symwave.symplectic import (
+    _symplectic_defect,
+    is_symplectic_matrix,
+    random_lagrangian_frame,
+)
 from symwave.waveforms import CircleManifold, FlowedManifold, morse_index
 
 
@@ -54,7 +57,7 @@ def test_closed_form_satisfies_hj():
 
 def test_harmonic_rotation_endpoint():
     H = harmonic_hamiltonian([1.0])
-    traj = integrate(H, [1.0, 0.0], 0.0, np.pi / 2, 64)
+    traj = flow_path(H, [1.0, 0.0], 0.0, np.pi / 2, 64)
     assert np.allclose(traj.points[-1], [0.0, -1.0], atol=1e-10)
     # quarter-period flow matrix is the clockwise rotation
     assert np.allclose(traj.jacobians[-1], [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
@@ -63,22 +66,11 @@ def test_harmonic_rotation_endpoint():
 def test_zero_length_trajectory():
     H = harmonic_hamiltonian([1.0, 2.0])
     z0 = np.array([0.3, -0.1, 0.2, 0.5])
-    traj = integrate(H, z0, 1.5, 1.5, 10)
-    assert len(traj) == 1
+    traj = flow_path(H, z0, 1.5, 1.5, 10)
+    assert len(traj.times) == 1
     assert np.allclose(traj.points[0], z0)
     assert traj.action[0] == 0.0
-    with pytest.raises(ValueError):
-        integrate(H, z0, 1.0, 0.0, 10)
-
-
-def test_trajectory_time_monotonicity_guard():
-    with pytest.raises(ValueError):
-        Trajectory(
-            times=np.array([0.0, 0.5, 0.5]),
-            points=np.zeros((3, 2)),
-            jacobians=np.tile(np.eye(2), (3, 1, 1)),
-            action=np.zeros(3),
-        )
+    assert traj.turns.shape == (0,)
 
 
 def test_spec_validation():
@@ -169,9 +161,9 @@ def test_jacobians_symplectic_every_sample(rng):
         (quartic_hamiltonian([1.0, 1.7], 0.2), rng.uniform(-1, 1, 4), 2.0, 2000),
     ]
     for H, z0, t1, steps in segs:
-        traj = integrate(H, z0, 0.0, t1, steps)
-        assert traj.symplectic_defect < 1e-10
-        for k in (0, len(traj) // 2, len(traj) - 1):
+        traj = flow_path(H, z0, 0.0, t1, steps)
+        assert _symplectic_defect(traj.jacobians) < 1e-10
+        for k in (0, len(traj.times) // 2, len(traj.times) - 1):
             assert is_symplectic_matrix(traj.jacobians[k], tol=1e-10)
 
 
@@ -182,19 +174,19 @@ def _energy_drift(H, traj):
 
 def test_energy_conservation(rng):
     Hq = quartic_hamiltonian([1.0], 0.3)
-    traj = integrate(Hq, [0.9, 0.2], 0.0, 1.0, 10_000)
+    traj = flow_path(Hq, [0.9, 0.2], 0.0, 1.0, 10_000)
     assert _energy_drift(Hq, traj) < 1e-8
     H2 = quadratic_hamiltonian(_random_sym(rng, 4))
-    traj = integrate(H2, rng.uniform(-1, 1, 4), 0.0, 2.0, 400)
+    traj = flow_path(H2, rng.uniform(-1, 1, 4), 0.0, 2.0, 400)
     assert _energy_drift(H2, traj) < 1e-10
 
 
 def test_divergence_reported():
-    # an inverted oscillator runs off exponentially: the Trajectory view
-    # reports the last finite sample's time, as flow_path does
+    # an inverted oscillator runs off exponentially: the path reports the
+    # last finite sample's time
     H = quadratic_hamiltonian(np.diag([-1.0, 1.0]))
     with pytest.raises(DivergenceError) as exc:
-        integrate(H, [1.0, 0.0], 0.0, 1000.0, 100)
+        flow_path(H, [1.0, 0.0], 0.0, 1000.0, 100)
     assert exc.value.last_time == 710.0
 
 
@@ -229,18 +221,33 @@ def _view_specs():
 def test_views_return_the_flow_path_sample(H, t0, t1):
     n, steps = H.n, 60
     z0 = np.linspace(0.3, -0.4, 2 * n)
-    times, pts, jacs, act = flow_path(H, z0, t0, t1, steps)
+    traj = flow_path(H, z0, t0, t1, steps)
+    times, pts, jacs, act, turns = traj
     z1, jac1, s1 = flow_map(H, z0, t0, t1, steps)
     assert np.array_equal(z1, pts[-1]) and np.array_equal(jac1, jacs[-1])
     assert s1 == act[-1]
-    if t1 < t0:
-        with pytest.raises(ValueError):
-            integrate(H, z0, t0, t1, steps)
-        return
-    traj = integrate(H, z0, t0, t1, steps)
-    for got, want in zip((traj.times, traj.points, traj.jacobians, traj.action),
-                         (times, pts, jacs, act)):
-        assert np.array_equal(got, want)
+    # one record, read by unpacking or by name
+    assert isinstance(traj, Trajectory)
+    for got, want in zip((traj.times, traj.points, traj.jacobians, traj.action, traj.turns),
+                         (times, pts, jacs, act, turns)):
+        assert got is want
+    assert turns.shape == (len(times) - 1,) and np.all(turns > 0)
+
+
+@pytest.mark.parametrize("H", _view_specs() + [
+    quartic_hamiltonian([1.0, 1.7], 0.2, masses=[1.3, 0.6])],
+    ids=["quadratic", "harmonic", "quartic", "quartic-n2"])
+def test_turn_bounds_cover_every_sampled_turn(H, rng):
+    # each step's bound is at least the turn of arg det(P - iX) that the
+    # samples show for any flowed plane [X; P], and below pi here, so the
+    # unwrapped samples are unambiguous
+    n = H.n
+    traj = flow_path(H, rng.uniform(-1, 1, 2 * n), -0.3, 2.2, 250)
+    assert traj.turns.shape == (250,) and traj.turns.max() < np.pi
+    for _ in range(5):
+        frames = traj.jacobians @ random_lagrangian_frame(n, rng).stacked()
+        arg = np.unwrap(np.angle(np.linalg.det(frames[:, n:] - 1j * frames[:, :n])))
+        assert np.all(np.abs(np.diff(arg)) <= traj.turns)
 
 
 @pytest.mark.parametrize("H, z0, t1, steps, last_time", [
@@ -261,7 +268,6 @@ def test_views_diverge_like_flow_path(H, z0, t1, steps, last_time):
     views = {
         "flow_path": lambda: flow_path(H, z0, 0.0, t1, steps),
         "flow_map": lambda: flow_map(H, z0, 0.0, t1, steps),
-        "integrate": lambda: integrate(H, z0, 0.0, t1, steps),
     }
     if t1 > 0:
         views["morse_index"] = lambda: morse_index(H, z0[:1], z0[1:], 0.0, t1, steps)
@@ -322,7 +328,7 @@ def _reference_path(H, z0, times):
     (quartic_hamiltonian([1.0, 1.7], 0.2, masses=[1.3, 0.6]), [0.3, -0.2, 0.1, 0.4]),
 ], ids=["n=1", "n=2-masses"])
 def test_quartic_integrator_matches_reference_bitwise(H, z0):
-    times, pts, jacs, act = flow_path(H, z0, 0.0, 2.0, 2000)
+    times, pts, jacs, act, _ = flow_path(H, z0, 0.0, 2.0, 2000)
     ref_pts, ref_jacs = _reference_path(H, z0, times)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(jacs, ref_jacs)
@@ -355,7 +361,7 @@ def test_quartic_kernel_is_the_reference_block_by_block(n, seed, steps, backward
             flow_path(H, z0, t0, t1, steps)
         assert exc.value.last_time == ref_times[max(0, int(np.argmax(bad)) - 1)]
         return
-    times, pts, jacs, _ = flow_path(H, z0, t0, t1, steps)
+    times, pts, jacs, _, _ = flow_path(H, z0, t0, t1, steps)
     assert np.array_equal(pts, ref_pts)
     assert np.array_equal(jacs, ref_jacs)
     rows = np.array([[j, j, n + j, n + j] for j in range(n)])
@@ -393,7 +399,7 @@ def test_action_against_quadrature(rng):
         M = _random_sym(rng, 4)
         H = quadratic_hamiltonian(M)
         z0 = rng.uniform(-1, 1, size=4)
-        traj = integrate(H, z0, 0.0, 1.0, 4000)
+        traj = flow_path(H, z0, 0.0, 1.0, 4000)
         xdot = vector_field(H, traj.points)[:, :2]
         integrand = np.einsum("kj,kj->k", traj.points[:, 2:], xdot) - hamiltonian_value(
             H, traj.points
@@ -479,7 +485,7 @@ def test_quartic_two_point_round_trip(H, z0, tau):
     # the shared source-point solve on a non-quadratic generator, from the
     # default straight-line guess: the momentum and action of a flowed path
     n = H.n
-    _, pts, _, act = flow_path(H, z0, 0.0, tau, 800)
+    _, pts, _, act, _ = flow_path(H, z0, 0.0, tau, 800)
     tp = two_point_action(H, z0[:n], pts[-1, :n], 0.0, tau)
     assert np.max(np.abs(tp["p_start"] - np.asarray(z0[n:]))) <= 1e-10
     assert abs(tp["action"] - act[-1]) <= 1e-10

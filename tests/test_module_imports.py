@@ -5,7 +5,8 @@ Every private definition is read somewhere, and ``np.linalg.eigvals`` is
 called in one kernel only, ``symplectic._spectrum``.  The index modules write
 each small threshold once, in the decisions block of ``symplectic.py``.  No
 module calls ``json.dump``, and json's encoder is built in one place, the
-envelope writer ``cli._write_json``.
+envelope writer ``cli._write_json``.  Only ``flows.py`` indexes the family
+table ``_FAMILIES``, and ``waveforms.py`` reads no Hamiltonian ``.matrix``.
 """
 
 import ast
@@ -147,3 +148,16 @@ def test_index_thresholds_are_written_once_in_one_block():
     block = list(_small_float_statements(tree))
     assert block and block == list(range(block[0], block[-1] + 1))
     assert all(isinstance(tree.body[k], ast.Assign) for k in block)
+
+
+def test_family_knowledge_stays_in_flows():
+    # how far one step turns a plane, and whether one step is exact, are the
+    # family table's to say: waveforms reads them through flows, not off H
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    matrix_reads = [node.lineno for node in ast.walk(trees["waveforms.py"])
+                    if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert matrix_reads == []
+    indexing = sorted({name for name, tree in trees.items() for node in ast.walk(tree)
+                       if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                       and node.value.id == "_FAMILIES"})
+    assert indexing == ["flows.py"]

@@ -21,7 +21,7 @@ PACKAGE_EXPORTS = [
     "HamiltonianSpec", "LagrangianFrame", "LagrangianLift", "Shadow", "TorusManifold",
     "TorusSpec", "Trajectory", "Waveform", "argument_index_on_manifold", "circle_phase",
     "cover_phase", "deck_act", "ellipsoid_capacity", "ellipsoid_volume", "evolve",
-    "flow_map", "flow_path", "form_matrix", "harmonic_hamiltonian", "inert", "integrate",
+    "flow_map", "flow_path", "form_matrix", "harmonic_hamiltonian", "inert",
     "intersection_dim", "is_lagrangian_frame", "is_quantized", "is_symplectic_matrix",
     "keller_maslov_check", "leray_index", "leray_index_transversal", "lift_from_frame",
     "lift_path", "lift_path_adaptive", "maslov_loop_index", "maslov_loop_index_adaptive",
@@ -43,7 +43,13 @@ MODULE_ALL = {
     ],
     "symwave.cli": ["ConfigError", "main"],
     "symwave.errors": None,
-    "symwave.flows": None,
+    "symwave.flows": [
+        "HamiltonianSpec", "Trajectory", "chapman_kolmogorov_residual", "flow_map",
+        "flow_path", "generating_function_check", "hamilton_jacobi_residual",
+        "hamiltonian_gradient", "hamiltonian_value", "harmonic_hamiltonian",
+        "quadratic_action_shortcut", "quadratic_hamiltonian", "quartic_hamiltonian",
+        "two_point_action", "vector_field",
+    ],
     "symwave.maslov": [
         "LagrangianLift", "deck_act", "inert", "leray_index", "leray_index_transversal",
         "lift_from_frame", "lift_path", "lift_path_adaptive", "maslov_loop_index",

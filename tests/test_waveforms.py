@@ -26,6 +26,7 @@ from symwave.symplectic import frame_from_souriau, vertical_frame
 from symwave.waveforms import (
     CircleManifold,
     CoverPoint,
+    FlowedManifold,
     GradientGraphManifold,
     TorusManifold,
     Waveform,
@@ -323,7 +324,7 @@ def test_caustic_kernel_rejects_a_flipped_basis():
     # one line {p = 0} with its basis flipped: nothing moves, yet det(P - iX)
     # jumps by pi, which no sampled step may do -- not a phantom caustic
     with pytest.raises(RefinementError, match="too coarse"):
-        _vertical_crossings(np.array([[[1.0], [0.0]], [[-1.0], [0.0]]]))
+        _vertical_crossings(np.array([[[1.0], [0.0]], [[-1.0], [0.0]]]), [0.0])
 
 
 def test_evolve_composition_matches_direct():
@@ -657,6 +658,42 @@ def test_quadratic_morse_count_is_exact_or_refused(n, seed, definite, T, steps):
     assert count == dense
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0),
+       st.floats(0.5, 10.0), st.integers(1, 200))
+def test_quartic_morse_count_is_exact_or_refused(n, seed, t0, T, steps):
+    # the quartic family certifies its steps too: the coarse count is the
+    # dense one, or a Yoshida step's turn bound reaches pi and refuses it.  A
+    # step past the splitting's stability runs the path off, which is loud too
+    rng = np.random.default_rng(seed)
+    H = quartic_hamiltonian(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 0.5),
+                            masses=rng.uniform(0.5, 2.0, n))
+    x, p = rng.normal(size=n), rng.normal(size=n)
+    try:
+        dense = morse_index(H, x, p, t0, t0 + T, steps=4000)
+    except ConjugatePointError:
+        assume(False)
+    try:
+        count = morse_index(H, x, p, t0, t0 + T, steps=steps)
+    except (RefinementError, DivergenceError):
+        return
+    assert count == dense
+
+
+def test_quartic_coarse_paths_are_refinement_errors():
+    H = quartic_hamiltonian([1.0], 0.1)
+    # 16 steps counted 3 focal points where dense sampling finds 6
+    with pytest.raises(RefinementError, match="too coarse"):
+        morse_index(H, [0.3], [0.2], 0.0, 20.0, steps=16)
+    assert morse_index(H, [0.3], [0.2], 0.0, 20.0, steps=2000) == 6
+    # one step lifted the circle's tangent with alpha 0.0, where dense
+    # sampling carries it to -44.755
+    with pytest.raises(RefinementError, match="too coarse"):
+        FlowedManifold(CircleManifold(1.0), H, 0.0, 20.0, steps=1).cover_lift([0.3])
+    alpha = FlowedManifold(CircleManifold(1.0), H, 0.0, 20.0, steps=2000).cover_lift([0.3]).alpha
+    assert alpha == pytest.approx(-44.755265, abs=1e-5)
+
+
 def test_evolved_index_field_drops_by_the_caustic_count():
     # Morse index theorem: the transported lift's index falls by one per
     # focal point of the flowed graph plane, which the batched kernel counts
@@ -666,10 +703,10 @@ def test_evolved_index_field_drops_by_the_caustic_count():
         for T in (1.0, 2.5, 4.0, 6.0):
             ev = evolve(psi, H, 0.0, T, steps=1000)
             for x in (-0.5, 0.2, 0.7):
-                jacs = ev.manifold.path([x])[2]
+                path = ev.manifold.path([x])
                 frame = np.array([[1.0], [phi.hess(np.array([x]))[0, 0]]])
                 drop = psi.index([x]) - ev.index([x])
-                assert drop == _vertical_crossings(jacs @ frame)
+                assert drop == _vertical_crossings(path.jacobians @ frame, path.turns)
 
 
 def test_oscillator_spectrum_ladder():
@@ -708,8 +745,6 @@ def test_cover_point_and_flowed_manifold_plumbing():
     arc = [fm.point(t) for t in np.linspace(0.2, 0.5, 2001)]
     seg = cover_phase(arc, fm, tol=1e-6)
     assert abs(seg - (fm.phase(0.5) - fm.phase(0.2))) < 1e-5
-
-    from symwave.waveforms import FlowedManifold
 
     with pytest.raises(ValueError):
         FlowedManifold(man, harmonic_hamiltonian([1.0, 2.0]), 0.0, 1.0)
