@@ -38,8 +38,6 @@ __all__ = [
     "shadow_areas",
     "nonsqueezing_experiment",
     "ground_energy",
-    "loop_action",
-    "basis_loop_index",
     "keller_maslov_check",
     "oscillator_levels",
 ]
@@ -93,6 +91,38 @@ class TorusSpec:
         if mu.shape != (len(self.radii),):
             raise ValueError("winding vector must match the number of circle factors")
         return mu
+
+    def loop_integral(self, mu):
+        """``oint p dx`` over the loop of winding vector ``mu``, ``-pi r_j^2`` per turn.
+
+        A positive winding turns the circle's parameter up, counterclockwise
+        in its ``(x_j, p_j)`` plane.
+        """
+        mu = self._winding(mu).tolist()
+        return -float(sum(m * math.pi * r * r for m, r in zip(mu, self.radii)))
+
+    def loop_index(self, mu):
+        """Index of the loop's tangent planes: ``+2`` per counterclockwise turn.
+
+        One adaptive lift of the tangent loop per ``(flat_dims, windings)``;
+        the radii do not enter.
+        """
+        return _tangent_loop_index(self.flat_dims, tuple(self._winding(mu).tolist()))
+
+
+@functools.lru_cache(maxsize=256)
+def _tangent_loop_index(flat_dims, windings):
+    mu = np.asarray(windings, dtype=int)
+    return maslov_loop_index_adaptive(
+        lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2 * np.pi)
+
+
+def _check_hbar(hbar):
+    # the one rule for Planck's constant; NaN fails the comparison too
+    hbar = float(hbar)
+    if not 0 < hbar < math.inf:
+        raise ValueError("hbar must be positive and finite")
+    return hbar
 
 
 class UnquantizedTorusError(ValueError):
@@ -513,36 +543,11 @@ def nonsqueezing_experiment(
 
 def ground_energy(omegas, hbar):
     """Minimal oscillator energy ``sum_j hbar omega_j / 2``."""
+    hbar = _check_hbar(hbar)
     omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas <= 0) or hbar <= 0:
-        raise ValueError("frequencies and hbar must be positive")
+    if np.any(omegas <= 0):
+        raise ValueError("frequencies must be positive")
     return float(hbar * omegas.sum() / 2)
-
-
-def loop_action(torus, mu):
-    """Action ``oint p dx`` of a torus loop with winding vector ``mu``.
-
-    Each basis circle bounds area ``pi r_j^2``; circles are oriented so a
-    positive winding contributes positive action (the orientation the
-    oscillator flow induces: clockwise in each ``(x_j, p_j)`` plane).
-    """
-    mu = torus._winding(mu)
-    return float(sum(m * math.pi * r * r for m, r in zip(mu, torus.radii)))
-
-
-def basis_loop_index(torus, j):
-    """Loop index of the j-th basis circle's tangent loop (always 2)."""
-    if not 0 <= j < len(torus.radii):
-        raise ValueError("no such circle factor")
-    return _basis_loop_index(len(torus.radii), torus.flat_dims, j)
-
-
-@functools.lru_cache(maxsize=256)
-def _basis_loop_index(k, flat_dims, j):
-    # the loop of frames does not depend on the radii: one lift per shape
-    mu = -np.eye(k, dtype=int)[j]  # clockwise loop, matching the positive-action orientation
-    return abs(maslov_loop_index_adaptive(
-        lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -569,18 +574,23 @@ class QuantizationReport:
 def keller_maslov_check(torus, hbar, tol=1e-9):
     """Check ``action / (2 pi hbar) - loop_index / 4 in Z`` per basis circle.
 
-    Equivalent to ``r_j^2 = (2 N_j + 1) hbar``; returns a per-generator
-    report (flat factors are unconstrained: their loops are trivial).
+    Each generator is the counterclockwise turn of one circle, read from the
+    torus's own loop record: ``action`` is the area ``pi r_j^2`` it encloses,
+    ``-loop_integral``, the action of the oscillator's clockwise orbit, and
+    ``loop_index`` is its ``+2``.  The condition is that of a trivial deck
+    factor, ``loop_integral / (2 pi hbar) + loop_index / 4 in Z``, read with
+    the opposite sign so that ``level`` counts up: it is equivalent to
+    ``r_j^2 = (2 level + 1) hbar``.  Flat factors are unconstrained: their
+    loops are trivial.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    hbar = _check_hbar(hbar)
     rows = []
     k = len(torus.radii)
     for j in range(k):
         mu = np.zeros(k, dtype=int)
         mu[j] = 1
-        action = loop_action(torus, mu)
-        m = basis_loop_index(torus, j)
+        action = -torus.loop_integral(mu)
+        m = torus.loop_index(mu)
         value = action / (2 * math.pi * hbar) - m / 4.0
         level = int(round(value))
         residual = abs(value - level)
@@ -595,7 +605,7 @@ def keller_maslov_check(torus, hbar, tol=1e-9):
             )
         )
     return QuantizationReport(
-        generators=tuple(rows), hbar=float(hbar), tol=float(tol), passed=all(r.passed for r in rows)
+        generators=tuple(rows), hbar=hbar, tol=float(tol), passed=all(r.passed for r in rows)
     )
 
 

@@ -101,12 +101,10 @@ from .maslov import (
     _lifts,
     deck_act,
     leray_index,
-    maslov_loop_index_adaptive,
 )
 from .polynomials import Polynomial
 from .symplectic import (
     LagrangianFrame,
-    _diagonal_torus_frame,
     _exp_symmetric,
     _symplectic_defect,
     _triples,
@@ -395,10 +393,9 @@ def _index_grid(p, seed):
 
 def _index_loop(p, seed):
     kind, windings, flat_dims = p["kind"], p["windings"], p["flat_dims"]
-    mu = np.asarray(windings, dtype=int)
-    idx = int(maslov_loop_index_adaptive(
-        lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2.0 * math.pi))
-    closed = 2 * int(mu.sum())
+    # the torus's own loop record; the radii do not enter the index
+    idx = TorusSpec((1.0,) * len(windings), flat_dims).loop_index(windings)
+    closed = 2 * sum(windings)
     row = {"kind": kind, "windings": " ".join(str(v) for v in windings),
            "flat_dims": flat_dims, "loop_index": idx, "closed_form": closed,
            "match": bool(abs(idx - closed) <= p["tol"])}

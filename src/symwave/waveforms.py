@@ -16,9 +16,14 @@ lifts are read from the flow's sampled Jacobians (one flow line kept).
 Conventions
 -----------
 * The circle/torus parameter increases counterclockwise in each ``(x_j, p_j)``
-  plane, so the generator loop carries ``loop_integral = -pi r^2`` and tangent
-  loop index ``+2``; quantization checks are orientation-independent because
-  the loop integral and the loop index change sign together.
+  plane.  A torus keeps one loop record, `capacity.TorusSpec`'s
+  ``loop_integral`` and ``loop_index``: the generator loop carries
+  ``loop_integral = -pi r^2`` and the tangent loop index ``+2`` of its one
+  adaptive lift, and the reversed loop carries both negated.  The deck
+  factor ``exp(i (loop_integral / hbar + (pi/2) loop_index))`` and the
+  quantization checks read this record, so they agree in either orientation.
+* Every index read goes through the manifold's own ``cover_lift``: the
+  Leray index of that lift against a base lift and its frame.
 * The canonical index base is the vertical lift ``(I, 0)`` (the momentum
   fibre), matching the position-chart reading of shadows.  The horizontal
   reference lift takes ``arg det w = -pi`` per factor -- the limit of
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import TorusSpec, basis_loop_index, keller_maslov_check, loop_action
+from .capacity import TorusSpec, _check_hbar, keller_maslov_check
 from .errors import ConjugatePointError, NumericalError, RefinementError
 from .flows import _check_steps, _family, _position_block, _shoot, flow_map, flow_path
 from .maslov import (
@@ -43,7 +48,6 @@ from .maslov import (
     _vertical_crossings,
     deck_act,
     leray_index,
-    lift_path_adaptive,
     vertical_lift,
 )
 from .symplectic import (
@@ -167,14 +171,6 @@ class TorusManifold(TorusSpec):
         th = _coerce_param(theta, self.param_dim)
         shift = np.concatenate([2.0 * math.pi * self._winding(mu), np.zeros(self.flat_dims)])
         return th + shift
-
-    def loop_integral(self, mu):
-        """``oint p dx`` over the parameter-increasing loop, ``-pi r_j^2`` per turn."""
-        return float(-math.pi * np.sum(self._winding(mu) * np.square(self.radii)))
-
-    def loop_index(self, mu):
-        """Tangent-lift winding of the loop: ``+2`` per turn of each circle."""
-        return int(2 * np.sum(self._winding(mu)))
 
 
 class CircleManifold(TorusManifold):
@@ -395,40 +391,29 @@ def phase_defect(manifold, theta, step=1e-5):
     return worst
 
 
-def _lifted_parameter_path(manifold, theta):
-    """Lift the tangent planes along the straight parameter path from the reference."""
-    th = _coerce_param(theta, manifold.param_dim)
-    ref = manifold.reference()
-    alpha0 = manifold.cover_lift(ref).alpha
-    span = float(np.linalg.norm(th - ref))
-    samples = max(33, 1 + int(8 * span))
-    _, lifts = lift_path_adaptive(
-        lambda s: manifold.tangent_frame(ref + s * (th - ref)),
-        0.0, 1.0, alpha0, init_samples=samples,
-    )
-    return lifts
+def _cover_root(manifold, theta, base, base_frame, amplitude=None, lift=None, rng=None):
+    # the Leray index m of the manifold's cover lift at theta (or of `lift`)
+    # against a base lift and its frame; given an amplitude a, the root
+    # i**m sqrt(a) instead, and 0j without an index read when a is zero
+    if amplitude is not None:
+        a = float(amplitude)
+        if a < 0:
+            raise ValueError("amplitude must be nonnegative")
+        if a == 0:
+            return 0j
+    lift = manifold.cover_lift(theta) if lift is None else lift
+    m = leray_index(lift, base, frames=(manifold.tangent_frame(theta), base_frame), rng=rng)
+    return m if amplitude is None else _ipow(m) * math.sqrt(a)
 
 
 def argument_index_on_manifold(zcheck, base, rng=None):
     """Leray index of the lifted tangent plane at a cover point against a base lift.
 
-    Transports the tangent-plane lift along a parameter path from the
-    manifold reference (path independence within the homotopy class makes
-    the choice immaterial), then evaluates the Leray index.  On the circle
-    with the vertical base this is ``floor(theta / pi) + 1``.
+    The lift is the manifold's own ``cover_lift`` at the unwrapped
+    parameter.  On the circle with the vertical base this is
+    ``floor(theta / pi) + 1``.
     """
-    manifold = zcheck.manifold
-    lift = _lifted_parameter_path(manifold, zcheck.theta)[-1]
-    return _index_read(manifold, zcheck.theta, base, frame_from_souriau(base.w),
-                       lift=lift, rng=rng)
-
-
-def _index_read(manifold, theta, base, base_frame, lift=None, rng=None):
-    # Leray index of the lifted tangent plane at theta (the cover lift unless
-    # given) against a base lift, handing both frames to the auxiliary path
-    lift = manifold.cover_lift(theta) if lift is None else lift
-    return leray_index(lift, base, frames=(manifold.tangent_frame(theta), base_frame),
-                       rng=rng)
+    return _cover_root(zcheck.manifold, zcheck.theta, base, frame_from_souriau(base.w), rng=rng)
 
 
 def sqrt_de_rham(amplitude, zcheck, base, orientation=1):
@@ -438,14 +423,11 @@ def sqrt_de_rham(amplitude, zcheck, base, orientation=1):
     deck-shifted base (the other orientation of the evaluation vector), which
     lowers the exponent by one.
     """
-    amplitude = float(amplitude)
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     ref = base if orientation == 1 else deck_act(1, base)
-    m = argument_index_on_manifold(zcheck, ref)
-    return _ipow(m) * math.sqrt(amplitude)
+    return _cover_root(zcheck.manifold, zcheck.theta, ref, frame_from_souriau(ref.w),
+                       amplitude=amplitude)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,9 +449,7 @@ class Waveform:
     def __post_init__(self):
         if not callable(self.amplitude):
             raise ValueError("amplitude must be callable on the manifold parameter")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "hbar", _check_hbar(self.hbar))
         if self.index_base is None:
             object.__setattr__(self, "index_base", vertical_lift(self.manifold.n))
         if self.phase is None:
@@ -478,16 +458,14 @@ class Waveform:
 
     def index(self, theta):
         """Leray index of the manifold's cover lift against the index base."""
-        return _index_read(self.manifold, theta, self.index_base, self._base_frame)
+        return _cover_root(self.manifold, theta, self.index_base, self._base_frame)
 
     def value(self, theta):
-        a = float(self.amplitude(theta))
-        if a < 0:
-            raise ValueError("amplitude must be nonnegative")
-        if a == 0:
+        root = _cover_root(self.manifold, theta, self.index_base, self._base_frame,
+                           amplitude=self.amplitude(theta))
+        if root == 0:
             return 0j
-        phi = float(self.phase(theta))
-        return np.exp(1j * phi / self.hbar) * _ipow(self.index(theta)) * math.sqrt(a)
+        return np.exp(1j * float(self.phase(theta)) / self.hbar) * root
 
     def values(self, thetas):
         return np.array([self.value(th) for th in thetas], dtype=complex)
@@ -501,6 +479,7 @@ def is_quantized(manifold, hbar, tol=1e-9):
     The check is insensitive to loop orientation (action and index flip sign
     together).
     """
+    hbar = _check_hbar(hbar)
     while isinstance(manifold, FlowedManifold):
         manifold = manifold.base
     if isinstance(manifold, TorusSpec):
@@ -632,13 +611,13 @@ def _require_in_chart(man, theta, chart):
 
 def chart_index(psi, theta, chart):
     """Leray index of the cover lift against the chart's reference base."""
-    return _index_read(psi.manifold, theta, *_chart_base(chart))
+    return _cover_root(psi.manifold, theta, *_chart_base(chart))
 
 
 def chart_cocycle(manifold, theta, chart_a, chart_b):
     """Chart-change exponent ``m_a(z~) - m_b(z~)`` (deck-independent on the base)."""
     lift = manifold.cover_lift(theta)
-    m_a, m_b = (_index_read(manifold, theta, *_chart_base(c), lift=lift)
+    m_a, m_b = (_cover_root(manifold, theta, *_chart_base(c), lift=lift)
                 for c in (chart_a, chart_b))
     return m_a - m_b
 
@@ -663,11 +642,8 @@ def chart_shadow_value(psi, theta, chart):
         dtheta_dp = 1.0 / (r * abs(c))
         dp_dx = abs(c / s)
         conv = (dtheta_dp * dp_dx) ** 0.5
-    a = float(psi.amplitude(th))
-    if a < 0:
-        raise ValueError("amplitude must be nonnegative")
-    m = chart_index(psi, th, chart)
-    return np.exp(1j * float(psi.phase(th)) / psi.hbar) * _ipow(m) * math.sqrt(a) * conv
+    root = _cover_root(man, th, *_chart_base(chart), amplitude=psi.amplitude(th))
+    return np.exp(1j * float(psi.phase(th)) / psi.hbar) * root * conv
 
 
 _SCAN_MAX = 1_000_000  # steps of an exact window's conjugate scan, as many as a flow in `evolve`
@@ -707,8 +683,7 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         raise ValueError("x_grid must be a sequence of n-dimensional positions")
     if not np.all(np.isfinite(grid)):
         raise ValueError("positions must be finite")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    hbar = _check_hbar(hbar)
 
     if t_end == t_start:
         return np.array([np.exp(1j * float(phi.value(x)) / hbar) * float(amplitude(x))
@@ -770,10 +745,11 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
 
 
 def _ladder_residual(r2, hbar, density_only):
+    # keller_maslov_check's residual of the circle r^2 = r2
     torus = TorusSpec((math.sqrt(r2),))
-    value = loop_action(torus, [1]) / (2 * math.pi * hbar)
+    value = -torus.loop_integral(1) / (2 * math.pi * hbar)
     if not density_only:
-        value -= basis_loop_index(torus, 0) / 4.0
+        value -= torus.loop_index(1) / 4.0
     return abs(value - round(value))
 
 
@@ -789,8 +765,7 @@ def oscillator_spectrum_from_waveforms(hbar, n_max, density_only=False,
     instead lands on the integer ladder ``N hbar`` (the ``N = 0`` member
     degenerates to the origin and is unreachable by any circle).
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    hbar = _check_hbar(hbar)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     r2_max = (2 * n_max + 2) * hbar

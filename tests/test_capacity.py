@@ -15,13 +15,11 @@ from symwave.capacity import (
     UnquantizedTorusError,
     apply_symplectomorphism,
     ball_volume,
-    basis_loop_index,
     ellipsoid_capacity,
     ellipsoid_volume,
     ground_energy,
     identity_symplectomorphism,
     keller_maslov_check,
-    loop_action,
     nonsqueezing_experiment,
     oscillator_levels,
     random_symplectomorphism,
@@ -353,26 +351,28 @@ def test_tiny_shadows_scale_with_the_ball():
         shadow_area(f, 1e-13, 0, grid_res=64, samples=20000, center=[1.0, 1.0])
 
 
-def test_loop_action_values_and_quadrature_oracle():
+def test_loop_integral_values_and_quadrature_oracle():
     t = TorusSpec((1.0, 2.0))
-    assert np.isclose(loop_action(t, [1, 0]), math.pi)
-    assert np.isclose(loop_action(t, [1, 1]), math.pi + 4 * math.pi)
-    assert np.isclose(loop_action(t, [0, -2]), -8 * math.pi)
-    # oracle: numeric oint p dx around the oriented basis circle
+    assert np.isclose(t.loop_integral([1, 0]), -math.pi)
+    assert np.isclose(t.loop_integral([1, 1]), -(math.pi + 4 * math.pi))
+    assert np.isclose(t.loop_integral([0, -2]), 8 * math.pi)
+    # oracle: numeric oint p dx around the counterclockwise basis circle
     r = 2.0
     theta = np.linspace(0, 2 * np.pi, 20001)
-    x = r * np.sin(theta)
-    p = r * np.cos(theta)
+    x = r * np.cos(theta)
+    p = r * np.sin(theta)
     num = simpson(p * np.gradient(x, theta), x=theta)
-    assert abs(num - math.pi * r * r) < 1e-6
+    assert abs(num - t.loop_integral([0, 1])) < 1e-6
     with pytest.raises(ValueError):
-        loop_action(t, [1, 0, 0])
+        t.loop_integral([1, 0, 0])
 
 
-def test_basis_loop_index_is_two():
+def test_generator_loop_index_is_two():
     t = TorusSpec((1.0, 0.5), flat_dims=1)
-    assert basis_loop_index(t, 0) == 2
-    assert basis_loop_index(t, 1) == 2
+    assert t.loop_index([1, 0]) == 2
+    assert t.loop_index([0, 1]) == 2
+    # the reversed loop, the clockwise orbit of the oscillator flow
+    assert t.loop_index([0, -1]) == -2
 
 
 def test_radius_scan_lifts_the_basis_loop_once(monkeypatch):
@@ -386,7 +386,7 @@ def test_radius_scan_lifts_the_basis_loop_once(monkeypatch):
         return lift(*args, **kwargs)
 
     monkeypatch.setattr(capacity, "maslov_loop_index_adaptive", counted)
-    capacity._basis_loop_index.cache_clear()
+    capacity._tangent_loop_index.cache_clear()
     hbar = 0.5
     passing = [k for k in range(1, 1001)
                if keller_maslov_check(TorusSpec((math.sqrt(k * hbar / 100.0),)), hbar).passed]

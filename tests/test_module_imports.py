@@ -7,6 +7,9 @@ each small threshold once, in the decisions block of ``symplectic.py``.  No
 module calls ``json.dump``, and json's encoder is built in one place, the
 envelope writer ``cli._write_json``.  Only ``flows.py`` indexes the family
 table ``_FAMILIES``, and ``waveforms.py`` reads no Hamiltonian ``.matrix``.
+``waveforms.py`` lifts no path of planes itself (index reads take each
+manifold's ``cover_lift``), and the torus tangent frame is built in two
+places: ``TorusManifold.tangent_frame`` and the torus loop record.
 """
 
 import ast
@@ -161,3 +164,25 @@ def test_family_knowledge_stays_in_flows():
                        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
                        and node.value.id == "_FAMILIES"})
     assert indexing == ["flows.py"]
+
+
+def _call_sites(node, name, where=""):
+    # the enclosing definition of every call of `name`, bare or as an attribute
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                    getattr(child.func, "attr", None)):
+            yield where
+        yield from _call_sites(child, name, inner)
+
+
+def test_cover_facts_have_one_source():
+    # an index read takes the manifold's cover_lift rather than lifting a
+    # path of its own, and each torus loop is lifted by the loop record alone
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert list(_call_sites(trees["waveforms.py"], "lift_path_adaptive")) == []
+    sites = sorted(f"{name}:{site}" for name, tree in trees.items()
+                   for site in _call_sites(tree, "_diagonal_torus_frame"))
+    assert sites == ["capacity.py:_tangent_loop_index", "waveforms.py:TorusManifold.tangent_frame"]

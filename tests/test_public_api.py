@@ -35,9 +35,9 @@ MODULE_ALL = {
     "symwave.capacity": [
         "EllipsoidSpec", "GeneratorCheck", "QuantizationReport", "ShadowEstimate",
         "SymplectomorphismSpec", "TorusSpec", "UnquantizedTorusError",
-        "apply_symplectomorphism", "ball_volume", "basis_loop_index", "ellipsoid_capacity",
+        "apply_symplectomorphism", "ball_volume", "ellipsoid_capacity",
         "ellipsoid_volume", "ground_energy", "identity_symplectomorphism",
-        "keller_maslov_check", "loop_action", "nonsqueezing_experiment", "oscillator_levels",
+        "keller_maslov_check", "nonsqueezing_experiment", "oscillator_levels",
         "random_symplectomorphism", "shadow_area", "shadow_areas",
         "symplectomorphism_jacobian",
     ],

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from symwave.capacity import TorusSpec, keller_maslov_check, loop_action
+from symwave.capacity import TorusSpec, keller_maslov_check
 from symwave.flows import harmonic_hamiltonian
 from symwave.waveforms import CircleManifold, FlowedManifold, TorusManifold, is_quantized
 
@@ -52,12 +52,14 @@ def test_one_circle_takes_a_scalar_winding():
     assert np.array_equal(c.deck(0.4, 2), c.deck(0.4, [2]))
     assert c.loop_index(-1) == c.loop_index([-1]) == -2
     assert c.loop_integral(3) == c.loop_integral([3])
-    assert loop_action(TorusSpec((1.3,)), 1) == loop_action(TorusSpec((1.3,)), [1])
+    spec = TorusSpec((1.3,))
+    assert spec.loop_integral(1) == spec.loop_integral([1])
+    assert spec.loop_index(1) == spec.loop_index([1]) == 2
     with pytest.raises(ValueError):
         c.deck(0.4, [1, 1])
     two = TorusManifold((1.0, 2.0), flat_dims=1)
     for call in (lambda: two.deck([0.0, 0.0, 0.0], 1), lambda: two.loop_index(1),
-                 lambda: two.loop_integral(1), lambda: loop_action(two, 1)):
+                 lambda: two.loop_integral(1), lambda: TorusSpec(two.radii).loop_integral(1)):
         with pytest.raises(ValueError):
             call()
 

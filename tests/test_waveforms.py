@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symwave.capacity import TorusSpec
+from symwave import capacity, cli
+from symwave.capacity import TorusSpec, ground_energy, keller_maslov_check
 from symwave.errors import (
     ConjugatePointError,
     DivergenceError,
@@ -20,7 +21,13 @@ from symwave.flows import (
     quadratic_hamiltonian,
     quartic_hamiltonian,
 )
-from symwave.maslov import _vertical_crossings, leray_index, lift_path, vertical_lift
+from symwave.maslov import (
+    _vertical_crossings,
+    leray_index,
+    lift_path,
+    lift_path_adaptive,
+    vertical_lift,
+)
 from symwave.polynomials import Polynomial
 from symwave.symplectic import frame_from_souriau, vertical_frame
 from symwave.waveforms import (
@@ -768,3 +775,78 @@ def test_manifold_validation():
         man.deck([0.0, 0.0, 0.0], (1,))
     with pytest.raises(ValueError):
         man.point([0.0, 0.0])
+
+
+def _parameter_path_alpha(man, theta):
+    # the reference lift carried along the tangent planes of the straight
+    # parameter path from the reference to theta
+    ref = man.reference()
+    th = np.asarray(theta, dtype=float)
+    samples = max(33, 1 + int(8 * np.linalg.norm(th - ref)))
+    _, lifts = lift_path_adaptive(lambda s: man.tangent_frame(ref + s * (th - ref)),
+                                  0.0, 1.0, man.cover_lift(ref).alpha, init_samples=samples)
+    return lifts[-1].alpha
+
+
+COVER_KINDS = {
+    "circle": lambda: CircleManifold(1.3),
+    "torus-with-flat-factor": lambda: TorusManifold((0.8, 1.1), flat_dims=1),
+    "graph": lambda: GradientGraphManifold(Polynomial(1, [(0.3, (2,)), (0.1, (4,))])),
+    "flowed-harmonic": lambda: FlowedManifold(CircleManifold(1.0), harmonic_hamiltonian([1.0]),
+                                              0.0, 2.0, steps=200),
+    "flowed-quartic": lambda: FlowedManifold(CircleManifold(1.0), quartic_hamiltonian([1.0], 0.4),
+                                             0.0, 1.5, steps=400),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COVER_KINDS))
+def test_cover_lift_is_the_lift_along_the_parameter_path(kind):
+    # every index read takes the manifold's cover_lift; the path lift checks it
+    man = COVER_KINDS[kind]()
+    rng = np.random.default_rng(20020)
+    for _ in range(6):
+        th = rng.uniform(-4.0, 4.0, man.param_dim)
+        assert abs(man.cover_lift(th).alpha - _parameter_path_alpha(man, th)) <= 1e-12
+
+
+def test_every_loop_reader_takes_the_one_loop_record(monkeypatch):
+    # the quantization checks, the spectrum scan, the deck factor and the
+    # index loop task read one adaptive lift per (flat_dims, windings)
+    lifts = []
+    lift = capacity.maslov_loop_index_adaptive
+    monkeypatch.setattr(capacity, "maslov_loop_index_adaptive",
+                        lambda *args: lifts.append(args) or lift(*args))
+    capacity._tangent_loop_index.cache_clear()
+    hbar = 0.5
+    circle = quantized_circle(1, hbar)
+    assert keller_maslov_check(circle, hbar).generators[0].loop_index == 2
+    assert is_quantized(FlowedManifold(circle, harmonic_hamiltonian([1.0]), 0.0, 0.3, 10), hbar)
+    assert len(oscillator_spectrum_from_waveforms(hbar, 2)) == 3
+    assert deck_covariance_check(Waveform(circle, uniform_density, hbar), 0.4, 1)["defect"] < 1e-12
+    loop = {"kind": "circle", "windings": [1], "flat_dims": 0, "tol": 0}
+    assert cli._index_loop(loop, 0)[1]["loop_index"] == 2
+    assert len(lifts) == 1
+    # the reversed loop is its own record, with the opposite sign
+    assert circle.loop_index(-1) == -2 and len(lifts) == 2
+
+
+def _graph_phase():
+    return Polynomial(1, [(0.15, (2,))])
+
+
+HBAR_ENTRIES = {
+    "Waveform": lambda h: Waveform(CircleManifold(1.0), uniform_density, h),
+    "ground_energy": lambda h: ground_energy([1.0], h),
+    "van_vleck_propagate": lambda h: van_vleck_propagate(
+        _graph_phase(), lambda x: 1.0, harmonic_hamiltonian([1.0]), 0.0, 0.5, [0.0], h),
+    "keller_maslov_check": lambda h: keller_maslov_check(TorusSpec((1.0,)), h),
+    "is_quantized": lambda h: is_quantized(GradientGraphManifold(_graph_phase()), h),
+    "oscillator_spectrum_from_waveforms": lambda h: oscillator_spectrum_from_waveforms(h, 1),
+}
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(HBAR_ENTRIES))
+def test_hbar_must_be_positive_and_finite(entry, hbar):
+    with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+        HBAR_ENTRIES[entry](hbar)
