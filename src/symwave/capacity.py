@@ -104,17 +104,23 @@ class TorusSpec:
     def loop_index(self, mu):
         """Index of the loop's tangent planes: ``+2`` per counterclockwise turn.
 
-        One adaptive lift of the tangent loop per ``(flat_dims, windings)``;
-        the radii do not enter.
+        The index is additive over windings, so it sums ``mu_j`` times the
+        index of each circle's unit loop, one adaptive lift per
+        ``(circles, flat_dims, j)``; the radii do not enter.  Lifting the
+        whole loop instead would alias once ``|sum mu|`` reaches 15.
         """
-        return _tangent_loop_index(self.flat_dims, tuple(self._winding(mu).tolist()))
+        k = len(self.radii)
+        return sum(m * _tangent_loop_index(k, self.flat_dims, j)
+                   for j, m in enumerate(self._winding(mu).tolist()) if m)
 
 
 @functools.lru_cache(maxsize=256)
-def _tangent_loop_index(flat_dims, windings):
-    mu = np.asarray(windings, dtype=int)
+def _tangent_loop_index(circles, flat_dims, j):
+    # the loop turning circle j once counterclockwise, the others held at angle 0
+    e = np.zeros(circles)
+    e[j] = 1.0
     return maslov_loop_index_adaptive(
-        lambda t: _diagonal_torus_frame(mu * t, flat_dims), 0.0, 2 * np.pi)
+        lambda t: _diagonal_torus_frame(e * t, flat_dims), 0.0, 2 * np.pi)
 
 
 def _check_hbar(hbar):

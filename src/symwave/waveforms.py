@@ -18,8 +18,9 @@ Conventions
 * The circle/torus parameter increases counterclockwise in each ``(x_j, p_j)``
   plane.  A torus keeps one loop record, `capacity.TorusSpec`'s
   ``loop_integral`` and ``loop_index``: the generator loop carries
-  ``loop_integral = -pi r^2`` and the tangent loop index ``+2`` of its one
-  adaptive lift, and the reversed loop carries both negated.  The deck
+  ``loop_integral = -pi r^2`` and the tangent loop index ``+2``, read from
+  one adaptive lift of each circle's unit loop, and the reversed loop
+  carries both negated.  The deck
   factor ``exp(i (loop_integral / hbar + (pi/2) loop_index))`` and the
   quantization checks read this record, so they agree in either orientation.
 * Every index read goes through the manifold's own ``cover_lift``: the
@@ -391,19 +392,21 @@ def phase_defect(manifold, theta, step=1e-5):
     return worst
 
 
-def _cover_root(manifold, theta, base, base_frame, amplitude=None, lift=None, rng=None):
-    # the Leray index m of the manifold's cover lift at theta (or of `lift`)
-    # against a base lift and its frame; given an amplitude a, the root
-    # i**m sqrt(a) instead, and 0j without an index read when a is zero
-    if amplitude is not None:
-        a = float(amplitude)
-        if a < 0:
-            raise ValueError("amplitude must be nonnegative")
-        if a == 0:
-            return 0j
+def _cover_index(manifold, theta, base, base_frame, lift=None, rng=None):
+    # the Leray index of the manifold's cover lift at theta (or of `lift`)
+    # against a base lift and its frame
     lift = manifold.cover_lift(theta) if lift is None else lift
-    m = leray_index(lift, base, frames=(manifold.tangent_frame(theta), base_frame), rng=rng)
-    return m if amplitude is None else _ipow(m) * math.sqrt(a)
+    return leray_index(lift, base, frames=(manifold.tangent_frame(theta), base_frame), rng=rng)
+
+
+def _cover_root(amplitude, manifold, theta, base, base_frame):
+    # i**m sqrt(a) at the cover index m, and 0j without an index read when a is zero
+    a = float(amplitude)
+    if a < 0:
+        raise ValueError("amplitude must be nonnegative")
+    if a == 0:
+        return 0j
+    return _ipow(_cover_index(manifold, theta, base, base_frame)) * math.sqrt(a)
 
 
 def argument_index_on_manifold(zcheck, base, rng=None):
@@ -413,7 +416,7 @@ def argument_index_on_manifold(zcheck, base, rng=None):
     parameter.  On the circle with the vertical base this is
     ``floor(theta / pi) + 1``.
     """
-    return _cover_root(zcheck.manifold, zcheck.theta, base, frame_from_souriau(base.w), rng=rng)
+    return _cover_index(zcheck.manifold, zcheck.theta, base, frame_from_souriau(base.w), rng=rng)
 
 
 def sqrt_de_rham(amplitude, zcheck, base, orientation=1):
@@ -426,8 +429,7 @@ def sqrt_de_rham(amplitude, zcheck, base, orientation=1):
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
     ref = base if orientation == 1 else deck_act(1, base)
-    return _cover_root(zcheck.manifold, zcheck.theta, ref, frame_from_souriau(ref.w),
-                       amplitude=amplitude)
+    return _cover_root(amplitude, zcheck.manifold, zcheck.theta, ref, frame_from_souriau(ref.w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,11 +460,11 @@ class Waveform:
 
     def index(self, theta):
         """Leray index of the manifold's cover lift against the index base."""
-        return _cover_root(self.manifold, theta, self.index_base, self._base_frame)
+        return _cover_index(self.manifold, theta, self.index_base, self._base_frame)
 
     def value(self, theta):
-        root = _cover_root(self.manifold, theta, self.index_base, self._base_frame,
-                           amplitude=self.amplitude(theta))
+        root = _cover_root(self.amplitude(theta), self.manifold, theta, self.index_base,
+                           self._base_frame)
         if root == 0:
             return 0j
         return np.exp(1j * float(self.phase(theta)) / self.hbar) * root
@@ -611,13 +613,13 @@ def _require_in_chart(man, theta, chart):
 
 def chart_index(psi, theta, chart):
     """Leray index of the cover lift against the chart's reference base."""
-    return _cover_root(psi.manifold, theta, *_chart_base(chart))
+    return _cover_index(psi.manifold, theta, *_chart_base(chart))
 
 
 def chart_cocycle(manifold, theta, chart_a, chart_b):
     """Chart-change exponent ``m_a(z~) - m_b(z~)`` (deck-independent on the base)."""
     lift = manifold.cover_lift(theta)
-    m_a, m_b = (_cover_root(manifold, theta, *_chart_base(c), lift=lift)
+    m_a, m_b = (_cover_index(manifold, theta, *_chart_base(c), lift=lift)
                 for c in (chart_a, chart_b))
     return m_a - m_b
 
@@ -642,7 +644,7 @@ def chart_shadow_value(psi, theta, chart):
         dtheta_dp = 1.0 / (r * abs(c))
         dp_dx = abs(c / s)
         conv = (dtheta_dp * dp_dx) ** 0.5
-    root = _cover_root(man, th, *_chart_base(chart), amplitude=psi.amplitude(th))
+    root = _cover_root(psi.amplitude(th), man, th, *_chart_base(chart))
     return np.exp(1j * float(psi.phase(th)) / psi.hbar) * root * conv
 
 

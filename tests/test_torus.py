@@ -59,9 +59,20 @@ def test_one_circle_takes_a_scalar_winding():
         c.deck(0.4, [1, 1])
     two = TorusManifold((1.0, 2.0), flat_dims=1)
     for call in (lambda: two.deck([0.0, 0.0, 0.0], 1), lambda: two.loop_index(1),
-                 lambda: two.loop_integral(1), lambda: TorusSpec(two.radii).loop_integral(1)):
+                 lambda: two.loop_integral(1)):
         with pytest.raises(ValueError):
             call()
+
+
+def test_loop_index_holds_at_every_winding():
+    # one initial step of a lift of the whole loop turns arg det w by
+    # sum(mu) pi / 8, which aliases from |sum mu| = 15 on
+    c = CircleManifold(1.0)
+    for mu in (15, 16, 17, -31, 33, 100):
+        assert c.loop_index(mu) == 2 * mu
+    two = TorusManifold((1.0, 2.0), flat_dims=2)
+    for mu in ([8, 8], [15, 0], [-16, 33], [0, 0]):
+        assert two.loop_index(mu) == 2 * sum(mu)
 
 
 @pytest.mark.parametrize("levels, quantized", [((1,), True), ((1.02,), False),

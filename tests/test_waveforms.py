@@ -811,7 +811,7 @@ def test_cover_lift_is_the_lift_along_the_parameter_path(kind):
 
 def test_every_loop_reader_takes_the_one_loop_record(monkeypatch):
     # the quantization checks, the spectrum scan, the deck factor and the
-    # index loop task read one adaptive lift per (flat_dims, windings)
+    # index loop task read one adaptive lift per circle factor's unit loop
     lifts = []
     lift = capacity.maslov_loop_index_adaptive
     monkeypatch.setattr(capacity, "maslov_loop_index_adaptive",
@@ -826,8 +826,8 @@ def test_every_loop_reader_takes_the_one_loop_record(monkeypatch):
     loop = {"kind": "circle", "windings": [1], "flat_dims": 0, "tol": 0}
     assert cli._index_loop(loop, 0)[1]["loop_index"] == 2
     assert len(lifts) == 1
-    # the reversed loop is its own record, with the opposite sign
-    assert circle.loop_index(-1) == -2 and len(lifts) == 2
+    # the reversed loop reads the same unit-loop record, with the opposite sign
+    assert circle.loop_index(-1) == -2 and circle.loop_index(15) == 30 and len(lifts) == 1
 
 
 def _graph_phase():
