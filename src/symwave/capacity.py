@@ -131,6 +131,14 @@ def _check_hbar(hbar):
     return hbar
 
 
+def _check_omegas(omegas):
+    # the one rule for oscillator frequencies; NaN fails the comparison too
+    omegas = np.asarray(omegas, dtype=float)
+    if not np.all((0 < omegas) & (omegas < math.inf)):
+        raise ValueError("frequencies must be positive and finite")
+    return omegas
+
+
 class UnquantizedTorusError(ValueError):
     """Raised when an operation requires a quantized torus."""
 
@@ -286,7 +294,13 @@ class ShadowEstimate:
     bbox: tuple
 
 
-_CHUNK = 262144  # points per sampled, mapped and counted block
+# The ball's draws are seeded per chunk of _CHUNK points, chunk k from
+# default_rng((seed, k)); changing it would change every sample.  Every
+# pass over the ball (drawing, mapping and binning) walks it in blocks of
+# _BLOCK points, whose few temporaries stay in a core's L2 cache; the block
+# size changes no result, down to the last bit.
+_CHUNK = 262144
+_BLOCK = 16384
 
 
 def _check_ball(R, grid_res, samples):
@@ -297,27 +311,30 @@ def _check_ball(R, grid_res, samples):
 def _sample_ball(n, R, samples, seed, center=None):
     # the seeded ball as a (2n, samples) array, one contiguous row per
     # coordinate; per-chunk seeding keeps the stream mergeable and
-    # order-independent
+    # order-independent.  A chunk draws its normals block by block (the
+    # same stream as one draw of the chunk), then its radii
     center = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
     ball = np.empty((2 * n, samples))
     for idx, done in enumerate(range(0, samples, _CHUNK)):
-        m = min(_CHUNK, samples - done)
         rng = np.random.default_rng((int(seed), idx))
-        g = rng.standard_normal((m, 2 * n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = R * rng.random(m) ** (1.0 / (2 * n))
-        ball[:, done : done + m] = (center + g * radii[:, None]).T
+        rows = ball[:, done : done + _CHUNK]
+        for s in range(0, rows.shape[1], _BLOCK):
+            g = rng.standard_normal((min(_BLOCK, rows.shape[1] - s), 2 * n))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            rows[:, s : s + len(g)] = g.T
+        rows *= R * rng.random(rows.shape[1]) ** (1.0 / (2 * n))
+        rows += center.reshape(-1, 1)
     return ball
 
 
 def _map_shadows(f, ball, planes, grid_res, seed):
     # the shadows of f(ball) on planes; the ball is moved to its image in
-    # place, one chunk at a time
+    # place, one block at a time
     n = f.n
     with np.errstate(over="ignore", invalid="ignore"):  # _shadow reports an overflow
         if f.stages:
-            for s in range(0, ball.shape[1], _CHUNK):
-                ball[:, s : s + _CHUNK] = apply_symplectomorphism(f, ball[:, s : s + _CHUNK].T).T
+            for s in range(0, ball.shape[1], _BLOCK):
+                ball[:, s : s + _BLOCK] = apply_symplectomorphism(f, ball[:, s : s + _BLOCK].T).T
         return [_shadow(ball[i], ball[n + j], (i, j), grid_res, seed) for i, j in planes]
 
 
@@ -331,13 +348,18 @@ def _bin_index(v, e):
 
 def _grid_counts(x, y, grid_res, bbox):
     # np.histogram2d(x, y, grid_res, [bbox[:2], bbox[2:]]) counts, equal bit
-    # for bit, without its temporaries of the sample size
+    # for bit, without its temporaries of the sample size: the flat bins of
+    # a chunk are found block by block, then counted by one bincount
     edges = [np.histogram_bin_edges(x, grid_res, bbox[:2]),
              np.histogram_bin_edges(y, grid_res, bbox[2:])]
     counts = np.zeros(grid_res * grid_res, dtype=np.int64)
-    for s in range(0, len(x), _CHUNK):
-        ix, iy = (_bin_index(v[s : s + _CHUNK], e) for e, v in zip(edges, (x, y)))
-        counts += np.bincount(ix * grid_res + iy, minlength=grid_res * grid_res)
+    flat = np.empty(min(_CHUNK, len(x)), dtype=np.intp)
+    for done in range(0, len(x), _CHUNK):
+        xs, ys = x[done : done + _CHUNK], y[done : done + _CHUNK]
+        for s in range(0, len(xs), _BLOCK):
+            ix, iy = (_bin_index(v[s : s + _BLOCK], e) for e, v in zip(edges, (xs, ys)))
+            flat[s : s + len(ix)] = ix * grid_res + iy
+        counts += np.bincount(flat[: len(xs)], minlength=grid_res * grid_res)
     return counts.reshape(grid_res, grid_res)
 
 
@@ -435,7 +457,9 @@ def shadow_areas(f, R, planes, grid_res=512, samples=1_000_000, seed=0, center=N
     The ball is sampled once into a ``(2n, samples)`` array and mapped in
     place, and every plane reads the same image points, so the estimates
     are those of ``shadow_area`` with the same ``seed``, one per plane, in
-    order.
+    order.  Sampling, mapping and binning walk the ball in blocks of a few
+    thousand points; the block size changes no result, and the memory held
+    beside the ball's ``16 n samples`` bytes does not grow with ``samples``.
     """
     n = f.n
     planes = [(int(p[0]), int(p[1])) if isinstance(p, (tuple, list)) else (int(p),) * 2
@@ -550,9 +574,7 @@ def nonsqueezing_experiment(
 def ground_energy(omegas, hbar):
     """Minimal oscillator energy ``sum_j hbar omega_j / 2``."""
     hbar = _check_hbar(hbar)
-    omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas <= 0):
-        raise ValueError("frequencies must be positive")
+    omegas = _check_omegas(omegas)
     return float(hbar * omegas.sum() / 2)
 
 
@@ -620,8 +642,7 @@ def oscillator_levels(torus, omegas, hbar, tol=1e-9):
     omegas = np.asarray(omegas, dtype=float)
     if omegas.shape != (len(torus.radii),):
         raise ValueError("need one frequency per circle factor")
-    if np.any(omegas <= 0):
-        raise ValueError("frequencies must be positive")
+    _check_omegas(omegas)
     report = keller_maslov_check(torus, hbar, tol=tol)
     if not report.passed:
         raise UnquantizedTorusError(report)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.ndimage import binary_fill_holes
 from symwave import capacity
 from symwave.capacity import (
     EllipsoidSpec,
+    ShadowEstimate,
     SymplectomorphismSpec,
     TorusSpec,
     UnquantizedTorusError,
@@ -248,6 +250,85 @@ def test_grid_counts_equal_histogram2d(rng):
         assert got.sum() == len(a)
 
 
+def _chunk_ball(n, R, samples, seed, center):
+    # the ball drawn a whole chunk at a time: all of a chunk's normals, then
+    # its radii, assembled as center + g * radius
+    ball = np.empty((2 * n, samples))
+    for idx, done in enumerate(range(0, samples, capacity._CHUNK)):
+        m = min(capacity._CHUNK, samples - done)
+        rng = np.random.default_rng((seed, idx))
+        g = rng.standard_normal((m, 2 * n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        radii = R * rng.random(m) ** (1.0 / (2 * n))
+        ball[:, done : done + m] = (center + g * radii[:, None]).T
+    return ball
+
+
+def _chunk_shadows(f, R, planes, grid_res, samples, seed, center):
+    # shadow_areas as whole chunks compute it: each chunk mapped at once,
+    # np.histogram2d counts, scipy's hole fill and the Chao1 correction
+    ball = _chunk_ball(f.n, R, samples, seed, center)
+    for s in range(0, samples, capacity._CHUNK):
+        ball[:, s : s + capacity._CHUNK] = apply_symplectomorphism(
+            f, ball[:, s : s + capacity._CHUNK].T).T
+    ests = []
+    for i, j in planes:
+        x, y = ball[i], ball[f.n + j]
+        bbox = (x.min(), x.max(), y.min(), y.max())
+        counts, _, _ = np.histogram2d(x, y, grid_res, [bbox[:2], bbox[2:]])
+        filled = binary_fill_holes(counts > 0).sum()
+        f1, f2 = int((counts == 1).sum()), int((counts == 2).sum())
+        cell = ((bbox[1] - bbox[0]) / grid_res) * ((bbox[3] - bbox[2]) / grid_res)
+        ests.append(ShadowEstimate(
+            plane=(i, j), area=float(filled * cell),
+            corrected_area=float((filled + f1 * (f1 - 1) / (2.0 * (f2 + 1))) * cell),
+            occupied_cells=int((counts > 0).sum()), grid_cells=int(filled),
+            singleton_cells=f1, doubleton_cells=f2, grid_res=grid_res, samples=samples,
+            seed=seed, bbox=tuple(float(v) for v in bbox)))
+    return ests
+
+
+@pytest.mark.parametrize("samples", [1, capacity._BLOCK - 1, capacity._BLOCK + 1,
+                                     capacity._CHUNK + 1, 600_001])
+def test_block_passes_equal_whole_chunk_passes(samples):
+    # sampling, mapping and binning walk the ball in blocks; every boundary
+    # of a block or a chunk gives the bits of one pass per chunk
+    center = np.array([0.3, -1.1, 2.5, -0.0])
+    ball = capacity._sample_ball(2, 1.7, samples, 13, center)
+    assert ball.tobytes() == _chunk_ball(2, 1.7, samples, 13, center).tobytes()
+    for x, y in ((ball[0], ball[2]), (ball[3], ball[1])):
+        bbox = (x.min(), x.max(), y.min(), y.max())
+        want, _, _ = np.histogram2d(x, y, bins=64, range=[bbox[:2], bbox[2:]])
+        assert np.array_equal(capacity._grid_counts(x, y, 64, bbox), want)
+    if samples > 1:  # one point has no area to bin
+        f = random_symplectomorphism(2, np.random.default_rng(samples), 5, 5)
+        planes = [(0, 0), (1, 1), (0, 1)]
+        assert shadow_areas(f, 1.7, planes, 64, samples, 13, center) == _chunk_shadows(
+            f, 1.7, planes, 64, samples, 13, center)
+
+
+def test_shadow_temporaries_do_not_grow_with_samples():
+    # above the ball's own 16 n samples bytes, shadow_areas holds buffers of
+    # a block, a chunk or the grid, never of the sample size: the peak is the
+    # same at 10^6 and 3 * 10^6 samples, within interpreter noise (a few
+    # hundred bytes), far below one block row of 128 KiB
+    f = random_symplectomorphism(2, np.random.default_rng(0), 5, 5)
+    shadow_areas(f, 1.0, [0, 1], grid_res=16, samples=1000)  # first-call caches
+    above = {}
+    for samples in (1_000_000, 3_000_000):
+        for g in (identity_symplectomorphism(2), f):
+            tracemalloc.start()
+            try:
+                shadow_areas(g, 1.0, [0, 1], samples=samples, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above[samples, len(g.stages)] = peak - 16 * 2 * samples
+    for stages in (0, 5):
+        assert abs(above[3_000_000, stages] - above[1_000_000, stages]) < 64 * 1024
+    assert max(above.values()) < 8 * 2**20
+
+
 def _spiral(size, closed):
     # one wall winding inwards with a one-cell corridor beside it; the
     # corridor opens at (1, 0) on the border, or is one long hole when closed
@@ -327,6 +408,9 @@ def test_ground_energy_and_minimal_action():
     assert np.isclose(ground_energy([2.0], 0.5), 0.5)
     with pytest.raises(ValueError):
         ground_energy([1.0, -1.0], 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^frequencies must be positive and finite$"):
+            ground_energy([1.0, bad], 1.0)
 
 
 def test_shadow_of_an_overflowing_map_is_a_numerical_error():
@@ -419,3 +503,6 @@ def test_oscillator_levels():
         oscillator_levels(TorusSpec((math.sqrt(2.0),)), [1.0], hbar)
     with pytest.raises(ValueError):
         oscillator_levels(t, [1.0], hbar)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="^frequencies must be positive and finite$"):
+            oscillator_levels(TorusSpec((1.0,)), [bad], hbar)
