@@ -14,11 +14,12 @@ the head), and only the end-to-end metrics it lists are read, with its
 direction for each.  Every run's ``results`` payload must equal the base's
 first one, byte for byte, or the script stops.
 
-The output file holds both commits, ``os.cpu_count()``, the seconds per run,
-the seeds, every run's metrics, and per workload and seed, for each metric:
-the median and quartiles of each side, the pairs the head wins, and
-``clear_gain``: the head wins at least 90% of the pairs and its median beats
-the base's by more than the base's interquartile range.
+The output, ``BENCH_<label>.json`` at the root of the checkout, holds both
+commits, ``os.cpu_count()``, the seconds per run, the seeds, every run's
+metrics, and per workload and seed, for each metric: the median and
+quartiles of each side, the pairs the head wins, and ``clear_gain``: the
+head wins at least 90% of the pairs and its median beats the base's by more
+than the base's interquartile range.
 """
 
 import argparse
@@ -110,7 +111,6 @@ def main(argv=None):
                         metavar="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--seconds", type=float,
                         help="per run; default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json at the root")
     args = parser.parse_args(argv)
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
@@ -152,7 +152,7 @@ def main(argv=None):
         "seeds": sorted({seed for _, seed, _ in args.run}),
         "groups": groups,
     }
-    out = args.out or root / f"BENCH_{args.label}.json"
+    out = root / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
     return 0
