@@ -294,11 +294,13 @@ class ShadowEstimate:
     bbox: tuple
 
 
-# The ball's draws are seeded per chunk of _CHUNK points, chunk k from
-# default_rng((seed, k)); changing it would change every sample.  Every
-# pass over the ball (drawing, mapping and binning) walks it in blocks of
-# _BLOCK points, whose few temporaries stay in a core's L2 cache; the block
-# size changes no result, down to the last bit.
+# _CHUNK has two jobs.  The ball's draws are seeded per chunk of _CHUNK
+# points, chunk k from default_rng((seed, k)), so changing it would change
+# every sample; and binning counts each chunk's flat bins with one bincount
+# of grid_res**2 cells.  Every pass over the ball (drawing, mapping and
+# binning) walks it in blocks of _BLOCK points, whose few temporaries stay
+# in a core's L2 cache; the block size changes no result, down to the last
+# bit.
 _CHUNK = 262144
 _BLOCK = 16384
 

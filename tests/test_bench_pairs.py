@@ -54,6 +54,24 @@ def test_clear_gain_needs_nine_wins_in_ten_and_a_gap_past_the_base_spread():
     assert s["wall_s"]["wins"] == 10 and not s["wall_s"]["clear_gain"]
 
 
+def test_no_clear_gain_when_the_head_fails_more_or_is_incorrect():
+    base = [0.70, 0.72, 0.66, 0.86, 0.75, 0.71, 0.73, 0.69, 0.74, 0.72]
+    head = [0.50, 0.51, 0.48, 0.52, 0.49, 0.50, 0.50, 0.51, 0.49, 0.50]
+
+    def clear(base_runs, head_runs):
+        pairs = [{"base": {"wall_s": b, **rb}, "head": {"wall_s": h, **rh}}
+                 for b, h, rb, rh in zip(base, head, base_runs, head_runs)]
+        return bench_pairs.summarize(pairs, {"wall_s": "lower"})["wall_s"]["clear_gain"]
+
+    ok = [{"correct": True, "failed": 0}] * 10
+    assert clear(ok, ok)
+    assert not clear(ok, ok[:9] + [{"correct": True, "failed": 1}])
+    assert not clear(ok, ok[:9] + [{"correct": False, "failed": 0}])
+    # the same failures on both sides still count
+    one = ok[:9] + [{"correct": True, "failed": 1}]
+    assert clear(one, one)
+
+
 def test_run_spec_parses():
     assert bench_pairs._parse_run("shadows:42:10") == ("shadows", 42, 10)
     with pytest.raises(ValueError):

@@ -1,25 +1,27 @@
 """Paired base/head runs of the benchmark, summarized into ``BENCH_<label>.json``.
 
-    python3 tools/bench_pairs.py --label NAME --base REV [--head REV]
-        --run WORKLOAD:SEED:PAIRS [--run ...] [--seconds S]
+    python3 tools/bench_pairs.py --label NAME --base REV
+        --run WORKLOAD:SEED:PAIRS [--run ...]
 
-Run from anywhere inside a git checkout.  Each of the two commits is
-exported with ``git archive`` into its own temporary directory, so no run
-sees the working tree or the other commit's ``.perfbench_runs/``.  For every
+Run from anywhere inside a git checkout; the head is always ``HEAD``.  Each
+of the two commits is exported with ``git archive`` into its own temporary
+directory, so no run sees the working tree or the other commit's
+``.perfbench_runs/``.  For every
 ``--run`` the script starts ``perfbench/run.py --workload WORKLOAD --seed SEED
 --seconds S --trace 0`` once in each export, PAIRS times; the base goes first
 in even pairs and the head in odd ones, so a drift of the machine falls on
-both sides.  ``S`` defaults to the ``run_seconds`` of ``BENCHMARK.json`` (of
-the head), and only the end-to-end metrics it lists are read, with its
-direction for each.  Every run's ``results`` payload must equal the base's
-first one, byte for byte, or the script stops.
+both sides.  ``S`` is the ``run_seconds`` of the head's ``BENCHMARK.json``,
+and only the end-to-end metrics it lists are read, with its direction for
+each.  Every run's ``results`` payload must equal the base's first one,
+byte for byte, or the script stops.
 
 The output, ``BENCH_<label>.json`` at the root of the checkout, holds both
 commits, ``os.cpu_count()``, the seconds per run, the seeds, every run's
 metrics, and per workload and seed, for each metric: the median and
-quartiles of each side, the pairs the head wins, and ``clear_gain``: the
-head wins at least 90% of the pairs and its median beats the base's by more
-than the base's interquartile range.
+quartiles of each side, the pairs the head wins, and ``clear_gain``: every
+head run is correct, the head fails no more operations in total than the
+base, the head wins at least 90% of the pairs, and its median beats the
+base's by more than the base's interquartile range.
 """
 
 import argparse
@@ -45,9 +47,15 @@ def quartiles(values):
 def summarize(pairs, better):
     """Per metric of ``better`` (name -> "lower" or "higher"), over ``pairs``.
 
-    Each pair is ``{"base": {metric: value}, "head": {metric: value}}``.  A
-    pair is a win when the head is strictly better than the base.
+    Each pair is ``{"base": {metric: value}, "head": {metric: value}}``,
+    where a side may also hold its run's ``correct`` flag and ``failed``
+    count.  A pair is a win when the head is strictly better than the base.
+    No gain is clear when a head run is incorrect or the head fails more
+    operations in total than the base.
     """
+    failed = {side: sum(p[side].get("failed", 0) for p in pairs) for side in ("base", "head")}
+    sound = (all(p["head"].get("correct", True) for p in pairs)
+             and failed["head"] <= failed["base"])
     out = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "lower" else -1.0
@@ -65,7 +73,7 @@ def summarize(pairs, better):
             "wins": wins,
             **sides,
             "median_gain": gain,
-            "clear_gain": bool(wins >= 0.9 * len(pairs)
+            "clear_gain": bool(sound and wins >= 0.9 * len(pairs)
                                and gain > sides["base"]["q3"] - sides["base"]["q1"]),
         }
     return out
@@ -106,16 +114,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", required=True, help="the commit to compare against")
-    parser.add_argument("--head", default="HEAD", help="the changed commit (default HEAD)")
     parser.add_argument("--run", type=_parse_run, action="append", required=True,
                         metavar="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--seconds", type=float,
-                        help="per run; default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     commits = {side: _git(root, "rev-parse", f"{rev}^{{commit}}").decode().strip()
-               for side, rev in (("base", args.base), ("head", args.head))}
+               for side, rev in (("base", args.base), ("head", "HEAD"))}
     groups = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {side: Path(tmp) / side for side in commits}
@@ -123,7 +128,7 @@ def main(argv=None):
             _export(root, commit, checkouts[side])
         contract = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in contract["end_to_end"]}
-        seconds = args.seconds or contract["run_seconds"]
+        seconds = contract["run_seconds"]
         for workload, seed, count in args.run:
             pairs, first = [], None
             for k in range(count):
@@ -145,7 +150,7 @@ def main(argv=None):
     report = {
         "label": args.label,
         "base": {"rev": args.base, "commit": commits["base"]},
-        "head": {"rev": args.head, "commit": commits["head"]},
+        "head": {"rev": "HEAD", "commit": commits["head"]},
         "cpu_count": os.cpu_count(),
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
