@@ -235,21 +235,21 @@ def random_symplectomorphism(n, rng, min_stages=3, max_stages=7):
 def apply_symplectomorphism(f, z):
     """Apply the composite map to points of shape ``(..., 2n)``.
 
-    The points are copied C-ordered, so the image does not depend on the
-    layout of ``z`` down to the last bit.
+    The points are copied once into C-ordered coordinate rows, so the image
+    does not depend on the layout of ``z`` down to the last bit.
     """
-    z = np.array(z, dtype=float, order="C")
     n = f.n
-    if z.shape[-1] != 2 * n:
+    if np.shape(z)[-1] != 2 * n:
         raise ValueError("points have wrong dimension")
+    rows = np.array(np.reshape(z, (-1, 2 * n)).T, dtype=float, order="C")
     for kind, payload in f.stages:
         if kind == "linear":
-            z = z @ np.asarray(payload).T
+            rows = np.asarray(payload) @ rows
         elif kind == "xshear":
-            z[..., n:] += payload.grad(z[..., :n])
+            rows[n:] += payload.grad(rows[:n].T).T
         else:
-            z[..., :n] += payload.grad(z[..., n:])
-    return z
+            rows[:n] += payload.grad(rows[n:].T).T
+    return rows.T.reshape(np.shape(z))
 
 
 def symplectomorphism_jacobian(f, z):
@@ -294,13 +294,11 @@ class ShadowEstimate:
     bbox: tuple
 
 
-# _CHUNK has two jobs.  The ball's draws are seeded per chunk of _CHUNK
-# points, chunk k from default_rng((seed, k)), so changing it would change
-# every sample; and binning counts each chunk's flat bins with one bincount
-# of grid_res**2 cells.  Every pass over the ball (drawing, mapping and
-# binning) walks it in blocks of _BLOCK points, whose few temporaries stay
-# in a core's L2 cache; the block size changes no result, down to the last
-# bit.
+# The ball's draws are seeded per chunk of _CHUNK points, chunk k from
+# default_rng((seed, k)), so changing _CHUNK would change every sample.
+# Every pass over the ball (drawing, mapping and binning) walks it in blocks
+# of _BLOCK points, whose few temporaries stay in a core's L2 cache; the
+# block size changes no result, down to the last bit.
 _CHUNK = 262144
 _BLOCK = 16384
 
@@ -350,18 +348,14 @@ def _bin_index(v, e):
 
 def _grid_counts(x, y, grid_res, bbox):
     # np.histogram2d(x, y, grid_res, [bbox[:2], bbox[2:]]) counts, equal bit
-    # for bit, without its temporaries of the sample size: the flat bins of
-    # a chunk are found block by block, then counted by one bincount
+    # for bit, without its temporaries of the sample size: each block's flat
+    # bins are added straight into the plane's counts
     edges = [np.histogram_bin_edges(x, grid_res, bbox[:2]),
              np.histogram_bin_edges(y, grid_res, bbox[2:])]
     counts = np.zeros(grid_res * grid_res, dtype=np.int64)
-    flat = np.empty(min(_CHUNK, len(x)), dtype=np.intp)
-    for done in range(0, len(x), _CHUNK):
-        xs, ys = x[done : done + _CHUNK], y[done : done + _CHUNK]
-        for s in range(0, len(xs), _BLOCK):
-            ix, iy = (_bin_index(v[s : s + _BLOCK], e) for e, v in zip(edges, (xs, ys)))
-            flat[s : s + len(ix)] = ix * grid_res + iy
-        counts += np.bincount(flat[: len(xs)], minlength=grid_res * grid_res)
+    for s in range(0, len(x), _BLOCK):
+        ix, iy = (_bin_index(v[s : s + _BLOCK], e) for e, v in zip(edges, (x, y)))
+        np.add.at(counts, ix * grid_res + iy, 1)
     return counts.reshape(grid_res, grid_res)
 
 
@@ -433,9 +427,9 @@ def _shadow(x, y, plane, grid_res, seed):
         raise NumericalError(f"shadow on plane {plane} is too narrow to bin in floats")
     counts = _grid_counts(x, y, grid_res, bbox)
     occupied = counts > 0
+    f1, f2 = (int((counts == k).sum()) for k in (1, 2))
+    del counts  # freed before the fill's temporaries
     filled = _fill_holes(occupied)
-    f1 = int((counts == 1).sum())
-    f2 = int((counts == 2).sum())
     unseen = f1 * (f1 - 1) / (2.0 * (f2 + 1))
     return ShadowEstimate(
         plane=plane,

@@ -90,6 +90,7 @@ from .capacity import (
 )
 from .errors import ConjugatePointError, DivergenceError, NumericalError
 from .flows import (
+    _family,
     flow_path,
     harmonic_hamiltonian,
     quadratic_hamiltonian,
@@ -794,6 +795,10 @@ def run_evolve(params, seed):
     if H.n != 1:
         raise ConfigError("evolve: drives one-degree-of-freedom data; the "
                           "generator must act on (x, p) in the plane")
+    rate = _family(H).rate  # None for the quartic, whose steps bound their own turns
+    if rate and not (bound := rate(H) * abs(t_end - t_start) / 1e6) < math.pi:  # steps <= 1e6
+        raise ConfigError(f"evolve: the turn bound n ||M||_2 |t_end - t_start| / 1e6 = "
+                          f"{bound:.6g} reaches pi, so no steps value can certify a step")
     phi, amplitude = _make_state(state_resolved)
     x0 = state_resolved["x0"]
     blocks = (None if oracle is None
@@ -809,8 +814,8 @@ def run_evolve(params, seed):
     # t_end == t_start psi_t is psi, and the path is the one sample at x0
     times, points, jacs, actions, _ = (flow_path(H, z0, t_start, t_end, steps=steps)
                                        if psi_t is psi else psi_t.manifold.path([x0]))
-    pick = np.unique(np.round(np.linspace(0, len(times) - 1,
-                                          resolved["trajectory_samples"])).astype(int))
+    pick = dict.fromkeys(np.round(np.linspace(0, len(times) - 1,
+                                              resolved["trajectory_samples"])).astype(int).tolist())
     traj_rows = [{"t": float(times[k]), "x": float(points[k][0]),
                   "p": float(points[k][1]), "action": float(actions[k])}
                  for k in pick]

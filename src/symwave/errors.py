@@ -35,5 +35,9 @@ class DivergenceError(NumericalError):
         self.last_time = last_time
 
 
+class CoarseDivergenceError(RefinementError, DivergenceError):
+    """An inexact path ran off after a step whose turn bound reached pi (`flows.flow_path`)."""
+
+
 class ConjugatePointError(NumericalError):
     """A boundary-value problem hit a conjugate point (vanishing Jacobian)."""

@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConjugatePointError, DivergenceError, NumericalError
-from .symplectic import _expm, form_matrix
+from .errors import CoarseDivergenceError, ConjugatePointError, DivergenceError, NumericalError
+from .symplectic import _UNWRAP_STEP, _expm, form_matrix
 
 __all__ = [
     "HamiltonianSpec", "Trajectory", "quadratic_hamiltonian", "harmonic_hamiltonian",
@@ -163,12 +163,17 @@ class Trajectory(NamedTuple):
     turns: np.ndarray
 
 
-def _check_path_finite(times, pts, what="flow left the finite phase space"):
+def _check_path_finite(times, pts, what="flow left the finite phase space", turns=()):
     # the sample before the first non-finite one is the last valid one
     bad = ~np.all(np.isfinite(pts), axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise DivergenceError(what, last_time=float(times[max(0, k - 1)]))
+        far = np.flatnonzero(~(np.asarray(turns[: max(0, k - 1)]) < _UNWRAP_STEP))
+        if far.size:
+            what = (f"sampled path too coarse: step {far[0] + 1} may turn arg det u by "
+                    f"{turns[far[0]]:.6g}, and the {what}")
+        error = CoarseDivergenceError if far.size else DivergenceError
+        raise error(what, last_time=float(times[max(0, k - 1)]))
 
 
 # Each integrator fills points[1:] and jacobians[1:] from the start sample at
@@ -311,7 +316,7 @@ def _integrate_raw(H, z0, t0, t1, steps):
     turns = np.empty(steps)
     pts[0], jacs[0] = z0, np.eye(2 * H.n)
     family.integrator(H, times, pts, jacs, turns)
-    _check_path_finite(times, pts)
+    _check_path_finite(times, pts, turns=() if family.exact else turns)
     with np.errstate(over="ignore", invalid="ignore"):
         action = family.action(H, times, pts)
     _check_path_finite(times, action[:, None], "flow action left the finite range")
@@ -343,10 +348,9 @@ def flow_path(H, z0, t0, t1, steps=1000):
     if t1 != t0:
         return _integrate_raw(H, z0, t0, t1, steps)
     # nothing to integrate: the one sample is the start, checked here
-    if not np.all(np.isfinite(z0)):
-        raise DivergenceError("flow left the finite phase space", last_time=float(t0))
-    return Trajectory(np.array([float(t0)]), z0[None, :].copy(),
-                      np.eye(2 * H.n)[None], np.zeros(1), np.zeros(0))
+    times, points = np.array([float(t0)]), z0[None, :].copy()
+    _check_path_finite(times, points)
+    return Trajectory(times, points, np.eye(2 * H.n)[None], np.zeros(1), np.zeros(0))
 
 
 def flow_map(H, z0, t0, t1, steps=1000):

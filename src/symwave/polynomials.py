@@ -41,17 +41,20 @@ class Polynomial:
 
     def _evaluate(self, x, order):
         # sum of c * mult * prod_k x_k^p_k over the order-th derivative terms;
-        # x_k^p is the product x_k^(p-1) * x_k, made once per call for all terms
+        # x_k^p is x_k^(p-1) * x_k, made once per call; each term is multiplied
+        # left to right into one buffer, and the gradient keeps the layout of x
         x = np.asarray(x, dtype=float)
         powers = [[None, x[..., k]] for k in range(self.n)]
-        out = np.zeros(x.shape[:-1] + (self.n,) * order)
+        out = np.zeros_like(x, shape=x.shape[:-1] + (self.n,) * order)
+        term = np.empty(x.shape[:-1])
         for idx, c, mult, pw in self._derivatives[order]:
-            term = c * mult
             for k, p in enumerate(pw):
-                if p:
-                    while len(powers[k]) <= p:
-                        powers[k].append(powers[k][-1] * powers[k][1])
-                    term = term * powers[k][p]
+                while len(powers[k]) <= p:
+                    powers[k].append(powers[k][-1] * powers[k][1])
+            factors = [powers[k][p] for k, p in enumerate(pw) if p]
+            np.multiply(c * mult, factors[0] if factors else 1.0, out=term)
+            for factor in factors[1:]:
+                term *= factor
             out[(Ellipsis,) + idx] += term
         return out
 

@@ -116,6 +116,19 @@ def test_polynomial_exact_at_integer_points():
         assert empty.hess(z).shape == shape + (3,) and not empty.hess(z).any()
 
 
+def test_polynomial_grad_keeps_the_layout_of_its_points(rng):
+    # a transposed coordinate-rows view gets the bits of its C copy, and a
+    # gradient of the view's layout, whose columns are contiguous rows
+    for n in (1, 2, 3, 4):
+        poly = random_polynomial(n, rng, degree=4, min_degree=0)
+        rows = rng.uniform(-1.5, 1.5, size=(2 * n, 1001))
+        view = rows[:n].T
+        got = poly.grad(view)
+        assert got.tobytes() == poly.grad(np.ascontiguousarray(view)).tobytes()
+        assert got.T.flags.c_contiguous
+        assert poly.grad(view.copy()).flags.c_contiguous
+
+
 def test_capacity_and_volume_values():
     assert np.isclose(ellipsoid_capacity(EllipsoidSpec((1.0, 2.0))), math.pi)
     assert np.isclose(ellipsoid_capacity(EllipsoidSpec((3.0,))), 9 * math.pi)
@@ -167,6 +180,34 @@ def test_apply_symplectomorphism_shapes(rng):
         assert np.allclose(out[k], apply_symplectomorphism(f, z[k]))
     with pytest.raises(ValueError):
         apply_symplectomorphism(f, np.zeros(6))
+
+
+def _reference_image(f, z):
+    # the map as one chain over a C-ordered (m, 2n) copy, z @ S.T per linear stage
+    n = f.n
+    z = np.array(np.reshape(z, (-1, 2 * n)), dtype=float, order="C")
+    for kind, payload in f.stages:
+        if kind == "linear":
+            z = z @ np.asarray(payload).T
+        elif kind == "xshear":
+            z[..., n:] += payload.grad(z[..., :n])
+        else:
+            z[..., :n] += payload.grad(z[..., n:])
+    return z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_symplectomorphism_bits_do_not_depend_on_layout(n):
+    # C-ordered, F-ordered, strided and leading-axis points all map to the
+    # reference chain's bits
+    rng = np.random.default_rng(n)
+    f = random_symplectomorphism(n, rng, 7, 7)
+    rows = capacity._sample_ball(n, 1.5, 3000, n)
+    for z in (rows.T, np.ascontiguousarray(rows.T), np.asfortranarray(rows.T), rows.T[::7],
+              rows.T[:2400].reshape(20, 120, 2 * n), rows[:, 5]):
+        got = apply_symplectomorphism(f, z)
+        assert got.shape == z.shape
+        assert got.tobytes() == _reference_image(f, z).tobytes()
 
 
 def test_shadow_identity_calibration():
@@ -242,6 +283,9 @@ def test_grid_counts_equal_histogram2d(rng):
         # the neighbours outside [e[0], e[-1]] would widen the bounding box
         a, b = (v[(v >= e[0]) & (v <= e[-1])] for v, e in zip(near, (ex, ey)))
         cases.append((res, a, rng.permutation(np.resize(b, len(a)))))
+    # a fine grid over more than two chunks
+    m = 2 * capacity._CHUNK + 1
+    cases.append((2048, rng.normal(0.4, 1.0, m), rng.uniform(-3.0, 1.0, m)))
     for res, a, b in cases:
         bbox = (a.min(), a.max(), b.min(), b.max())
         want, _, _ = np.histogram2d(a, b, bins=res, range=[bbox[:2], bbox[2:]])

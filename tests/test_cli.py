@@ -558,14 +558,50 @@ def test_overflowing_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
 
 @pytest.mark.parametrize("entry", [1e150, 1e200])
 def test_overflowing_quadratic_step_exponential_is_named(tmp_path, entry):
-    # squaring expm(dt J M) overflowed: two RuntimeWarnings, then exit 3 with
-    # "flow left the finite phase space; last valid time 0"
-    params = {**_EVOLVE_BASE, "t_end": 1.0,
-              "hamiltonian": {"kind": "quadratic", "matrix": [[entry, 0.0], [0.0, 1.0]]}}
+    # H = entry x p over t_end = 1e6 / entry passes the turn-bound check, but
+    # each of its 1,000 steps stretches x by e^1000.  Squaring expm(dt J M)
+    # overflowed: two RuntimeWarnings, then exit 3 with "flow left the finite
+    # phase space; last valid time 0"
+    params = {**_EVOLVE_BASE, "t_end": 1e6 / entry,
+              "hamiltonian": {"kind": "quadratic", "matrix": [[0.0, entry], [entry, 0.0]]}}
     diag = _child_error(tmp_path, "evolve", params, 3)
     assert diag["error"] == "numerical"
-    assert diag["detail"].startswith(
-        "the quadratic step exponential expm(dt J M) overflowed at dt = 0.001")
+    assert diag["detail"] == ("the quadratic step exponential expm(dt J M) overflowed at "
+                              f"dt = {1e3 / entry:.9g}; M is too stiff for this step")
+
+
+@pytest.mark.parametrize("hamiltonian, bound", [
+    ({"kind": "quadratic", "matrix": [[1e20, 0.0], [0.0, 1.0]]}, "1e+14"),
+    ({"kind": "quadratic", "matrix": [[1e150, 0.0], [0.0, 1.0]]}, "1e+144"),
+    ({"kind": "harmonic", "omegas": [1e4]}, "100"),
+], ids=["stiff", "step-overflow", "harmonic"])
+def test_generator_too_stiff_for_any_steps_is_a_config_error(tmp_path, hamiltonian, bound):
+    # [[1e20, 0], [0, 1]] exited 3 with "flow left the finite phase space;
+    # last valid time 0.084", and [[1e150, 0], [0, 1]] overflowed its step
+    # exponential.  Even 1e6 steps would each turn arg det u by more than pi
+    params = {**_EVOLVE_BASE, "hamiltonian": hamiltonian, "t_end": 1.0}
+    assert _config_error(tmp_path, "evolve", params) == {
+        "error": "config", "exit_code": 2,
+        "detail": f"evolve: the turn bound n ||M||_2 |t_end - t_start| / 1e6 = {bound} "
+                  "reaches pi, so no steps value can certify a step"}
+
+
+def test_evolve_loads_no_masked_arrays(tmp_path):
+    # np.unique imported numpy.ma on its first call: some 8 ms of every run
+    params = {**_EVOLVE_BASE, "t_end": 0.3, "steps": 30, "trajectory_samples": 40}
+    config = tmp_path / "evolve.json"
+    config.write_text(json.dumps({"params": params}))
+    src = str(Path(symwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys, symwave.cli; "
+              f"print(symwave.cli.main(['evolve', '--config', {str(config)!r}, "
+              f"'--out', {str(tmp_path / 'evolve.out')!r}]), 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    samples = json.loads((tmp_path / "evolve.out").read_text())["results"]["trajectory"]["samples"]
+    assert [row["t"] for row in samples] == [k / 100 for k in range(31)]
 
 
 def test_too_coarse_quartic_evolve_is_a_numerical_error(tmp_path):

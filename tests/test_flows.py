@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from symwave.errors import ConjugatePointError, DivergenceError
+from symwave.errors import ConjugatePointError, DivergenceError, RefinementError
 from symwave.flows import (
     HamiltonianSpec,
     chapman_kolmogorov_residual,
@@ -195,6 +195,23 @@ def test_quartic_divergence_reported():
     with pytest.raises(DivergenceError) as exc:
         flow_path(quartic_hamiltonian([1.0], 0.1), [1e3, 0.0], 0.0, 1.0, 50)
     assert exc.value.last_time == 0.02
+
+
+def test_quartic_run_off_after_a_coarse_step_is_a_refinement_error():
+    # two Yoshida steps of 5 from x = 1 ran off as a divergence, though the
+    # exact flow is bounded: the first step's turn bound was 1.1e31
+    H = quartic_hamiltonian([1.0], 0.1)
+    with pytest.raises(RefinementError, match="^sampled path too coarse: step 1 may turn arg det "
+                       "u by 1.12488e[+]31, and the flow left the finite phase space$") as exc:
+        morse_index(H, [1.0], [0.0], 0.0, 10.0, steps=2)
+    assert isinstance(exc.value, DivergenceError) and exc.value.last_time == 5.0
+    assert morse_index(H, [1.0], [0.0], 0.0, 10.0, steps=2000) == 3
+    # x^3 overflows in the first step, and the exact family's flow itself runs off
+    for H, z0, t1, steps in ((H, [1e103, 0.0], 1.0, 50),
+                             (quadratic_hamiltonian(np.diag([-1.0, 1.0])), [1.0, 0.0], 1000.0, 100)):
+        with pytest.raises(DivergenceError) as exc:
+            flow_path(H, z0, 0.0, t1, steps)
+        assert not isinstance(exc.value, RefinementError)
 
 
 def test_overflowing_action_on_a_finite_path_is_reported():
