@@ -559,9 +559,9 @@ def test_overflowing_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
 @pytest.mark.parametrize("entry", [1e150, 1e200])
 def test_overflowing_quadratic_step_exponential_is_named(tmp_path, entry):
     # H = entry x p over t_end = 1e6 / entry passes the turn-bound check, but
-    # each of its 1,000 steps stretches x by e^1000.  Squaring expm(dt J M)
-    # overflowed: two RuntimeWarnings, then exit 3 with "flow left the finite
-    # phase space; last valid time 0"
+    # each of its 1,000 steps stretches x by e^1000, so squaring expm(dt J M)
+    # overflows; unnamed, that was two RuntimeWarnings, then exit 3 with "flow
+    # left the finite phase space; last valid time 0"
     params = {**_EVOLVE_BASE, "t_end": 1e6 / entry,
               "hamiltonian": {"kind": "quadratic", "matrix": [[0.0, entry], [entry, 0.0]]}}
     diag = _child_error(tmp_path, "evolve", params, 3)
