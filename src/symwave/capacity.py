@@ -8,16 +8,14 @@ conjugate plane ``(x_j, p_j)`` keeps at least the area ``pi R^2``.  Shadow
 areas are estimated by occupancy-grid rasterization of mapped sample points.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError
-from .maslov import maslov_loop_index_adaptive
 from .polynomials import Polynomial, random_polynomial
-from .symplectic import _diagonal_torus_frame, random_symplectic
+from .symplectic import random_symplectic
 
 __all__ = [
     "EllipsoidSpec",
@@ -101,26 +99,22 @@ class TorusSpec:
         mu = self._winding(mu).tolist()
         return -float(sum(m * math.pi * r * r for m, r in zip(mu, self.radii)))
 
+    def _cover_alpha(self, angles):
+        # arg det w of the cover lift w = diag(e^{2 i theta_j}, -1, ...) at the
+        # circle angles theta, continuous in theta: -pi per flat factor
+        return 2.0 * float(np.sum(angles)) - math.pi * self.flat_dims
+
     def loop_index(self, mu):
         """Index of the loop's tangent planes: ``+2`` per counterclockwise turn.
 
-        The index is additive over windings, so it sums ``mu_j`` times the
-        index of each circle's unit loop, one adaptive lift per
-        ``(circles, flat_dims, j)``; the radii do not enter.  Lifting the
-        whole loop instead would alias once ``|sum mu|`` reaches 15.
+        It is the deck shift of the cover lift's ``alpha`` over ``2 pi``.  A
+        turn of circle j shifts theta_j by ``2 pi``, which shifts alpha alike
+        for every j, so the index sums ``mu_j`` unit shifts in integers,
+        exact at every winding; the radii do not enter.
         """
-        k = len(self.radii)
-        return sum(m * _tangent_loop_index(k, self.flat_dims, j)
-                   for j, m in enumerate(self._winding(mu).tolist()) if m)
-
-
-@functools.lru_cache(maxsize=256)
-def _tangent_loop_index(circles, flat_dims, j):
-    # the loop turning circle j once counterclockwise, the others held at angle 0
-    e = np.zeros(circles)
-    e[j] = 1.0
-    return maslov_loop_index_adaptive(
-        lambda t: _diagonal_torus_frame(e * t, flat_dims), 0.0, 2 * np.pi)
+        turn = self._cover_alpha(2 * math.pi) - self._cover_alpha(0.0)
+        unit = round(turn / (2 * math.pi))
+        return sum(m * unit for m in self._winding(mu).tolist())
 
 
 def _check_hbar(hbar):
@@ -239,7 +233,7 @@ def apply_symplectomorphism(f, z):
     does not depend on the layout of ``z`` down to the last bit.
     """
     n = f.n
-    if np.shape(z)[-1] != 2 * n:
+    if np.shape(z)[-1:] != (2 * n,):
         raise ValueError("points have wrong dimension")
     rows = np.array(np.reshape(z, (-1, 2 * n)).T, dtype=float, order="C")
     for kind, payload in f.stages:
@@ -320,8 +314,8 @@ def _sample_ball(n, R, samples, seed, center=None):
         rows = ball[:, done : done + _CHUNK]
         for s in range(0, rows.shape[1], _BLOCK):
             g = rng.standard_normal((min(_BLOCK, rows.shape[1] - s), 2 * n))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            rows[:, s : s + len(g)] = g.T
+            norm = np.linalg.norm(g, axis=1, keepdims=True)
+            np.divide(g.T, norm.T, out=rows[:, s : s + len(g)])
         rows *= R * rng.random(rows.shape[1]) ** (1.0 / (2 * n))
         rows += center.reshape(-1, 1)
     return ball

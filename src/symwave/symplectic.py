@@ -33,7 +33,6 @@ __all__ = [
     "intersection_dim",
     "signature",
     "vertical_frame",
-    "horizontal_frame",
     "frame_from_souriau",
     "random_symplectic",
     "random_lagrangian_frame",
@@ -309,11 +308,6 @@ def signature(f1, f2, f3, tol=DEFAULT_TOL):
 def vertical_frame(n):
     """Frame of the plane ``{x = 0}`` (Souriau image ``I``)."""
     return LagrangianFrame(np.zeros((n, n)), np.eye(n))
-
-
-def horizontal_frame(n):
-    """Frame of the plane ``{p = 0}`` (Souriau image ``-I``)."""
-    return LagrangianFrame(np.eye(n), np.zeros((n, n)))
 
 
 def _diagonal_torus_frame(ang, flat_dims):

@@ -18,17 +18,18 @@ Conventions
 * The circle/torus parameter increases counterclockwise in each ``(x_j, p_j)``
   plane.  A torus keeps one loop record, `capacity.TorusSpec`'s
   ``loop_integral`` and ``loop_index``: the generator loop carries
-  ``loop_integral = -pi r^2`` and the tangent loop index ``+2``, read from
-  one adaptive lift of each circle's unit loop, and the reversed loop
-  carries both negated.  The deck
+  ``loop_integral = -pi r^2`` and the tangent loop index ``+2``, the deck
+  shift of the torus cover lift's ``alpha`` over ``2 pi``, and the reversed
+  loop carries both negated.  The deck
   factor ``exp(i (loop_integral / hbar + (pi/2) loop_index))`` and the
   quantization checks read this record, so they agree in either orientation.
 * Every index read goes through the manifold's own ``cover_lift``: the
   Leray index of that lift against a base lift and its frame.
 * The canonical index base is the vertical lift ``(I, 0)`` (the momentum
-  fibre), matching the position-chart reading of shadows.  The horizontal
-  reference lift takes ``arg det w = -pi`` per factor -- the limit of
-  graph-plane lifts whose Hessian tends to zero.
+  fibre), matching the position-chart reading of shadows.  A horizontal
+  plane ``{p = 0}``, such as a torus's flat factor, is lifted with
+  ``arg det w = -pi`` per factor -- the limit of graph-plane lifts whose
+  Hessian tends to zero.
 * Gradient-graph manifolds use the generating function itself as the cover
   phase (it satisfies ``d phi = p dx`` and fixes the additive constant so
   that position-space formulas read ``exp(i Phi / hbar) * a``); their lifted
@@ -51,14 +52,7 @@ from .maslov import (
     leray_index,
     vertical_lift,
 )
-from .symplectic import (
-    LagrangianFrame,
-    _diagonal_torus_frame,
-    frame_from_souriau,
-    horizontal_frame,
-    souriau_w,
-    vertical_frame,
-)
+from .symplectic import LagrangianFrame, _diagonal_torus_frame, frame_from_souriau, souriau_w
 
 __all__ = [
     "CircleManifold",
@@ -73,15 +67,10 @@ __all__ = [
     "phase_defect",
     "argument_index_on_manifold",
     "sqrt_de_rham",
-    "horizontal_base",
     "is_quantized",
     "evolve",
     "deck_covariance_check",
     "shadow",
-    "chart_base",
-    "chart_index",
-    "chart_cocycle",
-    "chart_shadow_value",
     "van_vleck_propagate",
     "morse_index",
     "oscillator_spectrum_from_waveforms",
@@ -93,11 +82,6 @@ _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
 def _ipow(m):
     """``i**m`` for integer ``m``, exact (no float power)."""
     return _IPOW[int(m) % 4]
-
-
-def horizontal_base(n):
-    """Reference lift of the plane ``{p = 0}`` with ``arg det w = -pi`` per factor."""
-    return LagrangianLift(-np.eye(n, dtype=complex), -np.pi * n)
 
 
 def circle_phase(theta, r):
@@ -156,8 +140,7 @@ class TorusManifold(TorusSpec):
         """Lift ``w = diag(e^{2 i theta_j}, -1, ...)``, ``alpha = 2 sum theta_j - pi flat_dims``."""
         ang, _ = self._split(theta)
         diag = np.concatenate([np.exp(2j * ang), -np.ones(self.flat_dims)])
-        alpha = 2.0 * float(np.sum(ang)) - math.pi * self.flat_dims
-        return LagrangianLift(np.diag(diag), alpha)
+        return LagrangianLift(np.diag(diag), self._cover_alpha(ang))
 
     def offset(self, z):
         z = np.asarray(z, dtype=float)
@@ -392,11 +375,11 @@ def phase_defect(manifold, theta, step=1e-5):
     return worst
 
 
-def _cover_index(manifold, theta, base, base_frame, lift=None, rng=None):
-    # the Leray index of the manifold's cover lift at theta (or of `lift`)
-    # against a base lift and its frame
-    lift = manifold.cover_lift(theta) if lift is None else lift
-    return leray_index(lift, base, frames=(manifold.tangent_frame(theta), base_frame), rng=rng)
+def _cover_index(manifold, theta, base, base_frame, rng=None):
+    # the Leray index of the manifold's cover lift at theta against a base
+    # lift and its frame
+    return leray_index(manifold.cover_lift(theta), base,
+                       frames=(manifold.tangent_frame(theta), base_frame), rng=rng)
 
 
 def _cover_root(amplitude, manifold, theta, base, base_frame):
@@ -582,70 +565,6 @@ def shadow(psi, x_grid, caustic_tol=1e-8):
     else:
         raise ValueError("shadows support circle and gradient-graph manifolds")
     return Shadow(x_grid, values, branches, caustic)
-
-
-_CHARTS = ("up", "down", "right", "left")
-
-
-def _chart_base(chart):
-    # the chart's base lift together with its exact frame
-    if chart in ("up", "down"):
-        return vertical_lift(1), vertical_frame(1)
-    if chart in ("right", "left"):
-        return horizontal_base(1), horizontal_frame(1)
-    raise ValueError(f"unknown chart {chart!r}; expected one of {_CHARTS}")
-
-
-def chart_base(chart):
-    """Index base of a circle chart: vertical for x-charts, horizontal for p-charts."""
-    return _chart_base(chart)[0]
-
-
-def _require_in_chart(man, theta, chart):
-    chart_base(chart)  # validates the name
-    (th,) = _coerce_param(theta, 1)
-    s, c = math.sin(th), math.cos(th)
-    ok = {"up": s > 0, "down": s < 0, "right": c > 0, "left": c < 0}[chart]
-    if not ok:
-        raise ValueError(f"parameter {th:.6f} lies outside the {chart!r} chart")
-    return th, s, c
-
-
-def chart_index(psi, theta, chart):
-    """Leray index of the cover lift against the chart's reference base."""
-    return _cover_index(psi.manifold, theta, *_chart_base(chart))
-
-
-def chart_cocycle(manifold, theta, chart_a, chart_b):
-    """Chart-change exponent ``m_a(z~) - m_b(z~)`` (deck-independent on the base)."""
-    lift = manifold.cover_lift(theta)
-    m_a, m_b = (_cover_index(manifold, theta, *_chart_base(c), lift=lift)
-                for c in (chart_a, chart_b))
-    return m_a - m_b
-
-
-def chart_shadow_value(psi, theta, chart):
-    """Shadow contribution of one circle branch computed in a named chart.
-
-    x-charts ("up"/"down") convert the density with ``|dtheta/dx|``; p-charts
-    ("right"/"left") compose ``|dtheta/dp|`` with ``|dp/dx|`` along the circle.
-    Values in overlapping charts differ by exactly ``i**chart_cocycle``.
-    """
-    man = psi.manifold
-    if not isinstance(man, CircleManifold):
-        raise ValueError("chart shadows are defined for circle manifolds")
-    th, s, c = _require_in_chart(man, theta, chart)
-    if s == 0:
-        raise ValueError("position-space conversion is singular at the x-caustic")
-    r = man.radius
-    if chart in ("up", "down"):
-        conv = (1.0 / (r * abs(s))) ** 0.5
-    else:
-        dtheta_dp = 1.0 / (r * abs(c))
-        dp_dx = abs(c / s)
-        conv = (dtheta_dp * dp_dx) ** 0.5
-    root = _cover_root(psi.amplitude(th), man, th, *_chart_base(chart))
-    return np.exp(1j * float(psi.phase(th)) / psi.hbar) * root * conv
 
 
 _SCAN_MAX = 1_000_000  # steps of an exact window's conjugate scan, as many as a flow in `evolve`

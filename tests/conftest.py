@@ -5,6 +5,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as importing symwave does,
 import numpy as np
 import pytest
 
+from symwave import maslov
 from symwave.maslov import LagrangianLift
 from symwave.symplectic import LagrangianFrame
 
@@ -12,6 +13,20 @@ from symwave.symplectic import LagrangianFrame
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def path_lifts(monkeypatch):
+    """The stacks of frames that path lifts read while the test runs.
+
+    Every path lift (`lift_path`, `lift_path_adaptive` and the loop indices
+    built on them, `transport_lift`, the flows' `_end_lifts`) unwraps
+    ``arg det u`` of its samples through `maslov._arg_det_u`.
+    """
+    stacks = []
+    read = maslov._arg_det_u
+    monkeypatch.setattr(maslov, "_arg_det_u", lambda F: stacks.append(F) or read(F))
+    return stacks
 
 
 def theta_frame(theta):

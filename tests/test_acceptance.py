@@ -61,9 +61,11 @@ from symwave.symplectic import (
 )
 from symwave.waveforms import (
     CircleManifold,
+    FlowedManifold,
     TorusManifold,
     Waveform,
     deck_covariance_check,
+    is_quantized,
     morse_index,
     oscillator_spectrum_from_waveforms,
     shadow,
@@ -433,3 +435,61 @@ def test_criterion_10_single_valuedness():
     assert abs(double["predicted"] - 1.0) <= 1e-12
     return (f"quantized defect <= {worst_quantized:.1e}; unquantized loop factor -1 "
             f"observed and predicted")
+
+
+def _flowed_loop_action(manifold, radius, theta, j, points=64):
+    """``oint p dx`` once around circle j of a flowed torus, read from its tangent frame.
+
+    ``dx/dtheta_j = radius X[:, j]`` with ``X`` the flowed tangent frame's
+    position block, summed by the periodic trapezoid rule.
+    """
+    n, total = manifold.n, 0.0
+    for k in range(points):
+        th = theta.copy()
+        th[j] = 2.0 * math.pi * k / points
+        p = manifold.point(th)[n:]
+        total += float(p @ (radius * manifold.tangent_frame(th).X[:, j]))
+    return total * 2.0 * math.pi / points
+
+
+_LOOP_FLOWS = {
+    "harmonic": lambda n: harmonic_hamiltonian([1.0, 0.7][:n]),
+    "quadratic": lambda n: quadratic_hamiltonian(
+        [[1.3, 0.4], [0.4, 0.8]] if n == 1 else
+        [[1.2, 0.3, 0.2, 0.0], [0.3, 0.9, 0.0, 0.1],
+         [0.2, 0.0, 1.1, 0.25], [0.0, 0.1, 0.25, 0.7]]),
+    "quartic": lambda n: quartic_hamiltonian([1.0, 0.8][:n], 0.3),
+}
+
+
+@criterion(11, "flowed tori keep their loop action and index; is_quantized agrees for a computed reason")
+def test_criterion_11_flowed_loop_invariants():
+    r = math.sqrt(1.5)
+    bases = [(CircleManifold(r), np.zeros(1)),
+             (TorusManifold((r,), flat_dims=1), np.array([0.0, 0.3]))]
+    worst, loops = 0.0, 0
+    for flow in _LOOP_FLOWS.values():
+        for base, theta in bases:
+            for t_end in (0.5, 2.0):
+                man = FlowedManifold(base, flow(base.n), 0.0, t_end, steps=400)
+                action = _flowed_loop_action(man, r, theta, 0)
+                gap = abs(action - base.loop_integral([1]))  # the base's -pi r^2
+                assert gap <= 1e-10
+                worst = max(worst, gap)
+
+                def loop(t, man=man, theta=theta):
+                    th = theta.copy()
+                    th[0] = t
+                    return man.tangent_frame(th)
+
+                index = maslov_loop_index_adaptive(loop, 0.0, 2.0 * math.pi)
+                assert index == base.loop_index([1]) == 2
+                # r^2 = 3 hbar is on the ladder at hbar = 0.5, off it at 0.6
+                for hbar in (0.5, 0.6):
+                    value = -action / (2.0 * math.pi * hbar) - index / 4.0
+                    measured = abs(value - round(value)) <= 1e-9 and round(value) >= 0
+                    assert measured == is_quantized(man, hbar) == is_quantized(base, hbar)
+                    assert measured == (hbar == 0.5)
+                loops += 1
+    return (f"{loops} flowed loops (3 flows, circle and 2-torus with a flat factor, "
+            f"T 0.5 and 2.0): worst action gap {worst:.1e}, index 2 each")

@@ -178,8 +178,9 @@ def test_apply_symplectomorphism_shapes(rng):
     assert out.shape == (7, 4)
     for k in range(7):
         assert np.allclose(out[k], apply_symplectomorphism(f, z[k]))
-    with pytest.raises(ValueError):
-        apply_symplectomorphism(f, np.zeros(6))
+    for bad in (np.zeros(6), 1.0):
+        with pytest.raises(ValueError, match="^points have wrong dimension$"):
+            apply_symplectomorphism(f, bad)
 
 
 def _reference_image(f, z):
@@ -503,25 +504,15 @@ def test_generator_loop_index_is_two():
     assert t.loop_index([0, -1]) == -2
 
 
-def test_radius_scan_lifts_the_basis_loop_once(monkeypatch):
-    # the loop of frames does not depend on the radius: criterion 7's 1,000
-    # radii and the waveform spectrum scan share one adaptive lift
-    lifts = []
-    lift = capacity.maslov_loop_index_adaptive
-
-    def counted(*args, **kwargs):
-        lifts.append(args)
-        return lift(*args, **kwargs)
-
-    monkeypatch.setattr(capacity, "maslov_loop_index_adaptive", counted)
-    capacity._tangent_loop_index.cache_clear()
+def test_radius_scan_lifts_no_path(path_lifts):
+    # the loop record reads the cover lift's deck shift: criterion 7's 1,000
+    # radii and the waveform spectrum scan lift no path of planes
     hbar = 0.5
     passing = [k for k in range(1, 1001)
                if keller_maslov_check(TorusSpec((math.sqrt(k * hbar / 100.0),)), hbar).passed]
     assert passing == [100, 300, 500, 700, 900]
-    assert len(lifts) == 1
     assert len(oscillator_spectrum_from_waveforms(hbar, 3)) == 4
-    assert len(lifts) == 1
+    assert path_lifts == []
 
 
 def test_keller_maslov_ladder():

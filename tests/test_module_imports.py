@@ -180,9 +180,9 @@ def _call_sites(node, name, where=""):
 
 def test_cover_facts_have_one_source():
     # an index read takes the manifold's cover_lift rather than lifting a
-    # path of its own, and each torus loop is lifted by the loop record alone
+    # path of its own, and the torus frame is built by the torus alone
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert list(_call_sites(trees["waveforms.py"], "lift_path_adaptive")) == []
     sites = sorted(f"{name}:{site}" for name, tree in trees.items()
                    for site in _call_sites(tree, "_diagonal_torus_frame"))
-    assert sites == ["capacity.py:_tangent_loop_index", "waveforms.py:TorusManifold.tangent_frame"]
+    assert sites == ["waveforms.py:TorusManifold.tangent_frame"]

@@ -58,17 +58,15 @@ MODULE_ALL = {
     ],
     "symwave.polynomials": ["Polynomial", "random_polynomial"],
     "symwave.symplectic": [
-        "LagrangianFrame", "form_matrix", "frame_from_souriau", "horizontal_frame",
-        "intersection_dim", "is_lagrangian_frame", "is_souriau_point",
-        "is_symplectic_matrix", "orthonormalize_frame", "random_lagrangian_frame",
-        "random_symmetric_unitary", "random_symplectic", "signature", "souriau_w",
-        "transversal", "vertical_frame",
+        "LagrangianFrame", "form_matrix", "frame_from_souriau", "intersection_dim",
+        "is_lagrangian_frame", "is_souriau_point", "is_symplectic_matrix",
+        "orthonormalize_frame", "random_lagrangian_frame", "random_symmetric_unitary",
+        "random_symplectic", "signature", "souriau_w", "transversal", "vertical_frame",
     ],
     "symwave.waveforms": [
         "CircleManifold", "CoverPoint", "FlowedManifold", "GradientGraphManifold", "Shadow",
-        "TorusManifold", "Waveform", "argument_index_on_manifold", "chart_base",
-        "chart_cocycle", "chart_index", "chart_shadow_value", "circle_phase", "cover_phase",
-        "deck_covariance_check", "evolve", "horizontal_base", "is_quantized", "morse_index",
+        "TorusManifold", "Waveform", "argument_index_on_manifold", "circle_phase",
+        "cover_phase", "deck_covariance_check", "evolve", "is_quantized", "morse_index",
         "oscillator_spectrum_from_waveforms", "phase_defect", "shadow", "sqrt_de_rham",
         "van_vleck_propagate",
     ],

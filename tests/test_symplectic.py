@@ -8,7 +8,6 @@ from symwave.symplectic import (
     _expm,
     form_matrix,
     frame_from_souriau,
-    horizontal_frame,
     intersection_dim,
     is_lagrangian_frame,
     is_souriau_point,
@@ -77,7 +76,7 @@ def test_symplectic_preserves_form(rng):
 
 def test_lagrangian_frame_checks():
     assert is_lagrangian_frame(vertical_frame(3))
-    assert is_lagrangian_frame(horizontal_frame(2))
+    assert is_lagrangian_frame(LagrangianFrame(np.eye(2), np.zeros((2, 2))))
     # diagonal plane {(a, a)} is Lagrangian
     assert is_lagrangian_frame(LagrangianFrame(np.eye(2), np.eye(2)))
     # non-symmetric X^T P -> not isotropic
@@ -109,7 +108,7 @@ def test_orthonormalize_examples(rng):
 
 def test_souriau_reference_planes():
     assert np.allclose(souriau_w(vertical_frame(3)), np.eye(3))
-    assert np.allclose(souriau_w(horizontal_frame(3)), -np.eye(3))
+    assert np.allclose(souriau_w(LagrangianFrame(np.eye(3), np.zeros((3, 3)))), -np.eye(3))
     for theta in (0.1, 1.0, 2.5, -0.7):
         assert np.allclose(souriau_w(theta_frame(theta)), np.exp(2j * theta))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symwave import capacity, cli
+from symwave import cli
 from symwave.capacity import TorusSpec, ground_energy, keller_maslov_check
 from symwave.errors import (
     ConjugatePointError,
@@ -22,6 +22,7 @@ from symwave.flows import (
     quartic_hamiltonian,
 )
 from symwave.maslov import (
+    LagrangianLift,
     _vertical_crossings,
     leray_index,
     lift_path,
@@ -29,7 +30,7 @@ from symwave.maslov import (
     vertical_lift,
 )
 from symwave.polynomials import Polynomial
-from symwave.symplectic import frame_from_souriau, vertical_frame
+from symwave.symplectic import LagrangianFrame, vertical_frame
 from symwave.waveforms import (
     CircleManifold,
     CoverPoint,
@@ -38,14 +39,10 @@ from symwave.waveforms import (
     TorusManifold,
     Waveform,
     argument_index_on_manifold,
-    chart_cocycle,
-    chart_index,
-    chart_shadow_value,
     circle_phase,
     cover_phase,
     deck_covariance_check,
     evolve,
-    horizontal_base,
     is_quantized,
     morse_index,
     oscillator_spectrum_from_waveforms,
@@ -63,6 +60,11 @@ def quantized_circle(N, hbar):
 
 def uniform_density(th):
     return 1.0 / (2 * math.pi)
+
+
+# the plane {p = 0} lifted with arg det w = -pi, and its frame
+HORIZONTAL = LagrangianLift(-np.eye(1), -np.pi)
+HORIZONTAL_FRAME = LagrangianFrame([[1.0]], [[0.0]])
 
 
 def gaussian_oracle(x, hbar, alpha, beta, gamma, A, B, D):
@@ -159,9 +161,8 @@ def test_base_change_matches_inertia_identity():
     # m_a(z) - m_b(z) = inert(l(z), l_a, l_b) - m(base_a, base_b)
     man = CircleManifold(1.0)
     base_a = vertical_lift(1)
-    base_b = horizontal_base(1)
-    fa = vertical_frame(1)
-    fb = frame_from_souriau(base_b.w)
+    base_b = HORIZONTAL
+    fa, fb = vertical_frame(1), HORIZONTAL_FRAME
     mab = leray_index(base_a, base_b, frames=(fa, fb))
     for th in (0.3, 1.2, 2.0, -0.8, 4.4, -2.9):
         z = CoverPoint(man, th)
@@ -189,9 +190,12 @@ def test_sqrt_de_rham_values():
     minus = sqrt_de_rham(0.49, z, base, -1)
     assert plus == 1j * 0.7  # index 1 on the upper branch
     assert abs(minus / plus - (1j) ** -1) < 1e-15  # orientation flip
-    # chart change multiplies by i^{m_ab}
-    other = sqrt_de_rham(0.49, z, horizontal_base(1))
-    cocycle = chart_cocycle(man, 0.8, "up", "right")
+    # a base change multiplies by i^{m_a - m_b}: index 1 against both here
+    other = sqrt_de_rham(0.49, z, HORIZONTAL)
+    lift, frame = man.cover_lift(0.8), man.tangent_frame(0.8)
+    cocycle = (leray_index(lift, base, frames=(frame, vertical_frame(1)))
+               - leray_index(lift, HORIZONTAL, frames=(frame, HORIZONTAL_FRAME)))
+    assert cocycle == 0
     assert abs(plus / other - 1j**cocycle) < 1e-15
     with pytest.raises(ValueError):
         sqrt_de_rham(-0.1, z, base)
@@ -423,28 +427,6 @@ def test_shadow_circle_structure_and_snapshot():
                      lambda x: 1.0, 0.3),
             grid,
         )
-
-
-def test_chart_overlap_consistency():
-    psi = Waveform(CircleManifold(1.0), uniform_density, 0.3)
-    overlaps = [
-        (0.5, ("up", "right")),
-        (2.2, ("up", "left")),
-        (-0.5, ("down", "right")),
-        (-2.4, ("down", "left")),
-    ]
-    for th, (ca, cb) in overlaps:
-        co = chart_cocycle(psi.manifold, th, ca, cb)
-        va = chart_shadow_value(psi, th, ca)
-        vb = chart_shadow_value(psi, th, cb)
-        assert abs(va - (1j) ** co * vb) < 1e-8
-        # the cocycle lives on the base manifold: deck shifts cancel
-        assert chart_cocycle(psi.manifold, th + 2 * math.pi, ca, cb) == co
-        assert chart_index(psi, th + 2 * math.pi, ca) == chart_index(psi, th, ca) + 2
-    with pytest.raises(ValueError):
-        chart_shadow_value(psi, 0.5, "down")  # wrong chart for this point
-    with pytest.raises(ValueError):
-        chart_shadow_value(psi, 0.5, "sideways")
 
 
 def test_gaussian_oracle_against_quadrature():
@@ -809,14 +791,9 @@ def test_cover_lift_is_the_lift_along_the_parameter_path(kind):
         assert abs(man.cover_lift(th).alpha - _parameter_path_alpha(man, th)) <= 1e-12
 
 
-def test_every_loop_reader_takes_the_one_loop_record(monkeypatch):
+def test_every_loop_reader_takes_the_one_loop_record(path_lifts):
     # the quantization checks, the spectrum scan, the deck factor and the
-    # index loop task read one adaptive lift per circle factor's unit loop
-    lifts = []
-    lift = capacity.maslov_loop_index_adaptive
-    monkeypatch.setattr(capacity, "maslov_loop_index_adaptive",
-                        lambda *args: lifts.append(args) or lift(*args))
-    capacity._tangent_loop_index.cache_clear()
+    # index loop task read the cover lift's deck shift and lift no path
     hbar = 0.5
     circle = quantized_circle(1, hbar)
     assert keller_maslov_check(circle, hbar).generators[0].loop_index == 2
@@ -825,9 +802,13 @@ def test_every_loop_reader_takes_the_one_loop_record(monkeypatch):
     assert deck_covariance_check(Waveform(circle, uniform_density, hbar), 0.4, 1)["defect"] < 1e-12
     loop = {"kind": "circle", "windings": [1], "flat_dims": 0, "tol": 0}
     assert cli._index_loop(loop, 0)[1]["loop_index"] == 2
-    assert len(lifts) == 1
-    # the reversed loop reads the same unit-loop record, with the opposite sign
-    assert circle.loop_index(-1) == -2 and circle.loop_index(15) == 30 and len(lifts) == 1
+    # the reversed loop reads the same record with the opposite sign, and a
+    # long loop does not alias
+    assert circle.loop_index(-1) == -2 and circle.loop_index(15) == 30
+    assert path_lifts == []
+    # the probe sees a path lift when one is made
+    lift_path_adaptive(circle.tangent_frame, 0.0, 2 * math.pi, 0.0)
+    assert path_lifts
 
 
 def _graph_phase():
