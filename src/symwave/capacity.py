@@ -109,12 +109,11 @@ class TorusSpec:
 
         It is the deck shift of the cover lift's ``alpha`` over ``2 pi``.  A
         turn of circle j shifts theta_j by ``2 pi``, which shifts alpha alike
-        for every j, so the index sums ``mu_j`` unit shifts in integers,
-        exact at every winding; the radii do not enter.
+        for every j, so the index is that unit shift times ``sum mu``, in
+        integers and exact at every winding; the radii do not enter.
         """
         turn = self._cover_alpha(2 * math.pi) - self._cover_alpha(0.0)
-        unit = round(turn / (2 * math.pi))
-        return sum(m * unit for m in self._winding(mu).tolist())
+        return round(turn / (2 * math.pi)) * sum(self._winding(mu).tolist())
 
 
 def _check_hbar(hbar):
