@@ -276,15 +276,17 @@ class ShadowEstimate:
 
     plane: tuple  # (x-index i, p-index j); i == j is a conjugate plane
     area: float
-    corrected_area: float  # coverage-corrected area (see shadow_area)
     occupied_cells: int  # cells hit by at least one sample
     grid_cells: int  # occupied cells plus enclosed holes (used for the area)
-    singleton_cells: int  # cells hit exactly once (fringe diagnostics)
-    doubleton_cells: int  # cells hit exactly twice
     grid_res: int
     samples: int
     seed: int
     bbox: tuple
+
+    @property
+    def corrected_area(self):
+        """``area`` under the name the ``nonsqueeze`` payload and CSV columns use."""
+        return self.area
 
 
 # The ball's draws are seeded per chunk of _CHUNK points, chunk k from
@@ -302,10 +304,11 @@ def _check_ball(R, grid_res, samples):
 
 
 def _sample_ball(n, R, samples, seed, center=None):
-    # the seeded ball as a (2n, samples) array, one contiguous row per
-    # coordinate; per-chunk seeding keeps the stream mergeable and
-    # order-independent.  A chunk draws its normals block by block (the
-    # same stream as one draw of the chunk), then its radii
+    # the seeded sphere of radius R (n >= 2, see shadow_area) or disc (n = 1)
+    # as a (2n, samples) array, one contiguous row per coordinate; per-chunk
+    # seeding keeps the stream mergeable and order-independent.  A chunk
+    # draws its normals block by block (the same stream as one draw of the
+    # chunk), then at n = 1 its radii
     center = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
     ball = np.empty((2 * n, samples))
     for idx, done in enumerate(range(0, samples, _CHUNK)):
@@ -315,7 +318,7 @@ def _sample_ball(n, R, samples, seed, center=None):
             g = rng.standard_normal((min(_BLOCK, rows.shape[1] - s), 2 * n))
             norm = np.linalg.norm(g, axis=1, keepdims=True)
             np.divide(g.T, norm.T, out=rows[:, s : s + len(g)])
-        rows *= R * rng.random(rows.shape[1]) ** (1.0 / (2 * n))
+        rows *= R * rng.random(rows.shape[1]) ** 0.5 if n == 1 else R
         rows += center.reshape(-1, 1)
     return ball
 
@@ -408,8 +411,8 @@ def _fill_holes(occupied):
 def _shadow(x, y, plane, grid_res, seed):
     bbox = (x.min(), x.max(), y.min(), y.max())
     span = (bbox[1] - bbox[0], bbox[3] - bbox[2])
-    # a finite box, with room for the Chao1 cells (at most grid_res^2 / 2 more)
-    if not np.isfinite(span[0] * span[1] * grid_res**2):
+    # a finite box, whose area bounds the shadow's
+    if not np.isfinite(span[0] * span[1]):
         raise NumericalError(f"mapped ball left the finite phase space on plane {plane}")
     # each side spans at least 1e-12 of its largest coordinate (some 4,500
     # float steps there), and the cell area is a normal float
@@ -420,18 +423,13 @@ def _shadow(x, y, plane, grid_res, seed):
         raise NumericalError(f"shadow on plane {plane} is too narrow to bin in floats")
     counts = _grid_counts(x, y, grid_res, bbox)
     occupied = counts > 0
-    f1, f2 = (int((counts == k).sum()) for k in (1, 2))
     del counts  # freed before the fill's temporaries
     filled = _fill_holes(occupied)
-    unseen = f1 * (f1 - 1) / (2.0 * (f2 + 1))
     return ShadowEstimate(
         plane=plane,
         area=float(filled.sum() * cell_area),
-        corrected_area=float((filled.sum() + unseen) * cell_area),
         occupied_cells=int(occupied.sum()),
         grid_cells=int(filled.sum()),
-        singleton_cells=f1,
-        doubleton_cells=f2,
         grid_res=int(grid_res),
         samples=len(x),
         seed=int(seed),
@@ -470,14 +468,14 @@ def shadow_area(f, R, plane, grid_res=512, samples=1_000_000, seed=0, center=Non
     empty), never a convex hull -- shadows of nonlinear images need not be
     convex.
 
-    ``corrected_area`` additionally compensates the sparsely sampled fringe:
-    where the projected sample density tapers to zero (e.g. the rim of a
-    ball's shadow in more than one degree of freedom) plain occupancy
-    undercounts, because near-empty boundary cells are connected to the
-    exterior and cannot be recovered by hole filling.  The number of cells
-    that carry samples but were missed is estimated from the singleton and
-    doubleton cell counts via the bias-corrected Chao1 richness formula
-    ``F1 (F1 - 1) / (2 (F2 + 1))`` and added to the filled count.
+    For ``n >= 2`` the samples lie on the sphere of radius ``R``, whose image
+    has the ball's shadow: each fibre of the projection meets ``f(ball)`` in
+    a compact set of positive dimension, whose extreme points lie on
+    ``f(sphere)``.  At ``n = 2`` the sphere projects uniformly onto the disc
+    (Archimedes), so its rim is not sparse; at ``n = 3`` and ``4`` the
+    density still tapers there and the area reads low.  For ``n = 1`` the
+    shadow is the image itself, and the samples fill the disc.
+    ``corrected_area`` is ``area``.
     """
     return shadow_areas(f, R, [plane], grid_res, samples, seed, center)[0]
 
@@ -498,8 +496,8 @@ def nonsqueezing_experiment(
     """Shadow areas of transformed balls for a seeded family of maps.
 
     Map ``k`` moves one ball, sampled with seed ``seed + 31 * k``, and every
-    conjugate-plane shadow of that image is estimated and its
-    coverage-corrected area compared to the bound ``pi R^2 (1 - margin)``;
+    conjugate-plane shadow of that image is estimated and its area
+    compared to the bound ``pi R^2 (1 - margin)``;
     with ``controls=True`` the mixed planes ``(x_i, p_j), i != j`` of the
     same image are measured as well (reported, never asserted -- the bound
     genuinely fails there).  ``min_stages``/``max_stages`` bound the
@@ -517,9 +515,8 @@ def nonsqueezing_experiment(
     if calibration:
         ball = _sample_ball(n, R, samples, seed)
         ident = identity_symplectomorphism(n)
-        calib = [{"plane": f"x{j + 1}p{j + 1}", "area": e.area,
-                  "corrected_area": e.corrected_area,
-                  "relative_error": abs(e.corrected_area - reference) / reference}
+        calib = [{"plane": f"x{j + 1}p{j + 1}", "area": e.area, "corrected_area": e.area,
+                  "relative_error": abs(e.area - reference) / reference}
                  for j, e in enumerate(_map_shadows(ident, ball, conjugate, grid_res, seed))]
     maps = []
     for k in range(n_maps):
@@ -530,20 +527,20 @@ def nonsqueezing_experiment(
         ests = _map_shadows(f, ball, conjugate + mixed, grid_res, seed + 31 * k)
         ball = None  # freed before the next map samples its own
         planes = [
-            {"plane": f"x{j + 1}p{j + 1}", "area": e.area, "corrected_area": e.corrected_area,
+            {"plane": f"x{j + 1}p{j + 1}", "area": e.area, "corrected_area": e.area,
              "occupied_cells": e.occupied_cells, "grid_cells": e.grid_cells,
-             "pass": bool(e.corrected_area >= reference * (1.0 - margin))}
+             "pass": bool(e.area >= reference * (1.0 - margin))}
             for j, e in enumerate(ests[:n])
         ]
         entry = {"map": k, "planes": planes}
         if controls:
             entry["controls"] = [
                 {"plane": f"x{e.plane[0] + 1}p{e.plane[1] + 1}", "area": e.area,
-                 "corrected_area": e.corrected_area}
+                 "corrected_area": e.area}
                 for e in ests[n:]
             ]
         maps.append(entry)
-    conjugate_areas = [p["corrected_area"] for m in maps for p in m["planes"]]
+    conjugate_areas = [p["area"] for m in maps for p in m["planes"]]
     result = {
         "n": n,
         "radius": R,

@@ -72,6 +72,18 @@ def test_no_clear_gain_when_the_head_fails_more_or_is_incorrect():
     assert clear(one, one)
 
 
+def test_no_clear_gain_when_the_two_sides_results_differ():
+    # a change of results is measured, but claims no gain
+    base = [0.70, 0.72, 0.66, 0.86, 0.75, 0.71, 0.73, 0.69, 0.74, 0.72]
+    head = [0.50, 0.51, 0.48, 0.52, 0.49, 0.50, 0.50, 0.51, 0.49, 0.50]
+    pairs = _pairs(base, head)
+    same = bench_pairs.summarize(pairs, {"wall_s": "lower"}, same_results=True)["wall_s"]
+    differ = bench_pairs.summarize(pairs, {"wall_s": "lower"}, same_results=False)["wall_s"]
+    assert same["clear_gain"] and not differ["clear_gain"]
+    assert {k: v for k, v in differ.items() if k != "clear_gain"} == {
+        k: v for k, v in same.items() if k != "clear_gain"}
+
+
 def test_run_spec_parses():
     assert bench_pairs._parse_run("shadows:42:10") == ("shadows", 42, 10)
     with pytest.raises(ValueError):

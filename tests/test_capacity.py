@@ -31,7 +31,7 @@ from symwave.capacity import (
 )
 from symwave.errors import NumericalError
 from symwave.polynomials import Polynomial, random_polynomial
-from symwave.symplectic import is_symplectic_matrix
+from symwave.symplectic import is_symplectic_matrix, random_symplectic
 from symwave.waveforms import oscillator_spectrum_from_waveforms
 
 
@@ -212,13 +212,11 @@ def test_apply_symplectomorphism_bits_do_not_depend_on_layout(n):
 
 
 def test_shadow_identity_calibration():
-    # n=2: the ball's projected density vanishes at the disk rim, so the
-    # plain filled area undershoots; the coverage-corrected estimate
-    # recovers pi.  n=1 projects with uniform density and the plain
-    # estimate is already calibrated.
+    # n=2 samples the sphere, whose shadow is uniform on the disk, and n=1
+    # the disk itself: both plain areas are calibrated
     est = shadow_area(identity_symplectomorphism(2), 1.0, 0, grid_res=256, samples=400_000, seed=3)
-    assert abs(est.corrected_area - math.pi) / math.pi < 0.02
-    assert est.area < est.corrected_area
+    assert abs(est.area - math.pi) / math.pi < 0.01
+    assert est.corrected_area == est.area
     assert est.grid_cells >= est.occupied_cells
     est1 = shadow_area(identity_symplectomorphism(1), 1.0, 0, grid_res=256, samples=400_000, seed=3)
     assert abs(est1.area - math.pi) / math.pi < 0.01
@@ -240,6 +238,28 @@ def test_shadow_n1_area_preservation(rng):
     comp = random_symplectomorphism(1, rng)
     est = shadow_area(comp, 1.0, 0, grid_res=256, samples=400_000, seed=6)
     assert abs(est.area - math.pi) / math.pi < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_linear_shadows_match_the_exact_ellipse(n):
+    # the shadow of S(ball of radius R) on the plane (x_i, p_j) is the
+    # ellipse L(disk), L the rows x_i and p_j of S: area pi R^2 sqrt(det L L^T)
+    rng = np.random.default_rng(17 + n)
+    planes = [(i, j) for i in range(n) for j in range(n)]
+    for k in range(4):
+        S = random_symplectic(n, rng, scale=0.35)
+        f = SymplectomorphismSpec(n, (("linear", S),))
+        for est in shadow_areas(f, 1.3, planes, seed=k):
+            L = S[[est.plane[0], n + est.plane[1]]]
+            exact = math.pi * 1.3**2 * math.sqrt(np.linalg.det(L @ L.T))
+            assert abs(est.area - exact) / exact < 0.01
+
+
+def test_nonsqueezing_n3_passes_every_conjugate_plane():
+    # sampled from the ball, n=3 read map 1's plane 0.93 pi here; the sphere
+    # reads 0.97 pi
+    result = nonsqueezing_experiment(3, n_maps=2, seed=7)
+    assert result["all_pass"] and result["min_conjugate_area"] >= 0.95 * math.pi
 
 
 def test_mixed_plane_control_can_shrink():
@@ -296,22 +316,22 @@ def test_grid_counts_equal_histogram2d(rng):
 
 
 def _chunk_ball(n, R, samples, seed, center):
-    # the ball drawn a whole chunk at a time: all of a chunk's normals, then
-    # its radii, assembled as center + g * radius
+    # the sphere (n >= 2) or disk (n = 1) drawn a whole chunk at a time: all
+    # of a chunk's normals, then at n = 1 its radii, as center + g * radius
     ball = np.empty((2 * n, samples))
     for idx, done in enumerate(range(0, samples, capacity._CHUNK)):
         m = min(capacity._CHUNK, samples - done)
         rng = np.random.default_rng((seed, idx))
         g = rng.standard_normal((m, 2 * n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = R * rng.random(m) ** (1.0 / (2 * n))
+        radii = R * rng.random(m) ** 0.5 if n == 1 else np.full(m, R)
         ball[:, done : done + m] = (center + g * radii[:, None]).T
     return ball
 
 
 def _chunk_shadows(f, R, planes, grid_res, samples, seed, center):
     # shadow_areas as whole chunks compute it: each chunk mapped at once,
-    # np.histogram2d counts, scipy's hole fill and the Chao1 correction
+    # np.histogram2d counts and scipy's hole fill
     ball = _chunk_ball(f.n, R, samples, seed, center)
     for s in range(0, samples, capacity._CHUNK):
         ball[:, s : s + capacity._CHUNK] = apply_symplectomorphism(
@@ -322,14 +342,12 @@ def _chunk_shadows(f, R, planes, grid_res, samples, seed, center):
         bbox = (x.min(), x.max(), y.min(), y.max())
         counts, _, _ = np.histogram2d(x, y, grid_res, [bbox[:2], bbox[2:]])
         filled = binary_fill_holes(counts > 0).sum()
-        f1, f2 = int((counts == 1).sum()), int((counts == 2).sum())
         cell = ((bbox[1] - bbox[0]) / grid_res) * ((bbox[3] - bbox[2]) / grid_res)
         ests.append(ShadowEstimate(
             plane=(i, j), area=float(filled * cell),
-            corrected_area=float((filled + f1 * (f1 - 1) / (2.0 * (f2 + 1))) * cell),
             occupied_cells=int((counts > 0).sum()), grid_cells=int(filled),
-            singleton_cells=f1, doubleton_cells=f2, grid_res=grid_res, samples=samples,
-            seed=seed, bbox=tuple(float(v) for v in bbox)))
+            grid_res=grid_res, samples=samples, seed=seed,
+            bbox=tuple(float(v) for v in bbox)))
     return ests
 
 
@@ -341,6 +359,8 @@ def test_block_passes_equal_whole_chunk_passes(samples):
     center = np.array([0.3, -1.1, 2.5, -0.0])
     ball = capacity._sample_ball(2, 1.7, samples, 13, center)
     assert ball.tobytes() == _chunk_ball(2, 1.7, samples, 13, center).tobytes()
+    assert (capacity._sample_ball(1, 1.7, samples, 13, center[:2]).tobytes()
+            == _chunk_ball(1, 1.7, samples, 13, center[:2]).tobytes())
     for x, y in ((ball[0], ball[2]), (ball[3], ball[1])):
         bbox = (x.min(), x.max(), y.min(), y.max())
         want, _, _ = np.histogram2d(x, y, bins=64, range=[bbox[:2], bbox[2:]])

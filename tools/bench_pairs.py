@@ -12,16 +12,18 @@ directory, so no run sees the working tree or the other commit's
 in even pairs and the head in odd ones, so a drift of the machine falls on
 both sides.  ``S`` is the ``run_seconds`` of the head's ``BENCHMARK.json``,
 and only the end-to-end metrics it lists are read, with its direction for
-each.  Every run's ``results`` payload must equal the base's first one,
-byte for byte, or the script stops.
+each.  Every run's ``results`` payload must equal the first one of its own
+side, byte for byte, or the script stops; ``same_results`` records whether
+the two sides' payloads are equal, so a change of results can be measured.
 
 The output, ``BENCH_<label>.json`` at the root of the checkout, holds both
 commits, ``os.cpu_count()``, the seconds per run, the seeds, every run's
 metrics, and per workload and seed, for each metric: the median and
-quartiles of each side, the pairs the head wins, and ``clear_gain``: every
-head run is correct, the head fails no more operations in total than the
-base, the head wins at least 90% of the pairs, and its median beats the
-base's by more than the base's interquartile range.
+quartiles of each side, the pairs the head wins, and ``clear_gain``: both
+sides' payloads are equal, every head run is correct, the head fails no
+more operations in total than the base, the head wins at least 90% of the
+pairs, and its median beats the base's by more than the base's
+interquartile range.
 """
 
 import argparse
@@ -44,17 +46,18 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def summarize(pairs, better):
+def summarize(pairs, better, same_results=True):
     """Per metric of ``better`` (name -> "lower" or "higher"), over ``pairs``.
 
     Each pair is ``{"base": {metric: value}, "head": {metric: value}}``,
     where a side may also hold its run's ``correct`` flag and ``failed``
     count.  A pair is a win when the head is strictly better than the base.
-    No gain is clear when a head run is incorrect or the head fails more
+    No gain is clear when the two sides' ``results`` differ
+    (``same_results`` false), a head run is incorrect or the head fails more
     operations in total than the base.
     """
     failed = {side: sum(p[side].get("failed", 0) for p in pairs) for side in ("base", "head")}
-    sound = (all(p["head"].get("correct", True) for p in pairs)
+    sound = (same_results and all(p["head"].get("correct", True) for p in pairs)
              and failed["head"] <= failed["base"])
     out = {}
     for name, direction in better.items():
@@ -130,22 +133,22 @@ def main(argv=None):
         better = {m["name"]: m["better"] for m in contract["end_to_end"]}
         seconds = contract["run_seconds"]
         for workload, seed, count in args.run:
-            pairs, first = [], None
+            pairs, first = [], {}
             for k in range(count):
                 order = ("base", "head") if k % 2 == 0 else ("head", "base")
                 pair = {"first": order[0]}
                 for side in order:
                     results, pair[side] = _run_once(checkouts[side], workload, seed, seconds)
-                    first = first or results
-                    if results != first:
+                    if results != first.setdefault(side, results):
                         raise SystemExit(f"bench_pairs: {workload} seed {seed}: the {side} "
-                                         "results differ from the first run's")
+                                         f"results differ from the {side}'s first run's")
                 pairs.append(pair)
                 print(f"{workload} seed {seed} pair {k}: " + ", ".join(
                     f"{side} wall_s {pair[side]['wall_s']:.3f}" for side in ("base", "head")),
                     file=sys.stderr)
-            groups.append({"workload": workload, "seed": seed,
-                           "summary": summarize(pairs, better), "pairs": pairs})
+            same = first.get("base") == first.get("head")
+            groups.append({"workload": workload, "seed": seed, "same_results": same,
+                           "summary": summarize(pairs, better, same), "pairs": pairs})
 
     report = {
         "label": args.label,
