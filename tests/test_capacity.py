@@ -256,8 +256,8 @@ def test_linear_shadows_match_the_exact_ellipse(n):
 
 
 def test_nonsqueezing_n3_passes_every_conjugate_plane():
-    # sampled from the ball, n=3 read map 1's plane 0.93 pi here; the sphere
-    # reads 0.97 pi
+    # no conjugate shadow may fall under the 0.95 pi bound for want of
+    # samples at its rim; the lowest of these six reads 0.97 pi
     result = nonsqueezing_experiment(3, n_maps=2, seed=7)
     assert result["all_pass"] and result["min_conjugate_area"] >= 0.95 * math.pi
 

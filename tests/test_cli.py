@@ -216,19 +216,15 @@ def test_nonsqueeze_small_batch(capsys, tmp_path):
     assert len(env["results"]["calibration"]) == 2
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [1, 42])
 def test_nonsqueeze_passes_the_shadows_benchmark_check(seed):
     # the benchmark's own check of its shadows workload, which allows the
     # calibration 1%: a drift past it shows here before a benchmark run
-    workload = _perfbench_workloads().Shadows(seed)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.Shadows(seed)
     _, results, _ = cli.run_nonsqueeze(workload.config, seed)
     assert workload.check(json.loads(json.dumps(results))) == 0
 
