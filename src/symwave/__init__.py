@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .symplectic import (  # noqa: F401
     LagrangianFrame,
     form_matrix,
-    is_symplectic_matrix,
-    is_lagrangian_frame,
     orthonormalize_frame,
     souriau_w,
     transversal,
@@ -61,8 +59,6 @@ from .waveforms import (  # noqa: F401
     CoverPoint,
     Waveform,
     Shadow,
-    circle_phase,
-    cover_phase,
     argument_index_on_manifold,
     sqrt_de_rham,
     is_quantized,

@@ -31,7 +31,6 @@ __all__ = [
     "identity_symplectomorphism",
     "random_symplectomorphism",
     "apply_symplectomorphism",
-    "symplectomorphism_jacobian",
     "shadow_area",
     "shadow_areas",
     "nonsqueezing_experiment",
@@ -243,31 +242,6 @@ def apply_symplectomorphism(f, z):
         else:
             rows[:n] += payload.grad(rows[n:].T).T
     return rows.T.reshape(np.shape(z))
-
-
-def symplectomorphism_jacobian(f, z):
-    """Jacobian of the composite map at a single point (chain rule)."""
-    z = np.asarray(z, dtype=float)
-    n = f.n
-    J = np.eye(2 * n)
-    for kind, payload in f.stages:
-        if kind == "linear":
-            S = np.asarray(payload)
-            z = S @ z
-            J = S @ J
-        elif kind == "xshear":
-            H = payload.hess(z[:n])
-            stage = np.eye(2 * n)
-            stage[n:, :n] = H
-            z = z + np.concatenate([np.zeros(n), payload.grad(z[:n])])
-            J = stage @ J
-        else:
-            H = payload.hess(z[n:])
-            stage = np.eye(2 * n)
-            stage[:n, n:] = H
-            z = z + np.concatenate([payload.grad(z[n:]), np.zeros(n)])
-            J = stage @ J
-    return J
 
 
 @dataclass(frozen=True)

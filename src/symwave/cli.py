@@ -30,10 +30,10 @@ index
     ``task`` "grid"|"loop"|"identities", ``tol`` >= 0 (default 0: exact);
     grid: ``theta_count`` in [2, 2000], ``theta_min``, ``theta_max`` (min <
     max, and a finite span); loop: ``kind`` "circle"|"torus", ``windings``
-    (1 to 8), ``flat_dims`` in [0, 8]; identities: ``dims`` (each 1 to 6),
-    ``trials`` in [1, 100000] -- the two-lift index against
-    floor((theta - theta')/pi) + 1, loop indices against 2 * sum(windings),
-    and the index identities.
+    (1 to 8, each -64 to 64), ``flat_dims`` in [0, 8]; identities: ``dims``
+    (each 1 to 6), ``trials`` in [1, 100000] -- the two-lift index against
+    floor((theta - theta')/pi) + 1, the torus loop record's index against the
+    lift of the loop's tangent planes, and the index identities.
 capacity
     ``radii`` (at most 20, each in [1e-6, 1e6]) or ``ball`` {``n`` in
     [1, 20], ``R`` in [1e-6, 1e6]}, ``tol`` >= 0 -- capacity and volume
@@ -102,6 +102,7 @@ from .maslov import (
     _lifts,
     deck_act,
     leray_index,
+    maslov_loop_index,
 )
 from .polynomials import Polynomial
 from .symplectic import (
@@ -114,6 +115,7 @@ from .symplectic import (
 from .waveforms import (
     CircleManifold,
     GradientGraphManifold,
+    TorusManifold,
     Waveform,
     evolve,
     morse_index,
@@ -336,6 +338,9 @@ def _write_json(fh, obj):
 
 
 _IDENTITY_BLOCK = 64
+# the loop's tangent read samples 4 sum|mu| + 2 planes: at most 2,050
+_WINDINGS = _List(_In(1, 8), _In(-64, 64))
+_WINDINGS_WHY = "needs 1 to 8 entries in [-64, 64]"
 _INDEX = [("task", "str", "grid", {
     # one row per pair, held whole and streamed out: peak RSS was 57 MiB at
     # 300 angles, 273 MiB at 1,100 and 809 MiB at 2,000, about 40 MiB plus
@@ -345,10 +350,8 @@ _INDEX = [("task", "str", "grid", {
              ("theta_max", "float", 6.0, None),
              _TOL_0],
     "loop": [("kind", "str", "torus", {
-        "circle": [("windings", "ints", [1], _List(_In(1, 8)), "needs 1 to 8 entries"),
-                   _FLAT_DIMS, _TOL_0],
-        "torus": [("windings", "ints", ..., _List(_In(1, 8)), "needs 1 to 8 entries"),
-                  _FLAT_DIMS, _TOL_0],
+        "circle": [("windings", "ints", [1], _WINDINGS, _WINDINGS_WHY), _FLAT_DIMS, _TOL_0],
+        "torus": [("windings", "ints", ..., _WINDINGS, _WINDINGS_WHY), _FLAT_DIMS, _TOL_0],
     })],
     # checked in blocks of _IDENTITY_BLOCK triples, one batched call per step
     # for each: peak RSS about 43 MiB at n = 6 however many the trials
@@ -395,14 +398,19 @@ def _index_grid(p, seed):
 def _index_loop(p, seed):
     kind, windings, flat_dims = p["kind"], p["windings"], p["flat_dims"]
     # the torus's own loop record; the radii do not enter the index
-    idx = TorusSpec((1.0,) * len(windings), flat_dims).loop_index(windings)
-    closed = 2 * sum(windings)
+    torus = TorusManifold((1.0,) * len(windings), flat_dims)
+    idx = torus.loop_index(windings)
+    # read independently off the tangent planes along the loop: with 4 sum|mu| + 1
+    # steps, each turns arg det u by less than pi/2, so no step aliases
+    mu = np.concatenate([windings, np.zeros(flat_dims)])
+    ts = np.linspace(0.0, 2 * math.pi, 4 * sum(map(abs, windings)) + 2)
+    tangent = maslov_loop_index([torus.tangent_frame(mu * t) for t in ts])
     row = {"kind": kind, "windings": " ".join(str(v) for v in windings),
-           "flat_dims": flat_dims, "loop_index": idx, "closed_form": closed,
-           "match": bool(abs(idx - closed) <= p["tol"])}
+           "flat_dims": flat_dims, "loop_index": idx, "tangent_index": tangent,
+           "match": bool(abs(idx - tangent) <= p["tol"])}
     results = {"task": "loop", "kind": kind, "windings": windings,
                "flat_dims": flat_dims, "loop_index": idx,
-               "closed_form": closed, "match": row["match"]}
+               "tangent_index": tangent, "match": row["match"]}
     return p, results, (tuple(row), [row])
 
 

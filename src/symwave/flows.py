@@ -35,9 +35,8 @@ from .symplectic import _UNWRAP_STEP, _expm, form_matrix
 
 __all__ = [
     "HamiltonianSpec", "Trajectory", "quadratic_hamiltonian", "harmonic_hamiltonian",
-    "quartic_hamiltonian", "hamiltonian_value", "hamiltonian_gradient", "vector_field",
-    "flow_path", "flow_map", "chapman_kolmogorov_residual", "quadratic_action_shortcut",
-    "hamilton_jacobi_residual", "two_point_action", "generating_function_check",
+    "quartic_hamiltonian", "flow_path", "flow_map", "chapman_kolmogorov_residual",
+    "quadratic_action_shortcut", "hamilton_jacobi_residual", "two_point_action",
 ]
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -110,7 +109,7 @@ def quartic_hamiltonian(omegas, coupling, masses=None):
     )
 
 
-def hamiltonian_value(H, z):
+def _hamiltonian_value(H, z):
     """Evaluate H at phase points ``z`` (vectorized over leading axes)."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != 2 * H.n:
@@ -118,14 +117,14 @@ def hamiltonian_value(H, z):
     return _family(H).value(H, z)
 
 
-def hamiltonian_gradient(H, z):
+def _hamiltonian_gradient(H, z):
     """Full phase-space gradient (dH/dx, dH/dp), vectorized like the value."""
     return _family(H).gradient(H, np.asarray(z, dtype=float))
 
 
-def vector_field(H, z):
+def _vector_field(H, z):
     """Hamiltonian vector field J grad H."""
-    g = hamiltonian_gradient(H, z)
+    g = _hamiltonian_gradient(H, z)
     n = H.n
     return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
 
@@ -275,8 +274,8 @@ def _integrate_quartic(H, times, pts, jacs, turns):
 
 def _trapezoid_action(H, times, pts):
     n = H.n
-    xdot = vector_field(H, pts)[:, :n]
-    lagrangian = np.einsum("kj,kj->k", pts[:, n:], xdot) - hamiltonian_value(H, pts)
+    xdot = _vector_field(H, pts)[:, :n]
+    lagrangian = np.einsum("kj,kj->k", pts[:, n:], xdot) - _hamiltonian_value(H, pts)
     return np.concatenate([[0.0], np.cumsum(
         0.5 * (lagrangian[1:] + lagrangian[:-1]) * np.diff(times)
     )])
@@ -408,7 +407,7 @@ def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid, detail=False):
     s_x = (s[2:, 1:-1] - s[:-2, 1:-1]) / (2 * dx)
     xs = np.broadcast_to(x[1:-1, None], s_x.shape)
     z = np.stack([xs, s_x], axis=-1)
-    resid = np.abs(s_t + hamiltonian_value(H, z))
+    resid = np.abs(s_t + _hamiltonian_value(H, z))
     worst = float(resid.max())
     if detail:
         return {"residual": worst, "dx": float(dx), "dt": float(dt),
@@ -509,54 +508,3 @@ def two_point_action(H, x_start, x_end, t_start, t_end, steps=800,
         raise ConjugatePointError("dx/dp' is singular at this time separation")
     return {"action": float(path.action[-1]), "p_start": p0, "p_end": path.points[-1, n:],
             "det_block": float(det_b), "endpoint": path.points[-1]}
-
-
-def generating_function_check(H, t_start, t_end, sample_count=20, rng=None,
-                              steps=800, fd_step=1e-4, det_tol=1e-8):
-    """Check the action's generating-function identities at sampled endpoints.
-
-    For seeded random ``(x', p')`` the flow's ``dx/dp'`` block must be
-    nonsingular (free window), and central finite differences of the
-    two-point action must reproduce ``dS/dx = p`` and ``dS/dx' = -p'``.
-    Caustics are reported, not raised.
-    """
-    if rng is None:
-        rng = np.random.default_rng(425411)
-    n = H.n
-    report = {
-        "samples": int(sample_count),
-        "free_window_violations": 0,
-        "min_abs_det_block": np.inf,
-        "grad_x_error": 0.0,
-        "grad_x_start_error": 0.0,
-    }
-    for _ in range(sample_count):
-        x0 = rng.uniform(-1, 1, size=n)
-        p0 = rng.uniform(-1, 1, size=n)
-        z1, jac, _ = flow_map(H, np.concatenate([x0, p0]), t_start, t_end, steps)
-        det_b = float(np.linalg.det(jac[:n, n:]))
-        report["min_abs_det_block"] = min(report["min_abs_det_block"], abs(det_b))
-        if abs(det_b) < det_tol:
-            report["free_window_violations"] += 1
-            continue
-        x1 = z1[:n]
-
-        def action(xa, xb, warm):
-            return two_point_action(H, xa, xb, t_start, t_end, steps=steps,
-                                    p_guess=warm)["action"]
-
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = fd_step
-            d_end = (action(x0, x1 + e, p0) - action(x0, x1 - e, p0)) / (2 * fd_step)
-            d_start = (action(x0 + e, x1, p0) - action(x0 - e, x1, p0)) / (2 * fd_step)
-            report["grad_x_error"] = max(report["grad_x_error"], abs(d_end - z1[n + i]))
-            report["grad_x_start_error"] = max(
-                report["grad_x_start_error"], abs(d_start + p0[i])
-            )
-    report["passed"] = (
-        report["free_window_violations"] == 0
-        and report["grad_x_error"] <= 1e-5
-        and report["grad_x_start_error"] <= 1e-5
-    )
-    return report

@@ -24,11 +24,8 @@ from .errors import NumericalError
 __all__ = [
     "LagrangianFrame",
     "form_matrix",
-    "is_symplectic_matrix",
-    "is_lagrangian_frame",
     "orthonormalize_frame",
     "souriau_w",
-    "is_souriau_point",
     "transversal",
     "intersection_dim",
     "signature",
@@ -115,23 +112,6 @@ def _symplectic_defect(S):
     return float(np.max(np.abs(np.swapaxes(S, -1, -2) @ K @ S - K)))
 
 
-def is_symplectic_matrix(S, tol=DEFAULT_TOL):
-    """True iff ``S^T K S = K`` entrywise within ``tol``."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
-        raise ValueError("a symplectic matrix must be square of even size")
-    return _symplectic_defect(S) <= tol
-
-
-def is_lagrangian_frame(frame, tol=DEFAULT_TOL):
-    """True iff the frame has full rank and isotropic span.
-
-    Isotropy of the span is equivalent to ``X^T P`` symmetric; full rank is
-    checked through the smallest singular value of ``[X; P]``.
-    """
-    return not _non_lagrangian(frame.stacked()[None], tol)[0]
-
-
 def _non_lagrangian(F, tol=DEFAULT_TOL):
     # which frames of a (K, 2n, n) stack fail the rank or the isotropy test,
     # both relative to the largest singular value
@@ -202,8 +182,8 @@ def souriau_w(frame, tol=DEFAULT_TOL):
     return _orthonormal_souriau(frame.stacked()[None], tol)[1][0]
 
 
-def is_souriau_point(w, tol=DEFAULT_TOL):
-    """True iff ``w`` is symmetric and unitary within ``tol``."""
+def _is_souriau_point(w, tol=DEFAULT_TOL):
+    # whether w is symmetric and unitary within tol
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         return False
@@ -342,7 +322,7 @@ def frame_from_souriau(w):
     satisfies ``u u^T = u^2 = w``; the frame is then ``X = -Im u, P = Re u``.
     """
     w = np.asarray(w, dtype=complex)
-    if not is_souriau_point(w, tol=_SAME_TOL):
+    if not _is_souriau_point(w, tol=_SAME_TOL):
         raise ValueError("not a symmetric unitary matrix")
     Q, d = _real_diagonalize_symmetric_unitary(w)
     u = (Q * np.exp(0.5j * np.angle(d))) @ Q.T

@@ -62,9 +62,6 @@ __all__ = [
     "CoverPoint",
     "Waveform",
     "Shadow",
-    "circle_phase",
-    "cover_phase",
-    "phase_defect",
     "argument_index_on_manifold",
     "sqrt_de_rham",
     "is_quantized",
@@ -84,17 +81,13 @@ def _ipow(m):
     return _IPOW[int(m) % 4]
 
 
-def circle_phase(theta, r):
+def _circle_phase(theta, r):
     """Cover phase ``(r^2 / 2)(sin(theta) cos(theta) - theta)`` of the circle.
 
     The unique primitive of ``p dx = -r^2 sin^2(theta) dtheta`` vanishing at
     ``theta = 0``; one full parameter turn subtracts ``pi r^2``.
     """
-    if r <= 0:
-        raise ValueError("circle radius must be positive")
-    theta = np.asarray(theta, dtype=float)
-    value = 0.5 * r * r * (np.sin(theta) * np.cos(theta) - theta)
-    return float(value) if value.ndim == 0 else value
+    return float(0.5 * r * r * (np.sin(theta) * np.cos(theta) - theta))
 
 
 def _coerce_param(theta, dim):
@@ -134,7 +127,7 @@ class TorusManifold(TorusSpec):
 
     def phase(self, theta):
         ang, _ = self._split(theta)
-        return float(sum(circle_phase(a, r) for a, r in zip(ang, self.radii)))
+        return float(sum(_circle_phase(a, r) for a, r in zip(ang, self.radii)))
 
     def cover_lift(self, theta):
         """Lift ``w = diag(e^{2 i theta_j}, -1, ...)``, ``alpha = 2 sum theta_j - pi flat_dims``."""
@@ -333,46 +326,6 @@ class CoverPoint:
 
     def projection(self):
         return self.manifold.point(self.theta)
-
-
-def cover_phase(path, manifold, tol=1e-6):
-    """Line integral of ``p dx`` along a discretized path on the manifold.
-
-    The trapezoid sum over the polyline; within one homotopy class the value
-    is discretization-independent up to quadrature error.  Paths from the
-    reference point reproduce the manifold phase up to the reference constant
-    (zero for circles and tori, ``Phi(0)`` for gradient graphs).  Points
-    farther than ``tol`` from the manifold raise ``ValueError``.
-    """
-    pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2 * manifold.n:
-        raise ValueError("path must be a sequence of 2n phase-space vectors")
-    worst = max(manifold.offset(z) for z in pts)
-    if worst > tol:
-        raise ValueError(f"path leaves the manifold (offset {worst:.3e} > tol {tol:.1e})")
-    n = manifold.n
-    x, p = pts[:, :n], pts[:, n:]
-    return float(np.sum((p[1:] + p[:-1]) / 2 * np.diff(x, axis=0)))
-
-
-def phase_defect(manifold, theta, step=1e-5):
-    """Finite-difference defect ``|d phi - p dx|`` at a parameter point.
-
-    Central differences of both the phase and the embedding; the invariant
-    ``d phi = p dx`` should hold on every supported manifold, including
-    flow images.
-    """
-    th = _coerce_param(theta, manifold.param_dim)
-    p = manifold.point(th)[manifold.n :]
-    worst = 0.0
-    for i in range(manifold.param_dim):
-        e = np.zeros_like(th)
-        e[i] = step
-        # both reads at one parameter in turn: a flowed manifold keeps one flow line
-        hi, lo = ((manifold.phase(th + s), manifold.point(th + s)[: manifold.n]) for s in (e, -e))
-        dphi, dx = ((a - b) / (2 * step) for a, b in zip(hi, lo))
-        worst = max(worst, abs(dphi - float(p @ dx)))
-    return worst
 
 
 def _cover_index(manifold, theta, base, base_frame, rng=None):

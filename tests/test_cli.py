@@ -110,21 +110,36 @@ def test_index_identities_memory_does_not_grow_with_trials(tmp_path):
     assert peaks[1] <= 1.1 * peaks[0]
 
 
-def test_index_loop_circle_and_torus(capsys, tmp_path):
+def test_index_loop_circle_and_torus(capsys, tmp_path, monkeypatch):
     env = envelope(capsys, ["index"], tmp_path,
                    {"params": {"task": "loop", "kind": "circle"}})
     assert env["results"]["loop_index"] == 2
     assert env["results"]["match"]
 
-    env = envelope(capsys, ["index"], tmp_path,
-                   {"params": {"task": "loop", "windings": [2, -1, 3],
-                               "flat_dims": 1}})
-    assert env["results"]["loop_index"] == 8 == env["results"]["closed_form"]
+    # the tangent planes read the loop record independently; at the default
+    # 33 samples the [8] * 8 loop aliased to 0
+    for windings, flat_dims, want in (([2, -1, 3], 1, 8), ([1], 0, 2), ([8] * 8, 2, 128),
+                                      ([3, 5], 0, 16), ([-1], 0, -2), ([64, -64], 0, 0)):
+        res = envelope(capsys, ["index"], tmp_path,
+                       {"params": {"task": "loop", "windings": windings,
+                                   "flat_dims": flat_dims}})["results"]
+        assert res["loop_index"] == res["tangent_index"] == want and res["match"]
+
+    # a loop record off by one turn is caught
+    monkeypatch.setattr(cli.TorusManifold, "loop_index", lambda self, mu: 2 * sum(mu) + 2)
+    res = envelope(capsys, ["index"], tmp_path,
+                   {"params": {"task": "loop", "windings": [3, 5]}})["results"]
+    assert (res["loop_index"], res["tangent_index"], res["match"]) == (18, 16, False)
+    monkeypatch.undo()
 
     rc, _, err = invoke(capsys, ["index"], tmp_path,
                         {"params": {"task": "loop", "kind": "circle",
                                     "windings": [3]}})
     assert rc == 2 and diagnostic(err)["error"] == "config"
+    # the tangent read samples 4 sum|mu| + 2 planes, so a winding is bounded
+    rc, _, err = invoke(capsys, ["index"], tmp_path,
+                        {"params": {"task": "loop", "windings": [65]}})
+    assert rc == 2 and "in [-64, 64]" in diagnostic(err)["detail"]
 
 
 def test_index_identities_all_exact(capsys, tmp_path):

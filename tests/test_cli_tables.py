@@ -56,15 +56,15 @@ CASES = [
      "index: parameter 'kind' must be 'circle' or 'torus'",
      1, "index: parameter 'kind' must be a str"),
     ("index[task=loop][kind=circle].windings", "circle", [1], [],
-     "index: parameter 'windings' needs 1 to 8 entries",
+     "index: parameter 'windings' needs 1 to 8 entries in [-64, 64]",
      "1", "index: parameter 'windings' must be a list"),
     ("index[task=loop][kind=circle].flat_dims", "circle", 8, 9,
      "index: parameter 'flat_dims' must be in [0, 8]",
      1.0, "index: parameter 'flat_dims' must be a int"),
     ("index[task=loop][kind=circle].tol", "circle", 0.0, -TINY,
      "index: parameter 'tol' must be >= 0", [0], "index: parameter 'tol' must be a float"),
-    ("index[task=loop][kind=torus].windings", "torus", [1] * 8, [1] * 9,
-     "index: parameter 'windings' needs 1 to 8 entries",
+    ("index[task=loop][kind=torus].windings", "torus", [64, -64] + [1] * 6, [1] * 9,
+     "index: parameter 'windings' needs 1 to 8 entries in [-64, 64]",
      [1.0], "index: parameter 'windings' must hold integers"),
     ("index[task=loop][kind=torus].flat_dims", "torus", 0, -1,
      "index: parameter 'flat_dims' must be in [0, 8]",

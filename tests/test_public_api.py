@@ -1,9 +1,11 @@
-"""The public names are pinned and importable, and the torus constructors keep their calls."""
+"""The public names are pinned, importable and consumed; the torus constructors keep their calls."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(symwave.__path__, "symwave
 PACKAGE_EXPORTS = [
     "CircleManifold", "CoverPoint", "EllipsoidSpec", "GradientGraphManifold",
     "HamiltonianSpec", "LagrangianFrame", "LagrangianLift", "Shadow", "TorusManifold",
-    "TorusSpec", "Trajectory", "Waveform", "argument_index_on_manifold", "circle_phase",
-    "cover_phase", "deck_act", "ellipsoid_capacity", "ellipsoid_volume", "evolve",
-    "flow_map", "flow_path", "form_matrix", "harmonic_hamiltonian", "inert",
-    "intersection_dim", "is_lagrangian_frame", "is_quantized", "is_symplectic_matrix",
+    "TorusSpec", "Trajectory", "Waveform", "argument_index_on_manifold", "deck_act",
+    "ellipsoid_capacity", "ellipsoid_volume", "evolve", "flow_map", "flow_path",
+    "form_matrix", "harmonic_hamiltonian", "inert", "intersection_dim", "is_quantized",
     "keller_maslov_check", "leray_index", "leray_index_transversal", "lift_from_frame",
     "lift_path", "lift_path_adaptive", "maslov_loop_index", "maslov_loop_index_adaptive",
     "morse_index", "nonsqueezing_experiment", "orthonormalize_frame", "oscillator_levels",
@@ -39,16 +40,14 @@ MODULE_ALL = {
         "ellipsoid_volume", "ground_energy", "identity_symplectomorphism",
         "keller_maslov_check", "nonsqueezing_experiment", "oscillator_levels",
         "random_symplectomorphism", "shadow_area", "shadow_areas",
-        "symplectomorphism_jacobian",
     ],
     "symwave.cli": ["ConfigError", "main"],
     "symwave.errors": None,
     "symwave.flows": [
         "HamiltonianSpec", "Trajectory", "chapman_kolmogorov_residual", "flow_map",
-        "flow_path", "generating_function_check", "hamilton_jacobi_residual",
-        "hamiltonian_gradient", "hamiltonian_value", "harmonic_hamiltonian",
+        "flow_path", "hamilton_jacobi_residual", "harmonic_hamiltonian",
         "quadratic_action_shortcut", "quadratic_hamiltonian", "quartic_hamiltonian",
-        "two_point_action", "vector_field",
+        "two_point_action",
     ],
     "symwave.maslov": [
         "LagrangianLift", "deck_act", "inert", "leray_index", "leray_index_transversal",
@@ -59,16 +58,14 @@ MODULE_ALL = {
     "symwave.polynomials": ["Polynomial", "random_polynomial"],
     "symwave.symplectic": [
         "LagrangianFrame", "form_matrix", "frame_from_souriau", "intersection_dim",
-        "is_lagrangian_frame", "is_souriau_point", "is_symplectic_matrix",
         "orthonormalize_frame", "random_lagrangian_frame", "random_symmetric_unitary",
         "random_symplectic", "signature", "souriau_w", "transversal", "vertical_frame",
     ],
     "symwave.waveforms": [
         "CircleManifold", "CoverPoint", "FlowedManifold", "GradientGraphManifold", "Shadow",
-        "TorusManifold", "Waveform", "argument_index_on_manifold", "circle_phase",
-        "cover_phase", "deck_covariance_check", "evolve", "is_quantized", "morse_index",
-        "oscillator_spectrum_from_waveforms", "phase_defect", "shadow", "sqrt_de_rham",
-        "van_vleck_propagate",
+        "TorusManifold", "Waveform", "argument_index_on_manifold", "deck_covariance_check",
+        "evolve", "is_quantized", "morse_index", "oscillator_spectrum_from_waveforms",
+        "shadow", "sqrt_de_rham", "van_vleck_propagate",
     ],
 }
 
@@ -90,6 +87,47 @@ def test_package_exports_resolve():
     for module, name in imported:
         source = importlib.import_module(f"symwave.{module}")
         assert getattr(symwave, name) is getattr(source, name)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reads(tree):
+    # every name a tree reads, bare or as an attribute
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.Attribute)}
+
+
+def _consumed():
+    # the names read by the commands and the other package code (a name's own
+    # definition and the package re-exports aside), by the acceptance
+    # criteria, by the README's python examples, and by the benchmark's
+    # traced functions (perfbench/tracing.py TARGETS)
+    names = set()
+    for path in sorted((ROOT / "src" / "symwave").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            names |= _reads(stmt) - {own}
+    names |= _reads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S):
+        names |= _reads(ast.parse(block))
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    names |= {row.elts[1].value.split(".")[0] for row in targets.elts}
+    return names
+
+
+def test_every_public_name_has_a_consumer():
+    # a public name is read by a command, other package code, a criterion, a
+    # README example or a traced benchmark target; its own tests do not count
+    pinned = set(PACKAGE_EXPORTS).union(*(names or () for names in MODULE_ALL.values()))
+    unconsumed = sorted(pinned - _consumed())
+    assert not unconsumed, f"public names without a consumer: {unconsumed}"
 
 
 def test_torus_constructors():

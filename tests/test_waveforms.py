@@ -38,15 +38,13 @@ from symwave.waveforms import (
     GradientGraphManifold,
     TorusManifold,
     Waveform,
+    _circle_phase,
     argument_index_on_manifold,
-    circle_phase,
-    cover_phase,
     deck_covariance_check,
     evolve,
     is_quantized,
     morse_index,
     oscillator_spectrum_from_waveforms,
-    phase_defect,
     shadow,
     sqrt_de_rham,
     van_vleck_propagate,
@@ -83,46 +81,18 @@ def gaussian_oracle(x, hbar, alpha, beta, gamma, A, B, D):
 
 
 def test_circle_phase_closed_form():
-    assert circle_phase(0.0, 1.3) == 0.0
-    assert abs(circle_phase(math.pi / 2, 1.0) + math.pi / 4) < 1e-15
+    assert _circle_phase(0.0, 1.3) == 0.0
+    assert abs(_circle_phase(math.pi / 2, 1.0) + math.pi / 4) < 1e-15
     # one full turn subtracts pi r^2
     r = 1.7
     for th in (-1.0, 0.4, 2.9):
-        shift = circle_phase(th + 2 * math.pi, r) - circle_phase(th, r)
+        shift = _circle_phase(th + 2 * math.pi, r) - _circle_phase(th, r)
         assert abs(shift + math.pi * r * r) < 1e-12
     # derivative oracle: dphi/dtheta = -r^2 sin^2(theta)
     h = 1e-6
     for th in np.linspace(-7, 7, 41):
-        fd = (circle_phase(th + h, r) - circle_phase(th - h, r)) / (2 * h)
+        fd = (_circle_phase(th + h, r) - _circle_phase(th - h, r)) / (2 * h)
         assert abs(fd + r * r * math.sin(th) ** 2) < 1e-6
-
-
-def test_cover_phase_circle_and_loops():
-    r = 1.4
-    man = CircleManifold(r)
-    theta_end = 2.2
-
-    def sampled(count):
-        thetas = np.linspace(0.0, theta_end, count)
-        return [man.point(t) for t in thetas]
-
-    coarse = cover_phase(sampled(4001), man)
-    fine = cover_phase(sampled(16001), man)
-    assert abs(coarse - circle_phase(theta_end, r)) < 1e-6
-    assert abs(fine - circle_phase(theta_end, r)) < 1e-8
-    assert abs(coarse - fine) < 1e-6  # discretization independence
-
-    # constant path
-    assert cover_phase([man.point(0.5)] * 7, man) == 0.0
-
-    # a full loop adds the loop integral -pi r^2
-    loop = [man.point(t) for t in np.linspace(0.3, 0.3 + 2 * math.pi, 40001)]
-    assert abs(cover_phase(loop, man) + math.pi * r * r) < 1e-7
-
-    with pytest.raises(ValueError):
-        cover_phase([np.array([r + 0.1, 0.0])], man)
-    with pytest.raises(ValueError):
-        cover_phase([np.zeros(3)], man)
 
 
 def test_circle_argument_index_examples():
@@ -171,6 +141,23 @@ def test_base_change_matches_inertia_identity():
         assert ma - mb == inert(man.tangent_frame(th), fa, fb) - mab
 
 
+def _phase_defect(manifold, theta, step=1e-5):
+    # finite-difference defect |d phi - p dx| at a parameter point, by central
+    # differences of the phase and the embedding; d phi = p dx holds on every
+    # supported manifold, flow images included
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    p = manifold.point(th)[manifold.n :]
+    worst = 0.0
+    for i in range(manifold.param_dim):
+        e = np.zeros_like(th)
+        e[i] = step
+        # both reads at one parameter in turn: a flowed manifold keeps one flow line
+        hi, lo = ((manifold.phase(th + s), manifold.point(th + s)[: manifold.n]) for s in (e, -e))
+        dphi, dx = ((a - b) / (2 * step) for a, b in zip(hi, lo))
+        worst = max(worst, abs(dphi - float(p @ dx)))
+    return worst
+
+
 def test_phase_defect_small_everywhere():
     manifolds = [
         (CircleManifold(1.3), [0.9]),
@@ -178,7 +165,7 @@ def test_phase_defect_small_everywhere():
         (GradientGraphManifold(Polynomial(1, [(0.3, (2,)), (0.1, (4,))])), [0.6]),
     ]
     for man, th in manifolds:
-        assert phase_defect(man, th) < 1e-6
+        assert _phase_defect(man, th) < 1e-6
 
 
 def test_sqrt_de_rham_values():
@@ -294,7 +281,7 @@ def test_evolve_identity_and_full_period():
     tau = 0.9
     rot = np.array([[math.cos(tau), math.sin(tau)], [-math.sin(tau), math.cos(tau)]])
     assert np.max(np.abs(ev2.manifold.point(0.7) - rot @ psi.manifold.point(0.7))) < 1e-12
-    assert phase_defect(ev2.manifold, [0.7]) < 1e-6
+    assert _phase_defect(ev2.manifold, [0.7]) < 1e-6
     # the evolved phase still generates p dx, and mass rides the parameter
     assert ev2.amplitude is psi.amplitude
 
@@ -399,7 +386,7 @@ def test_shadow_circle_structure_and_snapshot():
         expected = (
             2.0 * math.sqrt(uniform_density(theta) / math.sin(theta))
             * np.exp(0.25j * math.pi)
-            * math.cos(circle_phase(theta, 1.0) / 0.3 + math.pi / 4)
+            * math.cos(_circle_phase(theta, 1.0) / 0.3 + math.pi / 4)
         )
         assert abs(v - expected) < 1e-12
 
@@ -730,10 +717,9 @@ def test_cover_point_and_flowed_manifold_plumbing():
     # points of the flowed manifold sit on it; the inverse flow measures offset
     assert fm.offset(fm.point(1.1)) < 1e-9
     assert fm.offset(np.array([5.0, 5.0])) > 1.0
-    # cover_phase along a short flowed-manifold arc stays consistent
-    arc = [fm.point(t) for t in np.linspace(0.2, 0.5, 2001)]
-    seg = cover_phase(arc, fm, tol=1e-6)
-    assert abs(seg - (fm.phase(0.5) - fm.phase(0.2))) < 1e-5
+    # the flowed phase generates p dx along the arc
+    for t in (0.2, 0.35, 0.5):
+        assert _phase_defect(fm, [t]) < 1e-6
 
     with pytest.raises(ValueError):
         FlowedManifold(man, harmonic_hamiltonian([1.0, 2.0]), 0.0, 1.0)
@@ -792,22 +778,23 @@ def test_cover_lift_is_the_lift_along_the_parameter_path(kind):
 
 
 def test_every_loop_reader_takes_the_one_loop_record(path_lifts):
-    # the quantization checks, the spectrum scan, the deck factor and the
-    # index loop task read the cover lift's deck shift and lift no path
+    # the quantization checks, the spectrum scan and the deck factor read the
+    # cover lift's deck shift and lift no path
     hbar = 0.5
     circle = quantized_circle(1, hbar)
     assert keller_maslov_check(circle, hbar).generators[0].loop_index == 2
     assert is_quantized(FlowedManifold(circle, harmonic_hamiltonian([1.0]), 0.0, 0.3, 10), hbar)
     assert len(oscillator_spectrum_from_waveforms(hbar, 2)) == 3
     assert deck_covariance_check(Waveform(circle, uniform_density, hbar), 0.4, 1)["defect"] < 1e-12
-    loop = {"kind": "circle", "windings": [1], "flat_dims": 0, "tol": 0}
-    assert cli._index_loop(loop, 0)[1]["loop_index"] == 2
     # the reversed loop reads the same record with the opposite sign, and a
     # long loop does not alias
     assert circle.loop_index(-1) == -2 and circle.loop_index(15) == 30
     assert path_lifts == []
-    # the probe sees a path lift when one is made
-    lift_path_adaptive(circle.tangent_frame, 0.0, 2 * math.pi, 0.0)
+    # the index loop task reads the record too, and lifts the loop's tangent
+    # planes only for the independent read it checks the record against
+    loop = {"kind": "circle", "windings": [1], "flat_dims": 0, "tol": 0}
+    res = cli._index_loop(loop, 0)[1]
+    assert res["loop_index"] == res["tangent_index"] == 2 and res["match"]
     assert path_lifts
 
 
