@@ -125,13 +125,6 @@ def test_index_loop_circle_and_torus(capsys, tmp_path, monkeypatch):
                                    "flat_dims": flat_dims}})["results"]
         assert res["loop_index"] == res["tangent_index"] == want and res["match"]
 
-    # a loop record off by one turn is caught
-    monkeypatch.setattr(cli.TorusManifold, "loop_index", lambda self, mu: 2 * sum(mu) + 2)
-    res = envelope(capsys, ["index"], tmp_path,
-                   {"params": {"task": "loop", "windings": [3, 5]}})["results"]
-    assert (res["loop_index"], res["tangent_index"], res["match"]) == (18, 16, False)
-    monkeypatch.undo()
-
     rc, _, err = invoke(capsys, ["index"], tmp_path,
                         {"params": {"task": "loop", "kind": "circle",
                                     "windings": [3]}})
@@ -140,6 +133,12 @@ def test_index_loop_circle_and_torus(capsys, tmp_path, monkeypatch):
     rc, _, err = invoke(capsys, ["index"], tmp_path,
                         {"params": {"task": "loop", "windings": [65]}})
     assert rc == 2 and "in [-64, 64]" in diagnostic(err)["detail"]
+
+    # a loop record off by one turn is caught
+    monkeypatch.setattr(cli.TorusManifold, "loop_index", lambda self, mu: 2 * sum(mu) + 2)
+    res = envelope(capsys, ["index"], tmp_path,
+                   {"params": {"task": "loop", "windings": [3, 5]}})["results"]
+    assert (res["loop_index"], res["tangent_index"], res["match"]) == (18, 16, False)
 
 
 def test_index_identities_all_exact(capsys, tmp_path):
