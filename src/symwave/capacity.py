@@ -252,10 +252,6 @@ class ShadowEstimate:
     area: float
     occupied_cells: int  # cells hit by at least one sample
     grid_cells: int  # occupied cells plus enclosed holes (used for the area)
-    grid_res: int
-    samples: int
-    seed: int
-    bbox: tuple
 
     @property
     def corrected_area(self):
@@ -277,13 +273,12 @@ def _check_ball(R, grid_res, samples):
         raise ValueError("bad grid/sample/radius parameters")
 
 
-def _sample_ball(n, R, samples, seed, center=None):
+def _sample_ball(n, R, samples, seed):
     # the seeded sphere of radius R (n >= 2, see shadow_area) or disc (n = 1)
     # as a (2n, samples) array, one contiguous row per coordinate; per-chunk
     # seeding keeps the stream mergeable and order-independent.  A chunk
     # draws its normals block by block (the same stream as one draw of the
     # chunk), then at n = 1 its radii
-    center = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
     ball = np.empty((2 * n, samples))
     for idx, done in enumerate(range(0, samples, _CHUNK)):
         rng = np.random.default_rng((int(seed), idx))
@@ -293,11 +288,10 @@ def _sample_ball(n, R, samples, seed, center=None):
             norm = np.linalg.norm(g, axis=1, keepdims=True)
             np.divide(g.T, norm.T, out=rows[:, s : s + len(g)])
         rows *= R * rng.random(rows.shape[1]) ** 0.5 if n == 1 else R
-        rows += center.reshape(-1, 1)
     return ball
 
 
-def _map_shadows(f, ball, planes, grid_res, seed):
+def _map_shadows(f, ball, planes, grid_res):
     # the shadows of f(ball) on planes; the ball is moved to its image in
     # place, one block at a time
     n = f.n
@@ -305,7 +299,7 @@ def _map_shadows(f, ball, planes, grid_res, seed):
         if f.stages:
             for s in range(0, ball.shape[1], _BLOCK):
                 ball[:, s : s + _BLOCK] = apply_symplectomorphism(f, ball[:, s : s + _BLOCK].T).T
-        return [_shadow(ball[i], ball[n + j], (i, j), grid_res, seed) for i, j in planes]
+        return [_shadow(ball[i], ball[n + j], (i, j), grid_res) for i, j in planes]
 
 
 def _bin_index(v, e):
@@ -382,7 +376,7 @@ def _fill_holes(occupied):
     return occupied | np.cumsum(marks[:-1], dtype=np.int8).view(bool).reshape(h, w)
 
 
-def _shadow(x, y, plane, grid_res, seed):
+def _shadow(x, y, plane, grid_res):
     bbox = (x.min(), x.max(), y.min(), y.max())
     span = (bbox[1] - bbox[0], bbox[3] - bbox[2])
     # a finite box, whose area bounds the shadow's
@@ -404,14 +398,10 @@ def _shadow(x, y, plane, grid_res, seed):
         area=float(filled.sum() * cell_area),
         occupied_cells=int(occupied.sum()),
         grid_cells=int(filled.sum()),
-        grid_res=int(grid_res),
-        samples=len(x),
-        seed=int(seed),
-        bbox=tuple(float(v) for v in bbox),
     )
 
 
-def shadow_areas(f, R, planes, grid_res=512, samples=1_000_000, seed=0, center=None):
+def shadow_areas(f, R, planes, grid_res=512, samples=1_000_000, seed=0):
     """Shadows of one sampled ``f(ball of radius R)`` on each of ``planes``.
 
     ``planes`` is a sequence of planes in the form ``shadow_area`` takes.
@@ -428,10 +418,10 @@ def shadow_areas(f, R, planes, grid_res=512, samples=1_000_000, seed=0, center=N
     if not all(0 <= c < n for plane in planes for c in plane):
         raise ValueError("plane index out of range")
     _check_ball(R, grid_res, samples)
-    return _map_shadows(f, _sample_ball(n, R, samples, seed, center), planes, grid_res, seed)
+    return _map_shadows(f, _sample_ball(n, R, samples, seed), planes, grid_res)
 
 
-def shadow_area(f, R, plane, grid_res=512, samples=1_000_000, seed=0, center=None):
+def shadow_area(f, R, plane, grid_res=512, samples=1_000_000, seed=0):
     """Area of the projection of ``f(ball of radius R)`` onto a plane.
 
     ``plane`` is either an integer ``j`` (conjugate plane ``(x_j, p_j)``) or
@@ -451,7 +441,7 @@ def shadow_area(f, R, plane, grid_res=512, samples=1_000_000, seed=0, center=Non
     shadow is the image itself, and the samples fill the disc.
     ``corrected_area`` is ``area``.
     """
-    return shadow_areas(f, R, [plane], grid_res, samples, seed, center)[0]
+    return shadow_areas(f, R, [plane], grid_res, samples, seed)[0]
 
 
 def nonsqueezing_experiment(
@@ -491,14 +481,14 @@ def nonsqueezing_experiment(
         ident = identity_symplectomorphism(n)
         calib = [{"plane": f"x{j + 1}p{j + 1}", "area": e.area, "corrected_area": e.area,
                   "relative_error": abs(e.area - reference) / reference}
-                 for j, e in enumerate(_map_shadows(ident, ball, conjugate, grid_res, seed))]
+                 for j, e in enumerate(_map_shadows(ident, ball, conjugate, grid_res))]
     maps = []
     for k in range(n_maps):
         rng = np.random.default_rng((int(seed), 7919, k))
         f = random_symplectomorphism(n, rng, min_stages=min_stages, max_stages=max_stages)
         if ball is None:
             ball = _sample_ball(n, R, samples, seed + 31 * k)
-        ests = _map_shadows(f, ball, conjugate + mixed, grid_res, seed + 31 * k)
+        ests = _map_shadows(f, ball, conjugate + mixed, grid_res)
         ball = None  # freed before the next map samples its own
         planes = [
             {"plane": f"x{j + 1}p{j + 1}", "area": e.area, "corrected_area": e.area,
@@ -551,8 +541,6 @@ class GeneratorCheck:
 @dataclass(frozen=True)
 class QuantizationReport:
     generators: tuple
-    hbar: float
-    tol: float
     passed: bool
 
     def __bool__(self):
@@ -592,9 +580,7 @@ def keller_maslov_check(torus, hbar, tol=1e-9):
                 passed=bool(residual <= tol and level >= 0),
             )
         )
-    return QuantizationReport(
-        generators=tuple(rows), hbar=hbar, tol=float(tol), passed=all(r.passed for r in rows)
-    )
+    return QuantizationReport(generators=tuple(rows), passed=all(r.passed for r in rows))
 
 
 def oscillator_levels(torus, omegas, hbar, tol=1e-9):

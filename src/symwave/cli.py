@@ -49,7 +49,9 @@ quantize
     any of ``radii_squared`` (+ ``flat_dims`` in [0, 8]), ``omegas``,
     ``spectrum_n_max`` in [0, 64] (+ ``scan_divisions`` in [10, 10000]);
     ``contrast`` adds the index-free column -- minimum-area checks per
-    generator, ground/torus energies and the radius-scan spectrum.
+    generator, ground/torus energies and the radius-scan spectrum; pi r^2 /
+    hbar per radius, hbar sum(omegas) and sum(omegas r^2) / min(1, hbar)
+    must be finite.
 evolve
     ``hamiltonian`` {``kind`` "harmonic"|"free"|"quadratic"|"quartic";
     ``omegas`` (harmonic, quartic), ``dim`` in [1, 8] (free), ``matrix``
@@ -61,7 +63,8 @@ evolve
     "fresnel" (free), ``morse_windows`` [[a, b], ...], ``index_points`` in
     [2, 1024], ``trajectory_samples`` in [2, 100000], ``tol`` > 0 (default
     1e-10, the Newton guard) -- Gaussian data transported on a gradient
-    graph; the span t_end - t_start and each window's length must be finite.
+    graph; the spans t_end - t_start and x_grid max - min and each window's
+    length must be finite.
 """
 
 import argparse
@@ -600,6 +603,14 @@ def _check_quantize(p):
                           " 'omegas', or 'spectrum_n_max')")
     if p["omegas"] and p["radii_squared"] and len(p["omegas"]) != len(p["radii_squared"]):
         raise ConfigError("quantize: 'omegas' must match 'radii_squared' in length")
+    # the generator levels, the ground energy and the torus energy stay finite
+    hbar, r2, omegas = p["hbar"], p["radii_squared"] or [], p["omegas"] or []
+    if not all(math.isfinite(math.pi * v / hbar) for v in r2):
+        raise ConfigError("quantize: pi * radii_squared / hbar must be finite")
+    if not math.isfinite(hbar * sum(omegas)):
+        raise ConfigError("quantize: hbar * sum(omegas) must be finite")
+    if not math.isfinite(sum(w * v for w, v in zip(omegas, r2)) / min(1.0, hbar)):
+        raise ConfigError("quantize: sum(omegas * radii_squared) / min(1, hbar) must be finite")
 
 
 def run_quantize(params, seed):
@@ -714,6 +725,8 @@ def _check_evolve(p):
         raise ConfigError("evolve: x_grid.count must be <= 1e6")
     elif grid["count"] > 1 and not grid["max"] > grid["min"]:
         raise ConfigError("evolve: x_grid.max must exceed x_grid.min")
+    elif not math.isfinite(grid["max"] - grid["min"]):
+        raise ConfigError("evolve: x_grid.max - x_grid.min must be finite")
 
 
 def _make_hamiltonian(h):

@@ -60,7 +60,6 @@ class HamiltonianSpec:
     n: int
     matrix: np.ndarray | None = None  # quadratic: H = 1/2 z^T M z
     omegas: np.ndarray | None = None
-    masses: np.ndarray | None = None
     coupling: float = 0.0  # quartic family
 
     def __post_init__(self):
@@ -80,33 +79,27 @@ def quadratic_hamiltonian(M):
     return HamiltonianSpec(kind="quadratic", n=M.shape[0] // 2, matrix=0.5 * (M + M.T))
 
 
-def harmonic_hamiltonian(omegas, masses=None):
-    """H = sum_j p_j^2 / (2 m_j) + m_j omega_j^2 x_j^2 / 2, a quadratic spec."""
+def harmonic_hamiltonian(omegas):
+    """H = sum_j p_j^2 / 2 + omega_j^2 x_j^2 / 2 (unit masses), a quadratic spec."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     n = omegas.size
-    masses = np.ones(n) if masses is None else np.atleast_1d(np.asarray(masses, dtype=float))
-    if masses.shape != omegas.shape:
-        raise ValueError("masses must match the number of frequencies")
-    if np.any(omegas <= 0) or np.any(masses <= 0):
-        raise ValueError("frequencies and masses must be positive")
+    if np.any(omegas <= 0):
+        raise ValueError("frequencies must be positive")
     with np.errstate(over="ignore"):
-        matrix = np.diag(np.concatenate([masses * omegas**2, 1.0 / masses]))
+        matrix = np.diag(np.concatenate([omegas**2, np.ones(n)]))
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("frequencies and masses must be finite, and so must m omega^2 and 1/m")
-    return HamiltonianSpec(kind="quadratic", n=n, matrix=matrix, omegas=omegas, masses=masses)
+        raise ValueError("frequencies must be finite, and so must omega^2")
+    return HamiltonianSpec(kind="quadratic", n=n, matrix=matrix, omegas=omegas)
 
 
-def quartic_hamiltonian(omegas, coupling, masses=None):
+def quartic_hamiltonian(omegas, coupling):
     """Anharmonic oscillator: harmonic part plus ``coupling * sum_j x_j^4``."""
-    spec = harmonic_hamiltonian(omegas, masses)
+    spec = harmonic_hamiltonian(omegas)
     if not np.isfinite(coupling):
         raise ValueError("quartic coupling must be finite")
     if coupling < 0:
         raise ValueError("quartic coupling must be nonnegative")
-    return HamiltonianSpec(
-        kind="quartic", n=spec.n, omegas=spec.omegas, masses=spec.masses,
-        coupling=float(coupling),
-    )
+    return HamiltonianSpec(kind="quartic", n=spec.n, omegas=spec.omegas, coupling=float(coupling))
 
 
 def _hamiltonian_value(H, z):
@@ -132,17 +125,16 @@ def _vector_field(H, z):
 def _quartic_value(H, z):
     x, p = z[..., :H.n], z[..., H.n:]
     return (
-        0.5 * np.einsum("...j,j->...", p**2, 1.0 / H.masses)
-        + 0.5 * np.einsum("...j,j->...", x**2, H.masses * H.omegas**2)
+        0.5 * (p**2).sum(axis=-1)
+        + 0.5 * np.einsum("...j,j->...", x**2, H.omegas**2)
         + H.coupling * (x**4).sum(axis=-1)
     )
 
 
 def _quartic_gradient(H, z):
     x, p = z[..., :H.n], z[..., H.n:]
-    gx = H.masses * H.omegas**2 * x + 4.0 * H.coupling * x**3
-    gp = p / H.masses
-    return np.concatenate([gx, gp], axis=-1)
+    gx = H.omegas**2 * x + 4.0 * H.coupling * x**3
+    return np.concatenate([gx, p], axis=-1)
 
 
 class Trajectory(NamedTuple):
@@ -229,7 +221,7 @@ def _integrate_quartic(H, times, pts, jacs, turns):
     # the half-kick after a drift and the one before the next.  Powers are
     # products: float ``**`` raises on overflow, and numpy's array pow rounds
     # unlike ``x * x * x``.  Overflow runs on as inf/nan to the path scan.
-    # A kick's generator has norm |c| = |h/2| V''(x), a drift's |h|/m; the
+    # A kick's generator has norm |c| = |h/2| V''(x), a drift's |h|; the
     # degrees of freedom may step one after another, so n times the largest
     # of their per-step sums bounds the step's turn of arg det u.
     n = H.n
@@ -238,9 +230,9 @@ def _integrate_quartic(H, times, pts, jacs, turns):
     g4, g12 = 4.0 * H.coupling, 12.0 * H.coupling
     jacs[1:] = 0.0
     turns[:] = 0.0
-    for j, (m, w2) in enumerate(zip(H.masses.tolist(), (H.masses * H.omegas**2).tolist())):
-        subs = [(h, 0.5 * h, h / m) for h in hs]
-        drifts = sum(abs(h_over_m) for _, _, h_over_m in subs)
+    for j, w2 in enumerate((H.omegas**2).tolist()):
+        subs = [(h, 0.5 * h) for h in hs]
+        drifts = sum(abs(h) for h in hs)
         x, p = float(pts[0, j]), float(pts[0, n + j])
         xx, xp, px, pp = 1.0, 0.0, 0.0, 1.0  # dx/dx0, dx/dp0, dp/dx0, dp/dp0
         v_grad = w2 * x + g4 * (x * x * x)
@@ -248,15 +240,15 @@ def _integrate_quartic(H, times, pts, jacs, turns):
         rows = []
         for _ in range(len(times) - 1):
             turn = drifts
-            for h, half_h, h_over_m in subs:
+            for h, half_h in subs:
                 c = half_h * v_hess
                 turn += abs(c)
                 p -= half_h * v_grad
                 px -= c * xx
                 pp -= c * xp
-                x += h * p / m
-                xx += h_over_m * px
-                xp += h_over_m * pp
+                x += h * p
+                xx += h * px
+                xp += h * pp
                 v_grad = w2 * x + g4 * (x * x * x)
                 v_hess = w2 + g12 * (x * x)
                 c = half_h * v_hess
@@ -381,14 +373,13 @@ def quadratic_action_shortcut(z_start, z_end):
     return 0.5 * (z1[n:] @ z1[:n] - z0[n:] @ z0[:n])
 
 
-def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid, detail=False):
+def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid):
     """Max interior residual of ``dS/dt + H(x, dS/dx, t) = 0`` (n = 1 grids).
 
     ``s_grid[i, k]`` samples a candidate action ``S`` at ``x_grid[i]``,
-    ``t_grid[k]``.  Derivatives use central differences, so the report is
-    only as sharp as the grid: the spacings are returned alongside the
-    residual when ``detail`` is set, and a grid too coarse for differencing
-    is an error rather than a guess.
+    ``t_grid[k]``.  Derivatives use central differences, so the residual is
+    only as sharp as the grid, and a grid too coarse for differencing is an
+    error rather than a guess.
     """
     if H.n != 1:
         raise ValueError("grid residual is defined for one degree of freedom")
@@ -407,12 +398,7 @@ def hamilton_jacobi_residual(H, s_grid, x_grid, t_grid, detail=False):
     s_x = (s[2:, 1:-1] - s[:-2, 1:-1]) / (2 * dx)
     xs = np.broadcast_to(x[1:-1, None], s_x.shape)
     z = np.stack([xs, s_x], axis=-1)
-    resid = np.abs(s_t + _hamiltonian_value(H, z))
-    worst = float(resid.max())
-    if detail:
-        return {"residual": worst, "dx": float(dx), "dt": float(dt),
-                "grid": (int(x.size), int(t.size))}
-    return worst
+    return float(np.abs(s_t + _hamiltonian_value(H, z)).max())
 
 
 _MAX_HALVINGS = 4  # a Newton step no halving within this cap improves has stalled
@@ -474,15 +460,15 @@ def _shoot(H, source, target, theta0, t0, t1, steps, tol, max_iter, det_tol):
         f"source-point solve did not converge at grid position {target.tolist()}")
 
 
-def two_point_action(H, x_start, x_end, t_start, t_end, steps=800,
-                     p_guess=None, tol=1e-12, max_iter=50):
+def two_point_action(H, x_start, x_end, t_start, t_end):
     """Solve the two-point boundary problem and return its action data.
 
-    One damped shooting solve (`_shoot`) from the momentum fibre over
-    ``x_start`` (frame ``[0; I]``) finds the ``p'`` whose flow line reaches
-    ``x_end`` at ``t_end``, from ``p_guess`` or the straight-line momentum.
-    Quadratic generators take one exact step per flow; a diverging trial is
-    a rejected step.  Returns a dict with the action ``S``, the endpoint
+    One damped shooting solve (`_shoot`, at most 50 Newton steps to a
+    relative miss of 1e-12) from the momentum fibre over ``x_start`` (frame
+    ``[0; I]``) finds the ``p'`` whose flow line reaches ``x_end`` at
+    ``t_end``, from the straight-line momentum.  Quadratic generators take
+    one exact step per flow, the others 800 steps; a diverging trial is a
+    rejected step.  Returns a dict with the action ``S``, the endpoint
     momenta, and ``det dx/dp'``.  Raises `ConjugatePointError` when the
     block is (near-)singular, i.e. outside the free window, and
     `NumericalError` ("no source point found") past a fold of the fibre.
@@ -499,10 +485,8 @@ def two_point_action(H, x_start, x_end, t_start, t_end, steps=800,
         raise ValueError("two-point problem needs distinct times")
 
     fibre = np.vstack([np.zeros((n, n)), np.eye(n)])
-    p0 = np.asarray(p_guess, dtype=float) if p_guess is not None else (x1 - x0) / tau
-    p0, path, _ = _shoot(
-        H, lambda p: (np.concatenate([x0, p]), fibre), x1, p0, t_start, t_end, steps,
-        tol, max_iter, 1e-12)
+    p0, path, _ = _shoot(H, lambda p: (np.concatenate([x0, p]), fibre), x1, (x1 - x0) / tau,
+                         t_start, t_end, 800, 1e-12, 50, 1e-12)
     det_b = np.linalg.det(path.jacobians[-1, :n, n:])
     if abs(det_b) < 1e-10:
         raise ConjugatePointError("dx/dp' is singular at this time separation")

@@ -94,9 +94,9 @@ def lift_from_frame(frame, windings=0):
     return _lifts(souriau_w(frame)[None], [windings])[0]
 
 
-def vertical_lift(n, windings=0):
-    """Lift ``(I, 2 pi k)`` of the vertical plane ``{x = 0}``."""
-    return LagrangianLift(np.eye(n, dtype=complex), 2 * np.pi * windings)
+def vertical_lift(n):
+    """Lift ``(I, 0)`` of the vertical plane ``{x = 0}``; `deck_act` shifts it."""
+    return LagrangianLift(np.eye(n, dtype=complex), 0.0)
 
 
 def deck_act(k, lift):
@@ -144,7 +144,7 @@ def _lift_stack(F, arg, alpha0, tol):
     return [LagrangianLift(w, a) for w, a in zip(_souriau(F), alphas)]
 
 
-def lift_path(frames, alpha0, tol=_SAME_TOL):
+def lift_path(frames, alpha0):
     """Lift a discretely sampled path of planes starting from ``alpha0``.
 
     ``alpha0`` must be an admissible argument for the first sample.  Each
@@ -154,29 +154,28 @@ def lift_path(frames, alpha0, tol=_SAME_TOL):
     if len(frames) == 0:
         raise ValueError("empty path")
     F = _lagrangian_stack(frames)
-    return _lift_stack(F, _arg_det_u(F), alpha0, tol)
+    return _lift_stack(F, _arg_det_u(F), alpha0, _SAME_TOL)
 
 
-def lift_path_adaptive(
-    frame_fn, t0, t1, alpha0, max_step=np.pi / 4, init_samples=33, max_depth=48
-):
-    """Lift ``t -> frame_fn(t)`` over ``[t0, t1]``, bisecting until each step
-    moves ``arg det w`` by less than ``max_step``.
+def lift_path_adaptive(frame_fn, t0, t1, alpha0):
+    """Lift ``t -> frame_fn(t)`` over ``[t0, t1]`` from 33 equally spaced
+    samples, bisecting until each step moves ``arg det w`` by less than pi/4.
 
     Bisection is level-wise: each level reads the midpoints of all steps still
-    too coarse in one batch, and ``max_depth`` levels raise `RefinementError`.
-    It only *refines*: ``init_samples`` must be dense enough that no initial
-    step moves ``arg det w`` by pi or more, or the winding aliases away.
-    Returns ``(times, lifts)`` at the accepted sample points.
+    too coarse in one batch, and 48 levels raise `RefinementError`.  It only
+    *refines*: a turn of ``arg det w`` between two of the 33 initial samples
+    is read modulo 2 pi, so a turn of 2 pi there reads as none and the
+    winding aliases away; no command lifts such a path.  Returns
+    ``(times, lifts)`` at the accepted sample points.
     """
-    times = np.linspace(t0, t1, max(int(init_samples), 2))
+    times = np.linspace(t0, t1, 33)
     F = _lagrangian_stack([frame_fn(t) for t in times])
     arg = _arg_det_u(F)
-    for depth in range(max_depth + 1):
-        coarse = np.flatnonzero(np.abs(_steps(arg)) >= max_step)
+    for depth in range(49):
+        coarse = np.flatnonzero(np.abs(_steps(arg)) >= np.pi / 4)
         if coarse.size == 0:
             break
-        if depth == max_depth:
+        if depth == 48:
             raise RefinementError("path refinement exceeded maximum depth")
         mid = 0.5 * (times[coarse] + times[coarse + 1])
         Fm = _lagrangian_stack([frame_fn(t) for t in mid])
@@ -186,17 +185,16 @@ def lift_path_adaptive(
     return times, _lift_stack(F, arg, alpha0, _SAME_TOL)
 
 
-def transport_lift(lift, frame, s_fn, t0=0.0, t1=1.0, max_step=np.pi / 4):
-    """Transport a lift along a one-parameter family of symplectic matrices.
+def transport_lift(lift, frame, s_fn):
+    """Transport a lift along a family ``s_fn(t)``, ``t`` in ``[0, 1]``, of
+    symplectic matrices.
 
-    ``frame`` must span the plane of ``lift`` and ``s_fn(t0)`` must fix it
-    (typically ``s_fn(t0) = I``); the lifted path starts at ``lift.alpha``.
+    ``frame`` must span the plane of ``lift`` and ``s_fn(0)`` must fix it
+    (typically ``s_fn(0) = I``); the lifted path starts at ``lift.alpha``.
     """
     if np.max(np.abs(souriau_w(frame) - lift.w)) > _SAME_TOL:
         raise ValueError("frame does not span the plane of the lift")
-    _, lifts = lift_path_adaptive(
-        lambda t: frame.transformed(s_fn(t)), t0, t1, lift.alpha, max_step=max_step
-    )
+    _, lifts = lift_path_adaptive(lambda t: frame.transformed(s_fn(t)), 0.0, 1.0, lift.alpha)
     return lifts[-1]
 
 
@@ -219,15 +217,15 @@ def _log_trace(lam, branch_tol=_BRANCH_TOL):
     return complex(re, im)
 
 
-def principal_log_trace(M, branch_tol=_BRANCH_TOL):
+def principal_log_trace(M):
     """Trace of the principal matrix logarithm via the spectrum.
 
     Each eigenvalue contributes ``log|lambda| + i arg(lambda)`` with the
-    argument in ``(-pi, pi)``; eigenvalues on (or within ``branch_tol`` of)
+    argument in ``(-pi, pi)``; eigenvalues on (or within ``_BRANCH_TOL`` of)
     the closed negative real axis raise :class:`BranchCutError`.
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return _log_trace(_spectrum(M), branch_tol)
+    return _log_trace(_spectrum(M))
 
 
 def _integer(v, what, tol):
@@ -238,28 +236,30 @@ def _integer(v, what, tol):
     return int(round(v.real))
 
 
-def _leray_log(a, b, lam, tol=_INT_TOL):
+def _leray_log(a, b, lam):
     # the logarithm formula on the spectrum lam of w_a w_b^*, which the caller
     # has found transversal; -w_a w_b^* has the spectrum -lam
     v = (a.alpha - b.alpha + 1j * _log_trace([-z for z in lam])) / (2 * math.pi) + a.n / 2
-    return _integer(v, "Leray index", tol)
+    return _integer(v, "Leray index", _INT_TOL)
 
 
-def leray_index_transversal(a, b, tol=_INT_TOL):
+def leray_index_transversal(a, b):
     """Leray index of a transversal pair of lifts."""
     if a.n != b.n:
         raise ValueError("lifts live in different dimensions")
     lam = _pair_spectrum(a.w, b.w)
     if _band_dim(lam):
         raise TransversalityError("planes are not transversal")
-    return _leray_log(a, b, lam, tol)
+    return _leray_log(a, b, lam)
 
 
 def _end_lifts(frames, turns):
     """Lifts of the two ends of a sampled path of frames ``[X; P]``, stacked ``(K, 2n, n)``.
 
     ``w = u (F^T F)^-1 u^T`` with ``u = P - iX``, so one batched ``det u``
-    lifts every sample.  ``turns[k]`` bounds how far step ``k + 1`` can turn
+    lifts every sample.  Each end's ``w`` is read off a QR basis of its
+    frame: a flowed frame can be ill-conditioned, and ``F^T F`` would square
+    its condition number.  ``turns[k]`` bounds how far step ``k + 1`` can turn
     ``arg det u`` (`flows.Trajectory.turns`).  A bound that reaches pi raises
     `RefinementError`, since a full turn inside the step would read as none;
     so does a sampled step moving ``arg det u`` by pi or more.
@@ -271,7 +271,7 @@ def _end_lifts(frames, turns):
     F = np.asarray(frames, dtype=float)
     half = np.unwrap(_arg_det_u(F))
     _too_coarse(np.diff(half), "arg det u")
-    w = _souriau(F[[0, -1]])
+    w = _souriau(np.linalg.qr(F[[0, -1]])[0])
     return LagrangianLift(w[0], 2.0 * half[0]), LagrangianLift(w[1], 2.0 * half[-1])
 
 
@@ -356,13 +356,13 @@ def leray_index(a, b, frames=None, rng=None):
     return m1
 
 
-def _loop_winding(lifts, tol):
+def _loop_winding(lifts):
     if np.max(np.abs(lifts[0].w - lifts[-1].w)) > _SAME_TOL:
         raise ValueError("path of planes does not close up")
-    return _integer((lifts[-1].alpha - lifts[0].alpha) / (2 * np.pi), "loop winding", tol)
+    return _integer((lifts[-1].alpha - lifts[0].alpha) / (2 * np.pi), "loop winding", _INT_TOL)
 
 
-def maslov_loop_index(frames, tol=_INT_TOL):
+def maslov_loop_index(frames):
     """Index of a closed loop of Lagrangian planes (discrete samples).
 
     The winding number of ``det w`` around the unit circle; even for every
@@ -370,11 +370,11 @@ def maslov_loop_index(frames, tol=_INT_TOL):
     values occur only for loops that reverse orientation, such as a half
     turn of a line.
     """
-    lifts = lift_path(frames, lift_from_frame(frames[0]).alpha)
-    return _loop_winding(lifts, tol)
+    return _loop_winding(lift_path(frames, lift_from_frame(frames[0]).alpha))
 
 
-def maslov_loop_index_adaptive(frame_fn, t0, t1, tol=_INT_TOL):
-    """Adaptive-refinement variant of :func:`maslov_loop_index`."""
+def maslov_loop_index_adaptive(frame_fn, t0, t1):
+    """Adaptive-refinement variant of :func:`maslov_loop_index`, with the
+    aliasing limit of :func:`lift_path_adaptive`."""
     _, lifts = lift_path_adaptive(frame_fn, t0, t1, lift_from_frame(frame_fn(t0)).alpha)
-    return _loop_winding(lifts, tol)
+    return _loop_winding(lifts)

@@ -68,11 +68,11 @@ class Polynomial:
         return self._evaluate(x, 2)
 
 
-def random_polynomial(n, rng, degree=4, min_degree=2, coeff_range=0.5):
+def random_polynomial(n, rng, degree=4, coeff_range=0.5):
     """Random polynomial with all monomials of total degree in
-    [min_degree, degree], coefficients uniform in +-coeff_range."""
+    [2, degree], coefficients uniform in +-coeff_range."""
     terms = []
-    for d in range(min_degree, degree + 1):
+    for d in range(2, degree + 1):
         for combo in combinations_with_replacement(range(n), d):
             e = [0] * n
             for j in combo:

@@ -132,54 +132,54 @@ def _lagrangian_stack(frames):
     return F
 
 
-def _qr_frames(F, tol=_QR_TOL):
+def _qr_frames(F):
     # orthonormal frames of a (K, 2n, n) stack: QR, positive diagonal, floored
     Q, R = np.linalg.qr(F)
     d = np.diagonal(R, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.min(abs(d), 1) <= tol * np.maximum(1.0, np.max(abs(d), 1)))
+    bad = np.flatnonzero(np.min(abs(d), 1) <= _QR_TOL * np.maximum(1.0, np.max(abs(d), 1)))
     if bad.size:
         raise ValueError(f"frame is rank deficient at sample {bad[0]}")
     return Q * np.sign(d)[:, None, :]
 
 
-def orthonormalize_frame(frame, tol=_QR_TOL):
+def orthonormalize_frame(frame):
     """Orthonormal frame with the same span (QR with positive diagonal)."""
-    F = _qr_frames(frame.stacked()[None], tol)[0]
+    F = _qr_frames(frame.stacked()[None])[0]
     return LagrangianFrame(F[: frame.n], F[frame.n :])
 
 
-def _orthonormal_frames(F, tol=DEFAULT_TOL):
+def _orthonormal_frames(F):
     # a (K, 2n, n) stack of Lagrangian frames made orthonormal, F itself if it
     # is: a frame with F^T F = I is used as it is once its span is isotropic
     # (QR would flip column signs), the others pass the rank and isotropy test
-    tol, n = max(tol, DEFAULT_TOL), F.shape[-1]
+    n = F.shape[-1]
     Ft = np.swapaxes(F, 1, 2)
     XtP = Ft[:, :, :n] @ F[:, n:]
     on = np.abs(Ft @ F - np.eye(n)).max(axis=(1, 2)) <= _ORTHONORMAL_TOL
-    bad = on & (np.abs(XtP - np.swapaxes(XtP, 1, 2)).max(axis=(1, 2)) > tol)
+    bad = on & (np.abs(XtP - np.swapaxes(XtP, 1, 2)).max(axis=(1, 2)) > DEFAULT_TOL)
     if not on.all():
-        bad[~on] = _non_lagrangian(F[~on], tol)
+        bad[~on] = _non_lagrangian(F[~on])
     if bad.any():
         raise ValueError(f"not a Lagrangian frame (rank or isotropy failure) at sample {bad.argmax()}")
     return F if on.all() else np.where(on[:, None, None], F, _qr_frames(F))
 
 
-def _orthonormal_souriau(F, tol=DEFAULT_TOL):
+def _orthonormal_souriau(F):
     # a (K, 2n, n) stack made orthonormal, and each plane's w = u u^T, u = P - iX
-    F = _orthonormal_frames(F, tol)
+    F = _orthonormal_frames(F)
     n = F.shape[-1]
     u = F[:, n:] - 1j * F[:, :n]
     return F, u @ np.swapaxes(u, 1, 2)
 
 
-def souriau_w(frame, tol=DEFAULT_TOL):
+def souriau_w(frame):
     """Souriau image ``w = u u^T`` of a Lagrangian plane.
 
     ``u = P - iX`` is unitary once the frame is orthonormal, and ``w`` is the
     symmetric unitary that labels the plane uniquely: it depends on the span
     only, not on the chosen basis.
     """
-    return _orthonormal_souriau(frame.stacked()[None], tol)[1][0]
+    return _orthonormal_souriau(frame.stacked()[None])[1][0]
 
 
 def _is_souriau_point(w, tol=DEFAULT_TOL):
@@ -231,19 +231,19 @@ def _band_dim(lam, tol=DEFAULT_TOL):
     return sum(abs(z - 1.0) <= tol for z in lam)
 
 
-def transversal(w, wp, tol=DEFAULT_TOL):
+def transversal(w, wp):
     """True iff the two planes meet only at the origin.
 
     The intersection dimension equals the multiplicity of the eigenvalue 1
-    of ``w (w')^{-1}``, so transversality means no eigenvalue within ``tol``
-    of 1.
+    of ``w (w')^{-1}``, so transversality means no eigenvalue within
+    ``DEFAULT_TOL`` of 1.
     """
-    return _band_dim(_pair_spectrum(w, wp), tol) == 0
+    return _band_dim(_pair_spectrum(w, wp)) == 0
 
 
-def intersection_dim(w, wp, tol=DEFAULT_TOL):
+def intersection_dim(w, wp):
     """Dimension of the intersection of two Lagrangian planes."""
-    return _band_dim(_pair_spectrum(w, wp), tol)
+    return _band_dim(_pair_spectrum(w, wp))
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,7 +255,7 @@ def _cyclic_mask(n):
     return mask
 
 
-def _triples(F, tol=DEFAULT_TOL):
+def _triples(F):
     # a (K, 3, 2n, n) stack of triples made orthonormal, their Souriau images
     # (both flat), the spectra and band counts of the pairs (1, 2), (2, 3),
     # (1, 3) of each, and the signature of Q, whose kernel (l1^l2) + (l2^l3) +
@@ -264,7 +264,7 @@ def _triples(F, tol=DEFAULT_TOL):
     F, W = _orthonormal_souriau(F.reshape(3 * K, m, n))
     V = W.reshape(K, 3, n, n)
     lams = _spectrum((V[:, [0, 1, 0]] @ np.swapaxes(V[:, [1, 2, 2]].conj(), 2, 3)).reshape(W.shape))
-    dims = [_band_dim(lam, tol) for lam in lams]
+    dims = [_band_dim(lam) for lam in lams]
     G = F.reshape(K, 3, m, n).transpose(0, 2, 1, 3).reshape(K, m, 3 * n)
     B = np.swapaxes(G, 1, 2) @ _form(n) @ G * _cyclic_mask(n)
     lam = np.linalg.eigvalsh((B + np.swapaxes(B, 1, 2)) / 2)
@@ -272,7 +272,7 @@ def _triples(F, tol=DEFAULT_TOL):
     return F, W, lams, dims, np.sum(np.where(zero, 0.0, np.sign(lam)), axis=1).astype(int)
 
 
-def signature(f1, f2, f3, tol=DEFAULT_TOL):
+def signature(f1, f2, f3):
     """Signature of the form ``Q(z, z', z'') = Omega(z,z') + Omega(z',z'') + Omega(z'',z)``
     restricted to the direct sum of three Lagrangian planes.
 
@@ -282,7 +282,7 @@ def signature(f1, f2, f3, tol=DEFAULT_TOL):
     symplectic transformation.  The nullity of ``Q``, the sum of the pairwise
     intersection dimensions, is decided as in :func:`intersection_dim`.
     """
-    return int(_triples(np.stack([f.stacked() for f in (f1, f2, f3)])[None], tol)[4][0])
+    return int(_triples(np.stack([f.stacked() for f in (f1, f2, f3)])[None])[4][0])
 
 
 def vertical_frame(n):
@@ -381,9 +381,9 @@ def random_symplectic(n, rng, scale=1.0):
     return _exp_symmetric(rng.uniform(-scale, scale, size=(2 * n, 2 * n)))
 
 
-def random_lagrangian_frame(n, rng, scale=1.0):
+def random_lagrangian_frame(n, rng):
     """Random Lagrangian frame: a random symplectic image of the vertical plane."""
-    return vertical_frame(n).transformed(random_symplectic(n, rng, scale))
+    return vertical_frame(n).transformed(random_symplectic(n, rng))
 
 
 def random_symmetric_unitary(n, rng, margin=0.0):

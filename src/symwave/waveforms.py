@@ -43,7 +43,7 @@ import numpy as np
 
 from .capacity import TorusSpec, _check_hbar, keller_maslov_check
 from .errors import ConjugatePointError, NumericalError, RefinementError
-from .flows import _check_steps, _family, _position_block, _shoot, flow_map, flow_path
+from .flows import _check_steps, _family, _position_block, _shoot, flow_path
 from .maslov import (
     LagrangianLift,
     _end_lifts,
@@ -112,9 +112,6 @@ class TorusManifold(TorusSpec):
         k = len(self.radii)
         return th[:k], th[k:]
 
-    def reference(self):
-        return np.zeros(self.param_dim)
-
     def point(self, theta):
         ang, flat = self._split(theta)
         r = np.asarray(self.radii)
@@ -134,14 +131,6 @@ class TorusManifold(TorusSpec):
         ang, _ = self._split(theta)
         diag = np.concatenate([np.exp(2j * ang), -np.ones(self.flat_dims)])
         return LagrangianLift(np.diag(diag), self._cover_alpha(ang))
-
-    def offset(self, z):
-        z = np.asarray(z, dtype=float)
-        n, k = self.n, len(self.radii)
-        x, p = z[:n], z[n:]
-        circ = np.abs(np.hypot(x[:k], p[:k]) - np.asarray(self.radii))
-        flat = np.abs(p[k:])
-        return float(np.max(np.concatenate([circ, flat])))
 
     def deck(self, theta, mu):
         """Parameter of ``gamma^mu . z~`` (one full counterclockwise turn per unit)."""
@@ -180,9 +169,6 @@ class GradientGraphManifold:
     def param_dim(self):
         return self.potential.n
 
-    def reference(self):
-        return np.zeros(self.param_dim)
-
     def point(self, theta):
         x = _coerce_param(theta, self.param_dim)
         return np.concatenate([x, np.asarray(self.potential.grad(x), dtype=float)])
@@ -208,11 +194,6 @@ class GradientGraphManifold:
         w = souriau_w(LagrangianFrame(np.eye(self.n), S))
         alpha = float(np.sum(2.0 * np.arctan(np.linalg.eigvalsh(S)) - math.pi))
         return LagrangianLift(w, alpha)
-
-    def offset(self, z):
-        z = np.asarray(z, dtype=float)
-        x, p = z[: self.n], z[self.n :]
-        return float(np.max(np.abs(p - np.asarray(self.potential.grad(x)))))
 
     def deck(self, theta, mu):
         if np.any(np.asarray(mu, dtype=int) != 0):
@@ -261,9 +242,6 @@ class FlowedManifold:
     def param_dim(self):
         return self.base.param_dim
 
-    def reference(self):
-        return self.base.reference()
-
     def path(self, theta):
         """The flow line, a `flows.Trajectory`; the last one is kept, read-only."""
         th = _coerce_param(theta, self.param_dim)
@@ -278,9 +256,6 @@ class FlowedManifold:
 
     def point(self, theta):
         return self.path(theta).points[-1].copy()
-
-    def jacobian(self, theta):
-        return self.path(theta).jacobians[-1].copy()
 
     def action(self, theta):
         """Accumulated ``integral(p dx - H dt)`` along the flow line from the base point."""
@@ -297,11 +272,6 @@ class FlowedManifold:
         path, frame = self.path(theta), self.base.tangent_frame(theta).stacked()
         start, end = _end_lifts(path.jacobians @ frame, path.turns)
         return LagrangianLift(end.w, self.base.cover_lift(theta).alpha + end.alpha - start.alpha)
-
-    def offset(self, z):
-        back, _, _ = flow_map(self.hamiltonian, np.asarray(z, dtype=float),
-                              self.t_end, self.t_start, self.steps)
-        return self.base.offset(back)
 
     def deck(self, theta, mu):
         return self.base.deck(theta, mu)
@@ -324,15 +294,12 @@ class CoverPoint:
         th = _coerce_param(self.theta, self.manifold.param_dim)
         object.__setattr__(self, "theta", th)
 
-    def projection(self):
-        return self.manifold.point(self.theta)
 
-
-def _cover_index(manifold, theta, base, base_frame, rng=None):
+def _cover_index(manifold, theta, base, base_frame):
     # the Leray index of the manifold's cover lift at theta against a base
     # lift and its frame
     return leray_index(manifold.cover_lift(theta), base,
-                       frames=(manifold.tangent_frame(theta), base_frame), rng=rng)
+                       frames=(manifold.tangent_frame(theta), base_frame))
 
 
 def _cover_root(amplitude, manifold, theta, base, base_frame):
@@ -345,14 +312,14 @@ def _cover_root(amplitude, manifold, theta, base, base_frame):
     return _ipow(_cover_index(manifold, theta, base, base_frame)) * math.sqrt(a)
 
 
-def argument_index_on_manifold(zcheck, base, rng=None):
+def argument_index_on_manifold(zcheck, base):
     """Leray index of the lifted tangent plane at a cover point against a base lift.
 
     The lift is the manifold's own ``cover_lift`` at the unwrapped
     parameter.  On the circle with the vertical base this is
     ``floor(theta / pi) + 1``.
     """
-    return _cover_index(zcheck.manifold, zcheck.theta, base, frame_from_souriau(base.w), rng=rng)
+    return _cover_index(zcheck.manifold, zcheck.theta, base, frame_from_souriau(base.w))
 
 
 def sqrt_de_rham(amplitude, zcheck, base, orientation=1):
@@ -405,15 +372,13 @@ class Waveform:
             return 0j
         return np.exp(1j * float(self.phase(theta)) / self.hbar) * root
 
-    def values(self, thetas):
-        return np.array([self.value(th) for th in thetas], dtype=complex)
 
-
-def is_quantized(manifold, hbar, tol=1e-9):
+def is_quantized(manifold, hbar):
     """Whether every generator loop satisfies the half-integer action condition.
 
-    Checks ``action / (2 pi hbar) - loop_index / 4`` for integrality on each
-    circle generator; gradient graphs are simply connected and always pass.
+    Checks ``action / (2 pi hbar) - loop_index / 4`` for integrality within
+    1e-9 (`capacity.keller_maslov_check`) on each circle generator; gradient
+    graphs are simply connected and always pass.
     The check is insensitive to loop orientation (action and index flip sign
     together).
     """
@@ -421,7 +386,7 @@ def is_quantized(manifold, hbar, tol=1e-9):
     while isinstance(manifold, FlowedManifold):
         manifold = manifold.base
     if isinstance(manifold, TorusSpec):
-        return bool(keller_maslov_check(manifold, hbar, tol=tol))
+        return bool(keller_maslov_check(manifold, hbar))
     if isinstance(manifold, GradientGraphManifold):
         return True
     raise ValueError("unsupported manifold for quantization checks")
@@ -478,13 +443,13 @@ class Shadow:
         object.__setattr__(self, "caustic", np.asarray(self.caustic, dtype=bool))
 
 
-def shadow(psi, x_grid, caustic_tol=1e-8):
+def shadow(psi, x_grid):
     """Sum the waveform's branch contributions over a position grid.
 
     Each branch contributes ``psi.value(theta_j) * |dtheta/dx|^{1/2}``; on the
     circle the two branches over ``|x| < r`` sit at ``theta = +/- arccos(x/r)``
     (principal sheet) with conversion ``(r^2 - x^2)^{-1/2}``, and grid points
-    with ``|x|`` within ``caustic_tol`` of ``r`` are flagged rather than
+    with ``|x|`` within 1e-8 of ``r`` are flagged rather than
     evaluated.  Gradient graphs have the single branch ``theta = x`` and no
     caustics, so the shadow is exactly ``exp(i Phi(x) / hbar) * sqrt(a(x))``
     with the default vertical index base.
@@ -504,7 +469,7 @@ def shadow(psi, x_grid, caustic_tol=1e-8):
         r = man.radius
         for k, x in enumerate(x_grid):
             gap = r - abs(x)
-            if abs(gap) <= caustic_tol:
+            if abs(gap) <= 1e-8:
                 caustic[k] = True
                 branches[k] = 2
                 values[k] = complex(np.nan, np.nan)
@@ -523,23 +488,24 @@ def shadow(psi, x_grid, caustic_tol=1e-8):
 _SCAN_MAX = 1_000_000  # steps of an exact window's conjugate scan, as many as a flow in `evolve`
 
 
-def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
-                        steps=400, newton_tol=1e-12, max_iter=60, det_tol=1e-10):
+def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar, det_tol=1e-10):
     """Short-time propagation of graph data ``exp(i phi / hbar) * amplitude``.
 
     For each grid position one damped shooting solve (`flows._shoot`, seeded
-    from the previous grid point) finds the unique source ``x'`` on the
-    initial graph ``p = grad(phi)(x')``, frame ``[I; Hess(phi)]``; the value is
+    from the previous grid point, at most 60 Newton steps to a relative miss
+    of 1e-12) finds the unique source ``x'`` on the initial graph
+    ``p = grad(phi)(x')``, frame ``[I; Hess(phi)]``; the value is
 
         exp(i (phi(x') + S) / hbar) * amplitude(x') * |det dx/dx'|^{-1/2},
 
     with ``S`` the flow-line action and ``dx/dx' = A + B Hess(phi)(x')`` from
     the variational Jacobian blocks.  A generator whose one step is exact
     takes one step per flow (the formula is then exact with constant
-    amplitude).  A diverging trial is a rejected step.  A caustic at or
-    inside the window (`maslov._vertical_crossings` of the flowed source
-    plane) raises `ConjugatePointError`: the multi-branch sum applies there
-    instead; ``det_tol`` only guards the Newton matrix.  Such a window is
+    amplitude), the others 400 steps.  A diverging trial is a rejected
+    step.  A caustic at or inside the window (`maslov._vertical_crossings`
+    of the flowed source plane) raises `ConjugatePointError`: the
+    multi-branch sum applies there instead; ``det_tol`` only guards the
+    Newton matrix.  Such a window is
     scanned once for all positions in max(64, ceil(2 rate T / pi)) exact
     steps, ``rate`` the family's ``n sup ||H''||_2``, so no step turns the
     plane by more than pi/2; a scan past `_SCAN_MAX` steps raises
@@ -580,8 +546,7 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
         # warm start from the previous source shifted by the grid step; the
         # converged path feeds the scan and the action
         xp = x.copy() if k == 0 else xp + (x - grid[k - 1])
-        xp, path, frame = _shoot(
-            H, graph, x, xp, t_start, t_end, steps, newton_tol, max_iter, det_tol)
+        xp, path, frame = _shoot(H, graph, x, xp, t_start, t_end, 400, 1e-12, 60, det_tol)
         window = scan if family.exact else path
         if _vertical_crossings(window.jacobians @ frame, window.turns):
             raise ConjugatePointError(
@@ -592,12 +557,12 @@ def van_vleck_propagate(phi, amplitude, H, t_start, t_end, x_grid, hbar,
     return out
 
 
-def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
+def morse_index(H, x_start, p_start, t_start, t_end):
     """Number of focal points strictly inside the trajectory window.
 
     Counted with multiplicity by `maslov._vertical_crossings`, as the
     Leray-index change of the flowed momentum fibre ``[0; I]`` against
-    ``{x = 0}`` over the ``steps`` samples after ``t_start`` of one
+    ``{x = 0}`` over the 2,000 samples after ``t_start`` of one
     integrated trajectory (variational Jacobians, no finite differences).
     This assumes a definite ``d^2 H / dp^2``, as every generator the
     commands build has; otherwise it is the net crossing number.  A
@@ -612,7 +577,7 @@ def morse_index(H, x_start, p_start, t_start, t_end, steps=2000):
         raise ValueError("x_start and p_start must each have length n")
     if t_end <= t_start:
         raise ValueError("need t_end > t_start")
-    path = flow_path(H, z0, t_start, t_end, steps)
+    path = flow_path(H, z0, t_start, t_end, 2000)
     # the fibre starts on the vertical plane: count from the next sample, but
     # certify every step, or a focal point inside the first would go uncounted
     return _vertical_crossings(path.jacobians[1:, :, n:], path.turns)

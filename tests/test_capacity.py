@@ -36,7 +36,7 @@ from symwave.waveforms import oscillator_spectrum_from_waveforms
 
 def test_polynomial_derivatives_match_finite_differences(rng):
     for n in (1, 2, 3):
-        poly = random_polynomial(n, rng, degree=4, min_degree=1, coeff_range=1.0)
+        poly = random_polynomial(n, rng, degree=4, coeff_range=1.0)
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=n)
             h = 1e-6
@@ -86,7 +86,7 @@ def test_polynomial_matches_per_term_products(rng):
 
 
 def test_polynomial_vectorized_evaluation(rng):
-    poly = random_polynomial(2, rng, degree=3, min_degree=1)
+    poly = random_polynomial(2, rng, degree=3)
     pts = rng.uniform(-1, 1, size=(40, 2))
     vals = poly.value(pts)
     grads = poly.grad(pts)
@@ -119,7 +119,7 @@ def test_polynomial_grad_keeps_the_layout_of_its_points(rng):
     # a transposed coordinate-rows view gets the bits of its C copy, and a
     # gradient of the view's layout, whose columns are contiguous rows
     for n in (1, 2, 3, 4):
-        poly = random_polynomial(n, rng, degree=4, min_degree=0)
+        poly = random_polynomial(n, rng, degree=4)
         rows = rng.uniform(-1.5, 1.5, size=(2 * n, 1001))
         view = rows[:n].T
         got = poly.grad(view)
@@ -313,9 +313,9 @@ def test_grid_counts_equal_histogram2d(rng):
         assert got.sum() == len(a)
 
 
-def _chunk_ball(n, R, samples, seed, center):
+def _chunk_ball(n, R, samples, seed):
     # the sphere (n >= 2) or disk (n = 1) drawn a whole chunk at a time: all
-    # of a chunk's normals, then at n = 1 its radii, as center + g * radius
+    # of a chunk's normals, then at n = 1 its radii, as g * radius
     ball = np.empty((2 * n, samples))
     for idx, done in enumerate(range(0, samples, capacity._CHUNK)):
         m = min(capacity._CHUNK, samples - done)
@@ -323,14 +323,14 @@ def _chunk_ball(n, R, samples, seed, center):
         g = rng.standard_normal((m, 2 * n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = R * rng.random(m) ** 0.5 if n == 1 else np.full(m, R)
-        ball[:, done : done + m] = (center + g * radii[:, None]).T
+        ball[:, done : done + m] = (g * radii[:, None]).T
     return ball
 
 
-def _chunk_shadows(f, R, planes, grid_res, samples, seed, center):
+def _chunk_shadows(f, R, planes, grid_res, samples, seed):
     # shadow_areas as whole chunks compute it: each chunk mapped at once,
     # np.histogram2d counts and scipy's hole fill
-    ball = _chunk_ball(f.n, R, samples, seed, center)
+    ball = _chunk_ball(f.n, R, samples, seed)
     for s in range(0, samples, capacity._CHUNK):
         ball[:, s : s + capacity._CHUNK] = apply_symplectomorphism(
             f, ball[:, s : s + capacity._CHUNK].T).T
@@ -343,9 +343,7 @@ def _chunk_shadows(f, R, planes, grid_res, samples, seed, center):
         cell = ((bbox[1] - bbox[0]) / grid_res) * ((bbox[3] - bbox[2]) / grid_res)
         ests.append(ShadowEstimate(
             plane=(i, j), area=float(filled * cell),
-            occupied_cells=int((counts > 0).sum()), grid_cells=int(filled),
-            grid_res=grid_res, samples=samples, seed=seed,
-            bbox=tuple(float(v) for v in bbox)))
+            occupied_cells=int((counts > 0).sum()), grid_cells=int(filled)))
     return ests
 
 
@@ -354,11 +352,10 @@ def _chunk_shadows(f, R, planes, grid_res, samples, seed, center):
 def test_block_passes_equal_whole_chunk_passes(samples):
     # sampling, mapping and binning walk the ball in blocks; every boundary
     # of a block or a chunk gives the bits of one pass per chunk
-    center = np.array([0.3, -1.1, 2.5, -0.0])
-    ball = capacity._sample_ball(2, 1.7, samples, 13, center)
-    assert ball.tobytes() == _chunk_ball(2, 1.7, samples, 13, center).tobytes()
-    assert (capacity._sample_ball(1, 1.7, samples, 13, center[:2]).tobytes()
-            == _chunk_ball(1, 1.7, samples, 13, center[:2]).tobytes())
+    ball = capacity._sample_ball(2, 1.7, samples, 13)
+    assert ball.tobytes() == _chunk_ball(2, 1.7, samples, 13).tobytes()
+    assert (capacity._sample_ball(1, 1.7, samples, 13).tobytes()
+            == _chunk_ball(1, 1.7, samples, 13).tobytes())
     for x, y in ((ball[0], ball[2]), (ball[3], ball[1])):
         bbox = (x.min(), x.max(), y.min(), y.max())
         want, _, _ = np.histogram2d(x, y, bins=64, range=[bbox[:2], bbox[2:]])
@@ -366,8 +363,8 @@ def test_block_passes_equal_whole_chunk_passes(samples):
     if samples > 1:  # one point has no area to bin
         f = random_symplectomorphism(2, np.random.default_rng(samples), 5, 5)
         planes = [(0, 0), (1, 1), (0, 1)]
-        assert shadow_areas(f, 1.7, planes, 64, samples, 13, center) == _chunk_shadows(
-            f, 1.7, planes, 64, samples, 13, center)
+        assert shadow_areas(f, 1.7, planes, 64, samples, 13) == _chunk_shadows(
+            f, 1.7, planes, 64, samples, 13)
 
 
 def test_shadow_temporaries_do_not_grow_with_samples():
@@ -434,9 +431,9 @@ def test_calibration_and_map_zero_read_one_sampled_ball(monkeypatch):
     seeds = []
     original = capacity._sample_ball
 
-    def counted(n, R, samples, seed, center=None):
+    def counted(n, R, samples, seed):
         seeds.append(seed)
-        return original(n, R, samples, seed, center)
+        return original(n, R, samples, seed)
 
     monkeypatch.setattr(capacity, "_sample_ball", counted)
     kw = {"samples": 5_000, "grid_res": 32, "seed": 3, "controls": True}
@@ -488,14 +485,17 @@ def test_shadow_of_an_overflowing_map_is_a_numerical_error():
 def test_tiny_shadows_scale_with_the_ball():
     # the box floor is relative: a ball of radius 1e-13 at the origin bins
     # as one of radius 1e-3, and one too narrow for the floats it sits on
-    # (1e-13 at distance 1) is an error, not an area of the floor's cells
+    # (1e-13 moved to distance 1) is an error, not an area of the floor's cells
     f = identity_symplectomorphism(1)
     unit = {R: shadow_area(f, R, 0, grid_res=64, samples=20000).area / (math.pi * R * R)
             for R in (1e-3, 1e-13)}
     assert unit[1e-13] == pytest.approx(unit[1e-3], rel=1e-12)
     assert abs(unit[1e-13] - 1.0) < 0.03
+    # p -> p + 1, then x -> x + 1: two shears of the potential x
+    shift = Polynomial(1, [(1.0, (1,))])
+    moved = SymplectomorphismSpec(1, (("xshear", shift), ("pshear", shift)))
     with pytest.raises(NumericalError, match="too narrow"):
-        shadow_area(f, 1e-13, 0, grid_res=64, samples=20000, center=[1.0, 1.0])
+        shadow_area(moved, 1e-13, 0, grid_res=64, samples=20000)
 
 
 def test_loop_integral_values_and_quadrature_oracle():

@@ -538,15 +538,20 @@ _EVOLVE_BASE = {"hamiltonian": {"kind": "harmonic"}, "state": {"phi": [0.0, 0.0,
                 "hbar": 0.05, "shadow": False}
 
 
-def _child_error(tmp_path, command, params, code):
-    # the child's whole stderr, which must be one JSON line: no warning, no traceback
+def _child(tmp_path, command, params):
+    # the command run in a child, whose warnings and tracebacks reach its stderr
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"params": params}))
     src = str(Path(symwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "symwave.cli", command, "--config", str(config)],
+    return subprocess.run([sys.executable, "-m", "symwave.cli", command, "--config", str(config)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def _child_error(tmp_path, command, params, code):
+    # the child's whole stderr, which must be one JSON line: no warning, no traceback
+    proc = _child(tmp_path, command, params)
     assert proc.returncode == code and proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     return json.loads(proc.stderr)
@@ -564,7 +569,13 @@ def _config_error(tmp_path, command, params):
     # np.linspace overflowed on the span: LinAlgError, exit 1
     ("index", {"task": "grid", "theta_min": -1e308, "theta_max": 1e308},
      "index: theta_max - theta_min must be finite"),
-], ids=["t-span", "window", "theta-span"])
+    # four numpy warnings, then exit 3 with "last valid time 0"; with count 1, exit 1
+    ("evolve", {**_EVOLVE_BASE, "t_end": 1.0, "shadow": True,
+                "x_grid": {"min": -1e308, "max": 1e308, "count": 3}},
+     "evolve: x_grid.max - x_grid.min must be finite"),
+    ("evolve", {**_EVOLVE_BASE, "t_end": 1.0, "x_grid": {"min": 1e308, "max": -1e308, "count": 1}},
+     "evolve: x_grid.max - x_grid.min must be finite"),
+], ids=["t-span", "window", "theta-span", "x-grid-span", "x-grid-span-one-point"])
 def test_overflowing_spans_are_config_errors(tmp_path, command, params, detail):
     # each evolve span printed numpy overflow warnings and exited 3 with "last valid time nan"
     assert _config_error(tmp_path, command, params) == {
@@ -580,8 +591,7 @@ def test_overflowing_hamiltonian_is_a_config_error(tmp_path, hamiltonian):
     params = {**_EVOLVE_BASE, "hamiltonian": hamiltonian, "t_end": 1.0}
     assert _config_error(tmp_path, "evolve", params) == {
         "error": "config", "exit_code": 2,
-        "detail": "evolve.hamiltonian: frequencies and masses must be finite, "
-                  "and so must m omega^2 and 1/m"}
+        "detail": "evolve.hamiltonian: frequencies must be finite, and so must omega^2"}
 
 
 @pytest.mark.parametrize("entry", [1e150, 1e200])
@@ -659,6 +669,32 @@ def test_values_past_normal_float_arithmetic_are_config_errors(tmp_path, command
               "quantize": "quantize: parameter 'hbar' must be in [1e-300, 1e300]"}[command]
     assert _config_error(tmp_path, command, params) == {
         "error": "config", "exit_code": 2, "detail": detail}
+
+
+@pytest.mark.parametrize("params, detail", [
+    # int(round(inf)) in keller_maslov_check: OverflowError, exit 1
+    ({"hbar": 1e-300, "radii_squared": [1e300]},
+     "quantize: pi * radii_squared / hbar must be finite"),
+    # a RuntimeWarning, then exit 0 with "ground_energy": Infinity
+    ({"hbar": 1e300, "omegas": [1e300]}, "quantize: hbar * sum(omegas) must be finite"),
+    # a RuntimeWarning, then exit 0 with "torus_energy": Infinity
+    ({"hbar": 1e-300, "radii_squared": [1.0], "omegas": [1e10]},
+     "quantize: sum(omegas * radii_squared) / min(1, hbar) must be finite"),
+], ids=["levels", "ground-energy", "torus-energy"])
+def test_overflowing_quantize_products_are_config_errors(tmp_path, params, detail):
+    assert _config_error(tmp_path, "quantize", params) == {
+        "error": "config", "exit_code": 2, "detail": detail}
+
+
+@pytest.mark.parametrize("params", [
+    {"hbar": 1e300, "radii_squared": [1e300], "omegas": [1.0]},
+    {"hbar": 1e-300, "radii_squared": [1e-300], "omegas": [1e300], "contrast": True},
+], ids=["large-hbar", "small-hbar"])
+def test_quantize_at_the_ends_of_its_ranges_writes_finite_numbers(tmp_path, params):
+    proc = _child(tmp_path, "quantize", params)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+    assert json.loads(proc.stdout)["results"]["quantized"]
 
 
 def test_tiny_evolve_hbar_is_a_config_error(tmp_path):

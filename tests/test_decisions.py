@@ -21,9 +21,11 @@ from symwave.errors import (
 from symwave.maslov import (
     LagrangianLift,
     _integer,
+    _lift_stack,
     _log_trace,
     _too_coarse,
     leray_index_transversal,
+    lift_from_frame,
     lift_path,
     maslov_loop_index,
     principal_log_trace,
@@ -90,8 +92,9 @@ def test_loop_winding_off_the_integers_is_an_integrality_error():
     # about 6e-10 turns off the integer
     frames = [line(t) for t in np.linspace(0.0, math.pi + 2e-9, 9)]
     assert maslov_loop_index(frames) == 1
+    lifts = lift_path(frames, lift_from_frame(frames[0]).alpha)
     with pytest.raises(IntegralityError, match="loop winding"):
-        maslov_loop_index(frames, tol=1e-12)
+        _integer((lifts[-1].alpha - lifts[0].alpha) / (2 * math.pi), "loop winding", 1e-12)
 
 
 # same point: _SAME_TOL
@@ -122,14 +125,17 @@ def test_maslov_loop_index_refuses_an_open_loop():
 
 
 def test_lift_path_checks_alpha0_with_its_tolerance():
-    assert inspect.signature(lift_path).parameters["tol"].default == _SAME_TOL
-    frames, alpha0 = [vertical_frame(1)], 1e-8
-    gap = abs(1.0 - np.exp(1j * alpha0))  # arg det w is 0 on {x = 0}
-    assert lift_path(frames, alpha0, tol=gap)[0].alpha == alpha0
+    F, arg, alpha0 = vertical_frame(1).stacked()[None], np.zeros(1), 1e-8
+    gap = abs(1.0 - np.exp(1j * alpha0))  # arg det u, and so arg det w, is 0 on {x = 0}
+    assert _lift_stack(F, arg, alpha0, gap)[0].alpha == alpha0
     with pytest.raises(ValueError, match="alpha0"):
-        lift_path(frames, alpha0, tol=math.nextafter(gap, 0.0))
-    with pytest.raises(ValueError, match="alpha0"):
-        lift_path(frames, 1.0)
+        _lift_stack(F, arg, alpha0, math.nextafter(gap, 0.0))
+    # lift_path decides at _SAME_TOL: a gap 1% inside passes, 1% outside fails
+    frames = [vertical_frame(1)]
+    assert lift_path(frames, 0.99 * _SAME_TOL)[0].alpha == 0.99 * _SAME_TOL
+    for wrong in (1.01 * _SAME_TOL, 1.0):
+        with pytest.raises(ValueError, match="alpha0"):
+            lift_path(frames, wrong)
 
 
 # unwrap step: _UNWRAP_STEP
@@ -167,19 +173,21 @@ def test_lift_path_refuses_a_quarter_turn_of_a_line_as_too_coarse():
 # branch cut: _BRANCH_TOL
 
 def test_log_trace_refuses_a_singular_eigenvalue_up_to_the_branch_tolerance():
-    for f in (_log_trace, principal_log_trace):
-        assert inspect.signature(f).parameters["branch_tol"].default == _BRANCH_TOL
+    assert inspect.signature(_log_trace).parameters["branch_tol"].default == _BRANCH_TOL
     with pytest.raises(BranchCutError, match="singular"):
         _log_trace([complex(_BRANCH_TOL, 0.0)])
     assert _log_trace([complex(past(_BRANCH_TOL), 0.0)]).imag == 0.0
+    with pytest.raises(BranchCutError, match="singular"):
+        principal_log_trace([[_BRANCH_TOL]])
+    assert principal_log_trace([[past(_BRANCH_TOL)]]).imag == 0.0
 
 
 def test_principal_log_trace_refuses_the_cut_up_to_its_tolerance():
     z = complex(-1.0, 1e-12)
     gap = math.pi - abs(np.angle(z))
     with pytest.raises(BranchCutError, match="negative real axis"):
-        principal_log_trace([[z]], branch_tol=gap)
-    assert principal_log_trace([[z]], branch_tol=math.nextafter(gap, 0.0)).imag > 0
+        _log_trace([z], gap)
+    assert _log_trace([z], math.nextafter(gap, 0.0)).imag > 0
     with pytest.raises(BranchCutError):
         principal_log_trace([[-1.0]])
 
@@ -187,7 +195,6 @@ def test_principal_log_trace_refuses_the_cut_up_to_its_tolerance():
 # rank: DEFAULT_TOL (floor), _QR_TOL, _ORTHONORMAL_TOL, _DIAG_TOL
 
 def test_orthonormalize_frame_refuses_a_diagonal_at_the_qr_floor():
-    assert inspect.signature(orthonormalize_frame).parameters["tol"].default == _QR_TOL
     ok = orthonormalize_frame(LagrangianFrame(np.diag([1.0, past(_QR_TOL)]), np.zeros((2, 2))))
     assert np.allclose(ok.stacked().T @ ok.stacked(), np.eye(2))
     with pytest.raises(ValueError, match="rank deficient"):
@@ -204,14 +211,14 @@ def test_orthonormal_frames_are_used_as_they_are_up_to_the_tolerance():
     assert _orthonormal_frames(g) is not g
 
 
-def test_isotropy_is_decided_at_the_default_tolerance_however_small_the_request():
+def test_isotropy_is_decided_at_the_default_tolerance():
     # orthonormal columns (1, 0; 0, 0) and (0, 1; s, 0): X^T P - P^T X is s off the diagonal
     def frame(s):
         return LagrangianFrame([[1.0, 0.0], [0.0, math.sqrt(1.0 - s * s)]],
                                [[0.0, s], [0.0, 0.0]])
-    souriau_w(frame(DEFAULT_TOL), tol=1e-15)
+    souriau_w(frame(DEFAULT_TOL))
     with pytest.raises(ValueError, match="not a Lagrangian frame"):
-        souriau_w(frame(past(DEFAULT_TOL)), tol=1e-15)
+        souriau_w(frame(past(DEFAULT_TOL)))
 
 
 def test_real_diagonalization_accepts_its_residue_and_refuses_one_ulp_past():

@@ -1,4 +1,5 @@
-"""The public names are pinned, importable and consumed; the torus constructors keep their calls."""
+"""The public names are pinned, importable and consumed, and so is every defaulted
+parameter; the torus constructors keep their calls."""
 
 import ast
 import importlib
@@ -99,22 +100,24 @@ def _reads(tree):
             or isinstance(node, ast.Attribute)}
 
 
-def _consumed():
-    # the names read by the commands and the other package code (a name's own
-    # definition and the package re-exports aside), by the acceptance
-    # criteria, by the README's python examples, and by the benchmark's
-    # traced functions (perfbench/tracing.py TARGETS)
-    names = set()
+def _consumer_trees():
+    # (tree, the name it defines) of each consumer: every top-level statement
+    # of the commands and the other package code (the package re-exports
+    # aside), the acceptance criteria and the README's python examples
     for path in sorted((ROOT / "src" / "symwave").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
-            names |= _reads(stmt) - {own}
-    names |= _reads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+        if path.name != "__init__.py":
+            for stmt in ast.parse(path.read_text()).body:
+                yield stmt, getattr(stmt, "name", None)
+    yield ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()), None
     readme = (ROOT / "README.md").read_text()
     for block in re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S):
-        names |= _reads(ast.parse(block))
+        yield ast.parse(block), None
+
+
+def _consumed():
+    # the names the consumer trees read (a name's own definition aside), and
+    # the benchmark's traced functions (perfbench/tracing.py TARGETS)
+    names = set().union(*(_reads(tree) - {own} for tree, own in _consumer_trees()))
     tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     targets = next(node.value for node in tracing.body if isinstance(node, ast.Assign)
                    and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
@@ -128,6 +131,64 @@ def test_every_public_name_has_a_consumer():
     pinned = set(PACKAGE_EXPORTS).union(*(names or () for names in MODULE_ALL.values()))
     unconsumed = sorted(pinned - _consumed())
     assert not unconsumed, f"public names without a consumer: {unconsumed}"
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _consumer_calls():
+    # every call in the consumer trees outside the callee's own definition,
+    # and in the benchmark's launcher, which runs a command through main(argv)
+    trees = list(_consumer_trees())
+    trees.append((ast.parse((ROOT / "perfbench" / "launch.py").read_text()), None))
+    return [node for tree, own in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) != own]
+
+
+def _defaulted_parameters():
+    # {function: (the names it is called by, label, parameters after self)} of
+    # every module's __all__ functions and its __all__ classes' public methods
+    # and constructors; a dataclass's defaulted fields are its constructor's
+    found = {}
+
+    def add(fn, name, label, bound):
+        params = list(inspect.signature(fn).parameters.values())[bound:]
+        found.setdefault(fn, (set(), label, params))[0].add(name)
+
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", None) or ():
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj):
+                add(obj, name, name, 0)
+            elif inspect.isclass(obj):
+                init = next((f for f in (obj.__init__, obj.__new__) if inspect.isfunction(f)), None)
+                if init is not None:
+                    add(init, name, name, 1)
+                for attr, fn in vars(obj).items():
+                    if inspect.isfunction(fn) and not attr.startswith("_"):
+                        add(fn, attr, f"{name}.{attr}", 1)
+    return [(names, f"{label}({p.name})", pos, p.name)
+            for names, label, params in found.values()
+            for pos, p in enumerate(params) if p.default is not p.empty]
+
+
+def _passes(call, pos, name):
+    # whether a call writes the parameter at this position or of this name
+    positional = any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > pos
+    return positional or any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_parameter_has_a_consumer():
+    # each defaulted parameter of the public surface is passed, by position or
+    # by keyword, in a call of a command, other package code, a criterion, a
+    # README example or the benchmark's launcher; a value no consumer sets is
+    # the one setting every caller gets, and lives in the body
+    calls = _consumer_calls()
+    unset = [label for names, label, pos, name in _defaulted_parameters()
+             if not any(_callee(c) in names and _passes(c, pos, name) for c in calls)]
+    assert not unset, f"defaulted parameters no consumer sets: {unset}"
 
 
 def test_torus_constructors():

@@ -17,6 +17,7 @@ from symwave.errors import (
 )
 from symwave.flows import (
     flow_map,
+    flow_path,
     harmonic_hamiltonian,
     quadratic_hamiltonian,
     quartic_hamiltonian,
@@ -30,7 +31,7 @@ from symwave.maslov import (
     vertical_lift,
 )
 from symwave.polynomials import Polynomial
-from symwave.symplectic import LagrangianFrame, vertical_frame
+from symwave.symplectic import LagrangianFrame, _qr_frames, vertical_frame
 from symwave.waveforms import (
     CircleManifold,
     CoverPoint,
@@ -58,6 +59,13 @@ def quantized_circle(N, hbar):
 
 def uniform_density(th):
     return 1.0 / (2 * math.pi)
+
+
+def morse_count(H, x, p, t0, t1, steps):
+    # morse_index's count at any step count (morse_index takes 2,000 steps):
+    # the crossings of the flowed momentum fibre after the first sample
+    path = flow_path(H, np.concatenate([x, p]), t0, t1, steps)
+    return _vertical_crossings(path.jacobians[1:, :, H.n:], path.turns)
 
 
 # the plane {p = 0} lifted with arg det w = -pi, and its frame
@@ -200,23 +208,6 @@ def test_waveform_validation():
     with pytest.raises(ValueError):
         psi.value(0.3)
     assert Waveform(man, lambda th: 0.0, hbar=1.0).value(0.3) == 0
-
-
-def test_values_are_the_values_at_each_parameter():
-    hbar = 0.5
-    circle = Waveform(quantized_circle(1, hbar), lambda th: (th - 0.5) ** 2, hbar)
-    thetas = [-2.0, 0.5, 1.3, 3.0]  # the amplitude vanishes at 0.5 only
-    vals = circle.values(thetas)
-    assert vals.dtype == complex and vals[1] == 0
-    assert np.array_equal(vals, [circle.value(th) for th in thetas])
-
-    graph = Waveform(GradientGraphManifold(Polynomial(1, [(0.3, (2,)), (0.1, (4,))])),
-                     lambda x: math.exp(-float(x[0]) ** 2), 0.1)
-    evolved = evolve(graph, harmonic_hamiltonian([1.0]), 0.0, 0.4, steps=40)
-    xs = [np.array([x]) for x in (-0.5, 0.0, 0.2, 0.9)]
-    vals = evolved.values(xs)
-    assert np.all(vals != 0)
-    assert np.array_equal(vals, [evolved.value(x) for x in xs])
 
 
 def test_deck_covariance_and_single_valuedness():
@@ -492,7 +483,7 @@ def test_van_vleck_identity_and_generic_hamiltonian():
     # a quartic generator at short time stays close to its quadratic part
     Hq = quartic_hamiltonian([1.0], 0.05)
     tau = 0.1
-    vq = van_vleck_propagate(phi, lambda x: 1.0, Hq, 0.0, tau, grid, hbar, steps=200)
+    vq = van_vleck_propagate(phi, lambda x: 1.0, Hq, 0.0, tau, grid, hbar)
     vh = van_vleck_propagate(phi, lambda x: 1.0, H, 0.0, tau, grid, hbar)
     assert np.max(np.abs(vq - vh)) < 5e-2
     assert np.max(np.abs(vq - vh)) > 1e-6  # but not identical
@@ -587,7 +578,7 @@ def test_morse_count_on_too_coarse_a_quadratic_path_is_a_refinement_error(t_end,
     # alias (it read 0 where the truth is 1, 2 and 4)
     H = harmonic_hamiltonian([1.0])
     with pytest.raises(RefinementError, match="too coarse"):
-        morse_index(H, [0.3], [0.2], 0.0, t_end, steps=steps)
+        morse_count(H, [0.3], [0.2], 0.0, t_end, steps)
 
 
 def test_one_step_evolved_circle_lift_is_a_refinement_error():
@@ -624,11 +615,11 @@ def test_quadratic_morse_count_is_exact_or_refused(n, seed, definite, T, steps):
     H = quadratic_hamiltonian(M)
     x, p = rng.normal(size=n), rng.normal(size=n)
     try:
-        dense = morse_index(H, x, p, 0.0, T, steps=4000)
+        dense = morse_count(H, x, p, 0.0, T, 4000)
     except ConjugatePointError:
         assume(False)
     try:
-        count = morse_index(H, x, p, 0.0, T, steps=steps)
+        count = morse_count(H, x, p, 0.0, T, steps)
     except RefinementError:
         return
     assert count == dense
@@ -642,26 +633,44 @@ def test_quartic_morse_count_is_exact_or_refused(n, seed, t0, T, steps):
     # dense one, or a Yoshida step's turn bound reaches pi and refuses it.  A
     # step past the splitting's stability runs the path off, which is loud too
     rng = np.random.default_rng(seed)
-    H = quartic_hamiltonian(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 0.5),
-                            masses=rng.uniform(0.5, 2.0, n))
+    H = quartic_hamiltonian(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 0.5))
     x, p = rng.normal(size=n), rng.normal(size=n)
     try:
-        dense = morse_index(H, x, p, t0, t0 + T, steps=4000)
+        dense = morse_count(H, x, p, t0, t0 + T, 4000)
     except ConjugatePointError:
         assume(False)
     try:
-        count = morse_index(H, x, p, t0, t0 + T, steps=steps)
+        count = morse_count(H, x, p, t0, t0 + T, steps)
     except (RefinementError, DivergenceError):
         return
     assert count == dense
+
+
+def test_ill_conditioned_flowed_fibre_keeps_an_integer_count():
+    # an indefinite quadratic generator stretches the flowed fibre's frame:
+    # F^T F squared its condition number past 1 / eps, the ends' w were not
+    # unitary, and both windows raised IntegralityError.  The oracle carries
+    # the plane itself, made orthonormal (positive diagonal) after every
+    # exact step, through the same crossing count
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(4, 4))
+    H = quadratic_hamiltonian((A + A.T) / 2)
+    x, p = rng.normal(size=2), rng.normal(size=2)
+    for T in (10.0, 14.0):
+        path = flow_path(H, np.concatenate([x, p]), 0.0, T, 2000)
+        planes = [vertical_frame(2).stacked()]
+        for _ in range(2000):
+            planes.append(_qr_frames((path.jacobians[1] @ planes[-1])[None])[0])
+        oracle = _vertical_crossings(np.array(planes[1:]), path.turns)
+        assert morse_index(H, x, p, 0.0, T) == oracle == {10.0: 3, 14.0: 4}[T]
 
 
 def test_quartic_coarse_paths_are_refinement_errors():
     H = quartic_hamiltonian([1.0], 0.1)
     # 16 steps counted 3 focal points where dense sampling finds 6
     with pytest.raises(RefinementError, match="too coarse"):
-        morse_index(H, [0.3], [0.2], 0.0, 20.0, steps=16)
-    assert morse_index(H, [0.3], [0.2], 0.0, 20.0, steps=2000) == 6
+        morse_count(H, [0.3], [0.2], 0.0, 20.0, 16)
+    assert morse_index(H, [0.3], [0.2], 0.0, 20.0) == 6
     # one step lifted the circle's tangent with alpha 0.0, where dense
     # sampling carries it to -44.755
     with pytest.raises(RefinementError, match="too coarse"):
@@ -706,7 +715,7 @@ def test_oscillator_spectrum_ladder():
 def test_cover_point_and_flowed_manifold_plumbing():
     man = CircleManifold(1.5)
     z = CoverPoint(man, 0.8)
-    assert np.allclose(z.projection(), man.point(0.8))
+    assert z.theta.tolist() == [0.8]
     with pytest.raises(ValueError):
         CoverPoint(man, [0.1, 0.2])
 
@@ -714,9 +723,10 @@ def test_cover_point_and_flowed_manifold_plumbing():
     psi = Waveform(man, uniform_density, 0.5)
     ev = evolve(psi, H, 0.0, 0.7, steps=300)
     fm = ev.manifold
-    # points of the flowed manifold sit on it; the inverse flow measures offset
-    assert fm.offset(fm.point(1.1)) < 1e-9
-    assert fm.offset(np.array([5.0, 5.0])) > 1.0
+    # points of the flowed manifold sit on it: the inverse flow takes them
+    # back to the circle
+    back, _, _ = flow_map(H, fm.point(1.1), 0.7, 0.0, 300)
+    assert abs(math.hypot(*back) - 1.5) < 1e-9
     # the flowed phase generates p dx along the arc
     for t in (0.2, 0.35, 0.5):
         assert _phase_defect(fm, [t]) < 1e-6
@@ -746,14 +756,16 @@ def test_manifold_validation():
 
 
 def _parameter_path_alpha(man, theta):
-    # the reference lift carried along the tangent planes of the straight
-    # parameter path from the reference to theta
-    ref = man.reference()
+    # the lift at 0 carried along the tangent planes of the straight parameter
+    # path from 0 to theta, in pieces of length at most 4: at least 8 initial
+    # samples per unit of length
     th = np.asarray(theta, dtype=float)
-    samples = max(33, 1 + int(8 * np.linalg.norm(th - ref)))
-    _, lifts = lift_path_adaptive(lambda s: man.tangent_frame(ref + s * (th - ref)),
-                                  0.0, 1.0, man.cover_lift(ref).alpha, init_samples=samples)
-    return lifts[-1].alpha
+    alpha = man.cover_lift(np.zeros_like(th)).alpha
+    ends = np.linspace(0.0, 1.0, max(1, math.ceil(np.linalg.norm(th) / 4)) + 1)
+    for s0, s1 in zip(ends[:-1], ends[1:]):
+        _, lifts = lift_path_adaptive(lambda s: man.tangent_frame(s * th), s0, s1, alpha)
+        alpha = lifts[-1].alpha
+    return alpha
 
 
 COVER_KINDS = {
