@@ -147,9 +147,10 @@ def _consumer_calls():
 
 
 def _defaulted_parameters():
-    # {function: (the names it is called by, label, parameters after self)} of
-    # every module's __all__ functions and its __all__ classes' public methods
-    # and constructors; a dataclass's defaulted fields are its constructor's
+    # (the names a call reaches it by, label, position after self, name) of
+    # each defaulted parameter of every module's __all__ functions and of its
+    # __all__ classes' public methods and constructors, each function once; a
+    # dataclass's defaulted fields are its constructor's
     found = {}
 
     def add(fn, name, label, bound):
